@@ -7,6 +7,13 @@ monomial of the polynomial part of component x.  Value tables are bit
 masks indexed by the group's sorted code order.  Cornering, commuting
 vectors, the theta 2-cocycle, and layer reconstruction all act on the
 coefficient side; tables are materialized only on small groups.
+
+A row of theta depends only on the block characters at its element, so
+theta keeps one row per block-character pattern and shares it.  The
+coboundary test solve_cochain propagates values down the group's cached
+Cayley spanning tree, one numpy step per tree layer, then checks every
+Cayley edge at once; groups with order^2 <= 2^20 also get a closing
+check of the whole table against every row of theta.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import numpy as np
 
 from .f2 import F2Basis, F2Solver, bits_of, kernel_basis, rank, solve
 from .groups import ExpansionGroup, ResourceLimitError, build_universal_general, \
-    descending_central_series
+    descending_central_series, universal_order_exponent
 from .f2 import F2Vector
 from .tensors import BlockShape, governing_tensor_general
 
@@ -49,6 +56,12 @@ TABLE_CEILING = 1 << 16
 
 def _pack_bits(arr: np.ndarray) -> int:
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+
+
+def _unpack_bits(tab: int, order: int) -> np.ndarray:
+    return np.unpackbits(
+        np.frombuffer(tab.to_bytes((order + 7) // 8, "little"), dtype=np.uint8),
+        bitorder="little", count=order)
 
 
 class _Context:
@@ -107,7 +120,7 @@ class _Context:
 
     def _guard(self):
         if self.order > TABLE_CEILING:
-            raise ResourceLimitError(self.order)
+            raise ResourceLimitError(self.order, TABLE_CEILING, "table ceiling")
 
     def table(self, label) -> int:
         tab = self._tables.get(label)
@@ -309,11 +322,7 @@ class ThetaCocycle:
         order = ctx.order
         R = np.zeros((order, order), dtype=np.uint8)
         for p, row in enumerate(self.rows):
-            R[p] = np.frombuffer(
-                np.unpackbits(
-                    np.frombuffer(row.to_bytes((order + 7) // 8, "little"),
-                                  dtype=np.uint8),
-                    bitorder="little", count=order), dtype=np.uint8)
+            R[p] = _unpack_bits(row, order)
         M = np.vstack([ctx.mul_positions(p) for p in range(order)])
         if order <= 256:
             pairs = product(range(order), repeat=2)
@@ -385,10 +394,7 @@ class ExpansionMap:
 
 
 def _gather_bits(tab: int, positions: np.ndarray, order: int) -> int:
-    arr = np.unpackbits(
-        np.frombuffer(tab.to_bytes((order + 7) // 8, "little"), dtype=np.uint8),
-        bitorder="little", count=order)
-    return _pack_bits(arr[positions])
+    return _pack_bits(_unpack_bits(tab, order)[positions])
 
 
 # -- the distinguished basis --
@@ -654,7 +660,14 @@ def _composite(shape: BlockShape, v: CommVector, B) -> PhiMap:
 
 
 def theta(shape: BlockShape, v: CommVector) -> ThetaCocycle:
-    """theta(s,t) sums chi_B(s) times the B-fold corner of v at t."""
+    """theta(s,t) sums chi_B(s) times the B-fold corner of v at t.
+
+    chi_B(s) is 1 exactly when every block character of B is 1 at s, so
+    row s depends only on the pattern of the n block characters at s.
+    Each of the 2^n pattern rows is built once, and the rows of elements
+    with the same pattern are one shared int: about 2^n * order bits in
+    place of order^2.
+    """
     if v.shape != shape:
         raise ValueError("vector lives on a different shape")
     if not v.is_commuting():
@@ -666,59 +679,66 @@ def theta(shape: BlockShape, v: CommVector) -> ThetaCocycle:
         for B in combinations(range(shape.n), r):
             tab = inflate(shape, B, _composite(shape, v, B)).values
             if tab:
-                parts.append((ctx.chi_set(B), tab))
-    rows = []
-    for p in range(order):
+                parts.append((sum(1 << s for s in B), tab))
+    shared = []
+    for blocks in range(1 << shape.n):
         row = 0
-        for chi, tab in parts:
-            if (chi >> p) & 1:
+        for B, tab in parts:
+            if B & blocks == B:
                 row ^= tab
-        rows.append(row)
-    return ThetaCocycle(shape, rows)
+        shared.append(row)
+    pattern = np.zeros(order, dtype=np.int64)
+    for s in range(shape.n):
+        pattern |= _unpack_bits(ctx.block_char(s), order).astype(np.int64) << s
+    return ThetaCocycle(shape, [shared[m] for m in pattern.tolist()])
 
 
 def solve_cochain(G: ExpansionGroup, th: ThetaCocycle):
-    """Value table with coboundary th, spread over the Cayley graph.
+    """Value table with coboundary th, vanishing at the identity and the
+    generators; None when th is no coboundary.
 
-    The identity gets 0 and every generator is seeded 0; each edge then
-    forces the product's value.  A conflicting edge means th is not a
-    coboundary under this seeding, hence not one at all, and the answer
-    is absent.  Small groups get a full closing verification.
+    Each Cayley edge p -> p*g forces val(p*g) = val(p) + th(p, g).  The
+    values are propagated from the identity down the group's cached
+    spanning tree, one numpy step per tree layer, then every Cayley edge
+    is checked at once and the generators must read 0.  Any conflict
+    means th is not a coboundary under this seeding, hence not one at
+    all.  When order^2 <= 2^20 a closing check compares the coboundary
+    of the table with every row of th.
     """
     order = G.order
     if len(th.rows) != order:
         raise ValueError("table size differs from the group order")
-    codes = G.codes
-    gen_pos = [int(np.searchsorted(codes, np.uint64(g))) for g in G.gen_codes]
-    perms = [np.searchsorted(codes, G.right_mul_array(codes, g))
-             for g in G.gen_codes]
-    val = np.full(order, -1, dtype=np.int8)
-    val[0] = 0
-    for gp in gen_pos:
-        val[gp] = 0
-    frontier = [0] + gen_pos
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for gi, perm in enumerate(perms):
-                q = int(perm[p])
-                cand = int(val[p]) ^ ((th.rows[p] >> gen_pos[gi]) & 1)
-                if val[q] < 0:
-                    val[q] = cand
-                    nxt.append(q)
-                elif int(val[q]) != cand:
-                    return None
-        frontier = nxt
-    table = _pack_bits((val == 1).astype(np.uint8))
+    gen_pos, perms, tree = G.cayley_tree()
+    rows = th.rows
+    # col[g, p] = th(p, g), the generator columns of th, read once per
+    # distinct row object (theta shares one row per block-character pattern)
+    ids = np.fromiter(map(id, rows), dtype=np.uint64, count=order)
+    _, first, pick = np.unique(ids, return_index=True, return_inverse=True)
+    distinct = [rows[p] for p in first.tolist()]
+    col = np.array([[1 if r & m else 0 for r in distinct]
+                    for m in [1 << int(gp) for gp in gen_pos]],
+                   dtype=np.uint8).reshape(len(gen_pos), len(distinct))[:, pick]
+    val = np.zeros(order, dtype=np.uint8)
+    for kids, parents, gens in tree:
+        val[kids] = val[parents] ^ col[gens, parents]
+    if val[gen_pos].any() or (val[perms] != val ^ col).any():
+        return None
+    table = _pack_bits(val)
     if order * order <= 1 << 20:
-        full = (1 << order) - 1
-        for p in range(order):
-            prods = G.mul_left_array(int(codes[p]), codes)
-            row = _gather_bits(table, np.searchsorted(codes, prods), order)
-            row ^= full if (table >> p) & 1 else 0
-            row ^= table
-            if row != th.rows[p]:
-                return None
+        if max(rows) >> order:
+            return None  # bits past the order are in no coboundary row
+        # M[p, q] is the position of codes[p] * codes[q], column by tree layer
+        M = np.empty((order, order), dtype=np.int32)
+        M[:, 0] = np.arange(order)
+        for kids, parents, gens in tree:
+            M[:, kids] = perms[gens, M[:, parents]]
+        nbytes = (order + 7) // 8
+        R = np.unpackbits(
+            np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
+                          dtype=np.uint8).reshape(order, nbytes),
+            axis=1, bitorder="little", count=order)
+        if (val[M] ^ val[:, None] ^ val[None, :] != R).any():
+            return None
     return table
 
 
@@ -805,6 +825,9 @@ def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
         for phi in space:
             if phi.shape != shape.drop(i):
                 raise ValueError(f"corner basis {i} lives on the wrong shape")
+    predicted = 1 << universal_order_exponent(shape)
+    if predicted > TABLE_CEILING:
+        raise ResourceLimitError(predicted, TABLE_CEILING, "table ceiling")
     ctx = _context(shape)
     sizes = [len(c) for c in corner_spaces]
     offs = [sum(sizes[:i]) for i in range(shape.n)]

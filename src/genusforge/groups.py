@@ -25,18 +25,25 @@ from .tensors import BlockShape
 ENUM_CEILING = 1 << 22
 
 
-class ResourceLimitError(RuntimeError):
-    """A closure was refused because it would pass the element ceiling."""
+def _power_text(v: int) -> str:
+    return f"2^{v.bit_length() - 1}" if v > 0 and v & (v - 1) == 0 else str(v)
 
-    def __init__(self, predicted_order: int | None = None):
+
+class ResourceLimitError(RuntimeError):
+    """A computation was refused because it would pass a size ceiling.
+
+    ceiling and limit name the ceiling that tripped: the element ceiling
+    of enumeration by default, the value-table ceiling for expansion maps.
+    """
+
+    def __init__(self, predicted_order: int | None = None,
+                 ceiling: int = ENUM_CEILING, limit: str = "enumeration ceiling"):
         self.predicted_order = predicted_order
         if predicted_order is None:
-            msg = f"enumeration exceeded the ceiling of {ENUM_CEILING} elements"
-        elif predicted_order & (predicted_order - 1) == 0:
-            msg = (f"predicted order 2^{predicted_order.bit_length() - 1} "
-                   f"exceeds the enumeration ceiling 2^22")
+            msg = f"enumeration exceeded the ceiling of {ceiling} elements"
         else:
-            msg = f"predicted order {predicted_order} exceeds the enumeration ceiling 2^22"
+            msg = (f"predicted order {_power_text(predicted_order)} exceeds "
+                   f"the {limit} {_power_text(ceiling)}")
         super().__init__(msg)
 
 
@@ -224,6 +231,7 @@ class ExpansionGroup:
         self.codes = self._close(self.gen_codes)
         self._report: dict | None = None
         self._series: list[list[int]] | None = None
+        self._cayley = None
 
     # -- scalar element arithmetic on codes --
 
@@ -349,6 +357,43 @@ class ExpansionGroup:
 
     def right_mul_array(self, codes: np.ndarray, gc: int) -> np.ndarray:
         return self._step(codes, self._gen_table(gc))
+
+    def cayley_tree(self):
+        """Generator positions, right-multiplication permutations and a
+        spanning tree of the Cayley graph, built once per group.
+
+        perms[g, p] is the position of codes[p] * gen_codes[g].  The tree
+        is breadth-first from the identity, one (children, parents,
+        generators) triple of arrays per layer, with codes[child] =
+        codes[parent] * gen_codes[generator].  Indices are int32.
+        """
+        if self._cayley is None:
+            codes = self.codes
+            order, ngens = len(codes), len(self.gen_codes)
+            gen_pos = np.searchsorted(
+                codes, np.array(self.gen_codes, dtype=np.uint64)).astype(np.int32)
+            perms = np.empty((ngens, order), dtype=np.int32)
+            for gi, g in enumerate(self.gen_codes):
+                perms[gi] = np.searchsorted(codes, self.right_mul_array(codes, g))
+            seen = np.zeros(order, dtype=bool)
+            seen[0] = True
+            frontier = np.zeros(1, dtype=np.int32)
+            tree = []
+            while True:
+                kids = perms[:, frontier].ravel()
+                fresh = ~seen[kids]
+                # the first edge into each new child joins the tree; edge
+                # g * len(frontier) + j leaves frontier[j] by generator g
+                kids, first = np.unique(kids[fresh], return_index=True)
+                if not kids.size:
+                    break
+                seen[kids] = True
+                edges = np.flatnonzero(fresh)[first]
+                tree.append((kids, frontier[edges % frontier.size],
+                             (edges // frontier.size).astype(np.int32)))
+                frontier = kids
+            self._cayley = (gen_pos, perms, tuple(tree))
+        return self._cayley
 
     def mul_left_array(self, x: int, arr: np.ndarray) -> np.ndarray:
         """x * arr[k] for every k, x fixed."""

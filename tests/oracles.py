@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from math import comb
 
+import numpy as np
+
 
 # ---------------------------------------------------------------------------
 # naive GF(2) spans over arbitrary hashable "coordinates"
@@ -270,3 +272,63 @@ def is_prime_naive(m) -> bool:
             return False
         d += 1
     return True
+
+
+# ---------------------------------------------------------------------------
+# the cochain solver as a breadth-first walk, one Cayley edge at a time
+
+
+def _pack_bits(arr) -> int:
+    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+
+
+def _gather_bits(tab: int, positions, order: int) -> int:
+    arr = np.unpackbits(
+        np.frombuffer(tab.to_bytes((order + 7) // 8, "little"), dtype=np.uint8),
+        bitorder="little", count=order)
+    return _pack_bits(arr[positions])
+
+
+def solve_cochain_bfs(G, th):
+    """Value table with coboundary th, spread over the Cayley graph.
+
+    The identity gets 0 and every generator is seeded 0; each edge then
+    forces the product's value.  A conflicting edge means th is not a
+    coboundary under this seeding, hence not one at all, and the answer
+    is absent.  Small groups get a full closing verification.
+    """
+    order = G.order
+    if len(th.rows) != order:
+        raise ValueError("table size differs from the group order")
+    codes = G.codes
+    gen_pos = [int(np.searchsorted(codes, np.uint64(g))) for g in G.gen_codes]
+    perms = [np.searchsorted(codes, G.right_mul_array(codes, g))
+             for g in G.gen_codes]
+    val = np.full(order, -1, dtype=np.int8)
+    val[0] = 0
+    for gp in gen_pos:
+        val[gp] = 0
+    frontier = [0] + gen_pos
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for gi, perm in enumerate(perms):
+                q = int(perm[p])
+                cand = int(val[p]) ^ ((th.rows[p] >> gen_pos[gi]) & 1)
+                if val[q] < 0:
+                    val[q] = cand
+                    nxt.append(q)
+                elif int(val[q]) != cand:
+                    return None
+        frontier = nxt
+    table = _pack_bits((val == 1).astype(np.uint8))
+    if order * order <= 1 << 20:
+        full = (1 << order) - 1
+        for p in range(order):
+            prods = G.mul_left_array(int(codes[p]), codes)
+            row = _gather_bits(table, np.searchsorted(codes, prods), order)
+            row ^= full if (table >> p) & 1 else 0
+            row ^= table
+            if row != th.rows[p]:
+                return None
+    return table

@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from genusforge import cli
 from genusforge.cli import RunReport, build_parser, main
+from genusforge.lie import lie_epimorphism
 
 
 def run(capsys, *argv):
@@ -87,6 +90,47 @@ def test_reconstruct_command(capsys):
     assert code == 0 and rep["results"]["layer_report"]["dim"] == 4
     code, rep = run_json(capsys, "reconstruct", "--shape", "1,1", "--j", "1")
     assert code == 1 and "error" in rep["results"]
+
+
+def test_reconstruct_refuses_oversized_up_front(capsys):
+    t0 = time.perf_counter()
+    code, rep = run_json(capsys, "reconstruct", "--shape", "1,1,1,1", "--j", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 1 and rep["passed"] is False
+    assert rep["results"]["error"] == \
+        "predicted order 2^21 exceeds the table ceiling 2^16"
+
+
+def _raising(source, target):
+    raise RuntimeError("classification violation: not surjective")
+
+
+def _rank_deficient(source, target):
+    images = lie_epimorphism(source, target)
+    images[2] = [0] * len(images[2])
+    return images
+
+
+def _one_image_short(source, target):
+    images = lie_epimorphism(source, target)
+    images[1] = images[1][:-1]
+    return images
+
+
+@pytest.mark.parametrize("fake, detail", [
+    (_raising, "classification violation: not surjective"),
+    (_rank_deficient, "grade 2: images of rank 0, target dimension"),
+    (_one_image_short, "grade 1: "),
+])
+def test_verify_lie_epimorphism_check_can_fail(capsys, monkeypatch, fake, detail):
+    monkeypatch.setattr(cli, "lie_epimorphism", fake)
+    code, rep = run_json(capsys, "verify", "lie")
+    assert code == 1 and rep["passed"] is False
+    checks = rep["results"]["checks"]
+    epi = [c for c in checks if c["name"].startswith("lie epimorphisms")]
+    assert len(epi) == 2
+    assert all(not c["passed"] and c["detail"].startswith(detail) for c in epi)
+    assert all(c["passed"] for c in checks if c not in epi)
 
 
 def test_arith_commands(capsys):

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from genusforge import expmaps
 from genusforge.expmaps import (
     CommVector,
     PhiMap,
@@ -30,8 +34,9 @@ from genusforge.expmaps import (
     _context,
 )
 from genusforge.f2 import F2Basis, rank
-from genusforge.groups import normal_closure
+from genusforge.groups import ResourceLimitError, normal_closure
 from genusforge.tensors import BlockShape
+from oracles import solve_cochain_bfs
 
 S11 = BlockShape((1, 1))
 S21 = BlockShape((2, 1))
@@ -307,6 +312,98 @@ def test_solve_cochain_obstruction():
         solve_cochain(G, ThetaCocycle(S11, [0] * 8))
 
 
+def _corner_vector(shape: BlockShape, phi: PhiMap) -> CommVector:
+    return CommVector(shape, [corner_operator(shape, i, phi) for i in range(shape.n)])
+
+
+def _generator_positions(G) -> list[int]:
+    codes = [int(c) for c in G.codes]
+    return [codes.index(g) for g in G.gen_codes]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from((S11, S21, S22, S111)),
+       st.sampled_from(("coboundary", "flip generator column",
+                        "flip other column", "bit past the order", "random rows")),
+       st.data())
+def test_solve_cochain_matches_bfs_oracle(shape, kind, data):
+    ctx = _context(shape)
+    G = ctx.group
+    order = G.order
+    phi = PhiMap(shape, data.draw(st.integers(0, (1 << len(ctx.labels)) - 1)))
+    rows = list(coboundary(phi).rows)
+    assert theta(shape, _corner_vector(shape, phi)).rows == tuple(rows)
+    gens = _generator_positions(G)
+    p = data.draw(st.integers(0, order - 1))
+    if kind == "flip generator column":
+        rows[p] ^= 1 << data.draw(st.sampled_from(gens))
+    elif kind == "flip other column":
+        others = [q for q in range(order) if q not in gens and (p, q) != (0, 0)]
+        rows[p] ^= 1 << data.draw(st.sampled_from(others))
+    elif kind == "bit past the order":
+        rows[p] |= 1 << (order + data.draw(st.integers(0, 9)))
+    elif kind == "random rows":
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        rows = [rng.getrandbits(order) for _ in range(order)]
+        rows[0] &= ~1
+    th = ThetaCocycle(shape, rows)
+    got = solve_cochain(G, th)
+    assert got == solve_cochain_bfs(G, th)
+    if kind == "coboundary":
+        diff = got ^ phi.values
+        assert diff == 0 or diff in char_span(shape)
+    elif kind != "random rows":
+        assert got is None
+
+
+def test_solve_cochain_past_closing_check_reads_generator_columns():
+    shape = BlockShape((3, 3))
+    ctx = _context(shape)
+    G = ctx.group
+    assert G.order == 1 << 11
+    rng = random.Random(7)
+    phi = PhiMap(shape, rng.getrandbits(len(ctx.labels)))
+    th = theta(shape, _corner_vector(shape, phi))
+    tab = solve_cochain(G, th)
+    assert tab is not None and tab == solve_cochain_bfs(G, th)
+    diff = tab ^ phi.values
+    assert diff == 0 or diff in char_span(shape)
+    gens = _generator_positions(G)
+    p = rng.randrange(G.order)
+    q = next(q for q in range(1, G.order) if q not in gens)
+    off = list(th.rows)
+    off[p] ^= 1 << q
+    # above order 1024 there is no closing check: only generator columns count
+    assert solve_cochain(G, ThetaCocycle(shape, off)) == tab
+    assert solve_cochain_bfs(G, ThetaCocycle(shape, off)) == tab
+    on = list(th.rows)
+    on[p] ^= 1 << gens[0]
+    assert solve_cochain(G, ThetaCocycle(shape, on)) is None
+    assert solve_cochain_bfs(G, ThetaCocycle(shape, on)) is None
+
+    # generator columns that a table forces along every Cayley edge; the
+    # answer must vanish at the generators too
+    right = [np.searchsorted(G.codes, G.right_mul_array(G.codes, g))
+             for g in G.gen_codes]
+
+    def edge_columns(val):
+        rows = [0] * G.order
+        for q, perm in zip(gens, right):
+            for p in range(G.order):
+                rows[p] |= (val[perm[p]] ^ val[p]) << q
+        return ThetaCocycle(shape, rows)
+
+    val = [rng.getrandbits(1) for _ in range(G.order)]
+    for q in [0] + gens:
+        val[q] = 0
+    want = sum(b << q for q, b in enumerate(val))
+    assert solve_cochain(G, edge_columns(val)) == want
+    assert solve_cochain_bfs(G, edge_columns(val)) == want
+    val[gens[0]] = 1
+    assert solve_cochain(G, edge_columns(val)) is None
+    assert solve_cochain_bfs(G, edge_columns(val)) is None
+
+
 def test_realize_recovers_mod_characters():
     shape = S111
     charbits = (1 << shape.N) - 1
@@ -402,3 +499,17 @@ def test_reconstruct_validates_corners():
         reconstruct_layer(S11, 2, [corners[0]])
     with pytest.raises(ValueError):
         reconstruct_layer(S11, 2, [corners[0], phi_layer(S21, 1)])
+
+
+def test_reconstruct_refuses_past_table_ceiling(monkeypatch):
+    shape = BlockShape((1, 1, 1, 1))
+    corners = [phi_layer(shape.drop(i), 1) for i in range(shape.n)]
+
+    def no_enumeration(sh):
+        raise AssertionError(f"enumerated {sh.k} before refusing")
+
+    monkeypatch.setattr(expmaps, "_context", no_enumeration)
+    with pytest.raises(ResourceLimitError) as err:
+        reconstruct_report(shape, 2, corners)
+    assert str(err.value) == "predicted order 2^21 exceeds the table ceiling 2^16"
+    assert err.value.predicted_order == 1 << 21
