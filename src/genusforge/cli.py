@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 import time
@@ -417,9 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    workers = os.environ.get("GENUSFORGE_THREADS")
-    if workers is not None:
-        os.environ.setdefault("OMP_NUM_THREADS", workers)
     report = args.fn(args)
     print(report.to_json() if args.json else _render(report))
     return 0 if report.passed else 1

@@ -68,7 +68,8 @@ class _Context:
     """Enumerated universal group of a shape plus its Phi bookkeeping."""
 
     __slots__ = ("shape", "group", "labels", "index", "order", "_tables",
-                 "_solver", "_series", "_blockchi", "_mulpos", "_checked")
+                 "_solver", "_series", "_blockchi", "_mulpos", "_checked",
+                 "_corners")
 
     def __init__(self, shape: BlockShape):
         self.shape = shape
@@ -88,6 +89,7 @@ class _Context:
         self._blockchi = None
         self._mulpos = {}
         self._checked = False
+        self._corners = {}
 
     # -- single-element reads --
 
@@ -745,10 +747,15 @@ def solve_cochain(G: ExpansionGroup, th: ThetaCocycle):
 # -- realization and layer reconstruction --
 
 def _corner_matrix(shape: BlockShape, i: int) -> list[int]:
-    """Corner coordinates of every basis map under the block-i operator."""
+    """Corner coordinates of every basis map under the block-i operator,
+    built once per shape and block."""
     ctx = _context(shape)
-    return [corner_operator(shape, i, PhiMap(shape, 1 << p)).coords
-            for p in range(len(ctx.labels))]
+    mat = ctx._corners.get(i)
+    if mat is None:
+        mat = [corner_operator(shape, i, PhiMap(shape, 1 << p)).coords
+               for p in range(len(ctx.labels))]
+        ctx._corners[i] = mat
+    return mat
 
 
 def realize_commuting_vector(shape: BlockShape, v: CommVector) -> PhiMap:

@@ -11,7 +11,6 @@ into integer codes, field by field, so closures are plain sorted int arrays.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from functools import lru_cache
 from itertools import product as iproduct
@@ -37,8 +36,10 @@ class ResourceLimitError(RuntimeError):
     """
 
     def __init__(self, predicted_order: int | None = None,
-                 ceiling: int = ENUM_CEILING, limit: str = "enumeration ceiling"):
+                 ceiling: int | None = None, limit: str = "enumeration ceiling"):
         self.predicted_order = predicted_order
+        if ceiling is None:
+            ceiling = ENUM_CEILING
         if predicted_order is None:
             msg = f"enumeration exceeded the ceiling of {ceiling} elements"
         else:
@@ -197,13 +198,6 @@ def _layout(specs: Iterable[tuple[int, tuple[int, ...]]]) -> tuple[tuple[_Comp, 
         comps.append(c)
         off += c.width
     return tuple(comps), off
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("GENUSFORGE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class ExpansionGroup:
@@ -421,35 +415,26 @@ class ExpansionGroup:
         return self._close_set(gen_codes)
 
     def _close_np(self, gen_codes: list[int]) -> np.ndarray:
+        """Breadth-first closure as a sorted array, deduplicated by sorting:
+        no hashing, so its cost is a few sorts per layer."""
         tables = [self._gen_table(g) for g in gen_codes]
-        nthreads = _threads()
-        pool = None
-        if nthreads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            pool = ThreadPoolExecutor(max_workers=nthreads)
-        try:
-            seen = np.array([0], dtype=np.uint64)
-            frontier = seen
-            while frontier.size:
-                if pool is not None and frontier.size >= (1 << 15):
-                    chunks = np.array_split(frontier, nthreads)
-                    jobs = [(ch, t) for t in tables for ch in chunks if ch.size]
-                    parts = list(pool.map(lambda j: self._step(*j), jobs))
-                else:
-                    parts = [self._step(frontier, t) for t in tables]
-                nxt = np.unique(np.concatenate(parts))
-                pos = np.minimum(np.searchsorted(seen, nxt), seen.size - 1)
-                fresh = nxt[seen[pos] != nxt]
-                if not fresh.size:
-                    break
-                seen = np.union1d(seen, fresh)
-                if seen.size > ENUM_CEILING:
-                    raise ResourceLimitError(self.expected_order)
-                frontier = fresh
-            return seen
-        finally:
-            if pool is not None:
-                pool.shutdown()
+        seen = np.zeros(1, dtype=np.uint64)
+        frontier = seen
+        while frontier.size:
+            nxt = np.concatenate([self._step(frontier, t) for t in tables])
+            nxt.sort()
+            nxt = nxt[np.concatenate(([True], nxt[1:] != nxt[:-1]))]
+            pos = np.minimum(np.searchsorted(seen, nxt), seen.size - 1)
+            fresh = nxt[seen[pos] != nxt]
+            if not fresh.size:
+                break
+            # two disjoint sorted runs: the stable sort merges them in one pass
+            seen = np.concatenate([seen, fresh])
+            seen.sort(kind="stable")
+            if seen.size > ENUM_CEILING:
+                raise ResourceLimitError(self.expected_order)
+            frontier = fresh
+        return seen
 
     def _close_set(self, gen_codes: list[int]) -> list[int]:
         seen = {0}
@@ -792,24 +777,24 @@ def _commutator_span(G) -> F2Basis:
 
 def check_expansion_axioms(G) -> dict[str, bool]:
     """Verify the defining conditions and the block condition on an
-    enumerated group; failures come back as report fields, not errors."""
-    shape = G.shape
+    enumerated group; failures come back as report fields, not errors.
+
+    An ExpansionGroup keeps the report, which descending_central_series
+    reads instead of checking again."""
     report = {}
     report["axiom1"] = all(G.phi(g) == 1 << x for x, g in enumerate(G.gen_codes))
     if report["axiom1"]:
         if isinstance(getattr(G, "codes", None), np.ndarray):
+            # phi(u g) = phi(u) + phi(g) for all u, read on every phi bit at once
             codes = G.codes
-            for x, g in enumerate(G.gen_codes):
-                stepped = G.right_mul_array(codes, g)
-                pg = G.phi(g)
-                for y in range(shape.N):
-                    lhs = G.phi_bit_array(stepped, y)
-                    rhs = G.phi_bit_array(codes, y) ^ ((pg >> y) & 1)
-                    if not bool(np.array_equal(lhs, rhs)):
-                        report["axiom1"] = False
-                        break
-                if not report["axiom1"]:
-                    break
+            mask = 0
+            for pos in G.phi_bits:
+                mask |= 1 << pos
+            M = np.uint64(mask)
+            report["axiom1"] = all(
+                bool(np.all(((G.right_mul_array(codes, g) ^ codes) & M)
+                            == np.uint64(g & mask)))
+                for g in G.gen_codes)
         else:
             for u in G.iter_codes():
                 pu = G.phi(u)
@@ -836,18 +821,9 @@ def check_expansion_axioms(G) -> dict[str, bool]:
         report["axiom3"] = False
     report["axiom4"] = all(G.mul(g, g) == G.identity for g in G.gen_codes)
     report["tilde_condition"] = _is_elementary_abelian(G, tilde)
+    if isinstance(G, ExpansionGroup):
+        G._report = report
     return report
-
-
-def _verified(G) -> dict[str, bool]:
-    rep = getattr(G, "_report", None)
-    if rep is None:
-        rep = check_expansion_axioms(G)
-        try:
-            G._report = rep
-        except AttributeError:
-            pass
-    return rep
 
 
 # -- central series and the augmentation filtration --
@@ -859,7 +835,8 @@ def descending_central_series(G: ExpansionGroup) -> list[list[int]]:
     so each comes back as an XOR basis."""
     if not isinstance(G, ExpansionGroup):
         raise TypeError("series requires an enumerated product-model group")
-    if not all(_verified(G).values()):
+    report = G._report if G._report is not None else check_expansion_axioms(G)
+    if not all(report.values()):
         raise ValueError("expansion axioms do not hold")
     if G._series is not None:
         return [list(b) for b in G._series]

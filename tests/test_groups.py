@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import oracles
+from genusforge import groups
 from genusforge.f2 import spans_equal
 from genusforge.groups import (CosetGroup, ExpansionGroup, GroupElement,
                                ResourceLimitError, SemidirectElement,
@@ -265,8 +267,78 @@ def test_group_dump_format():
     assert len(lines) == 3 + G.order
 
 
-def test_enumeration_deterministic_across_threads(monkeypatch):
-    base = list(build_universal_general(BlockShape((2, 2))).iter_codes())
-    monkeypatch.setenv("GENUSFORGE_THREADS", "4")
-    threaded = list(build_universal_general(BlockShape((2, 2))).iter_codes())
-    assert base == threaded
+def test_enumeration_deterministic():
+    a = build_universal_general(BlockShape((2, 2))).codes
+    b = build_universal_general(BlockShape((2, 2))).codes
+    assert a.dtype == b.dtype == np.uint64
+    assert a.tobytes() == b.tobytes()
+
+
+def test_close_np_matches_close_set():
+    for k in [(1, 1), (2, 1), (2, 2), (1, 1, 1), (2, 1, 1)]:
+        G = build_universal_general(BlockShape(k))
+        codes = G._close_np(G.gen_codes)
+        assert codes.dtype == np.uint64
+        assert bool(np.all(codes[1:] > codes[:-1])), k
+        assert codes.tolist() == G._close_set(G.gen_codes), k
+
+
+def test_close_np_orders_on_enumerate_shapes():
+    for k in [(4, 4), (2, 2, 1), (3, 1, 1), (5, 4)]:
+        shape = BlockShape(k)
+        G = build_universal_general(shape)
+        assert G.order == 1 << universal_order_exponent(shape), k
+        assert bool(np.all(G.codes[1:] > G.codes[:-1])), k
+
+
+def test_close_np_ceiling_trips_partway(monkeypatch):
+    G = build_universal_general(BlockShape((2, 1, 1)))
+    steps = []
+    step = ExpansionGroup._step
+
+    def counted(codes, table):
+        steps.append(codes.size)
+        return step(codes, table)
+
+    monkeypatch.setattr(ExpansionGroup, "_step", staticmethod(counted))
+    G._close_np(G.gen_codes)
+    full = len(steps)
+    steps.clear()
+    monkeypatch.setattr(groups, "ENUM_CEILING", G.order // 8)
+    with pytest.raises(ResourceLimitError) as e:
+        G.with_generators(G.gen_codes)
+    assert 0 < len(steps) < full
+    assert str(G.order // 8) in str(e.value)
+
+
+def test_axiom1_array_branch_can_fail():
+    G = build_universal_general(BlockShape((1, 1)))
+    c0, c1 = G.comps
+    # g_0 also carries t_s in its own factor, and readout 0 watches that
+    # bit: phi(g_x) = e_x still holds, but g_1 moves g_0's t_s to t_empty
+    g0 = G.gen_codes[0] | (2 << c0.poly_off)
+    mut = ExpansionGroup(G.shape, G.comps, [g0, G.gen_codes[1]],
+                         [c0.poly_off + 1, c1.poly_off])
+    assert isinstance(mut.codes, np.ndarray)
+    assert [mut.phi(g) for g in mut.gen_codes] == [1, 2]
+    assert any(mut.phi(mut.mul(u, g)) != mut.phi(u) ^ mut.phi(g)
+               for u in mut.iter_codes() for g in mut.gen_codes)
+    assert check_expansion_axioms(mut)["axiom1"] is False
+    assert check_expansion_axioms(G)["axiom1"] is True
+
+
+def test_series_reuses_stored_report(monkeypatch):
+    G = build_universal_general(BlockShape((2, 1)))
+    rep = check_expansion_axioms(G)
+    assert all(rep.values())
+
+    def refuse(_):
+        raise AssertionError("axioms checked twice")
+
+    monkeypatch.setattr(groups, "check_expansion_axioms", refuse)
+    assert len(descending_central_series(G)) >= 2
+    for key in rep:
+        mut = G.with_generators(G.gen_codes)
+        mut._report = dict(rep, **{key: False})
+        with pytest.raises(ValueError):
+            descending_central_series(mut)
