@@ -168,43 +168,53 @@ def search_consistent(k, prime_budget: int):
     the budget, each within-entry list itself ascending, backtracking
     on quadratic-residue conflicts against earlier entries.  Returns
     None once the pool is exhausted.
+
+    Candidates are bitmasks over the pool: the residue row of a chosen
+    prime q has bit pi set when q is a square modulo pool[pi], and a slot
+    may take any prime that every earlier entry's rows allow.  Rows are
+    built the first time their prime is chosen.
     """
     k = tuple(int(v) for v in k)
     if not k or any(v < 1 for v in k):
         raise ValueError("omega targets must be positive")
     pool = _primes_1mod4(prime_budget)
-    ends = []
-    total = 0
-    for v in k:
-        total += v
-        ends.append(total)
-    entry_of = [sum(1 for e in ends if e <= t) for t in range(total)]
+    # the place of each slot within its entry
+    slots = [s for v in k for s in range(v)]
+    rows: dict[int, int] = {}
     chosen: list[int] = []
 
-    def fits(t: int, pi: int) -> bool:
-        p = pool[pi]
-        for s, qi in enumerate(chosen):
-            if qi == pi:
-                return False
-            if entry_of[s] != entry_of[t] and jacobi(pool[qi], p) != 1:
-                return False
-        return True
+    def row(qi: int) -> int:
+        r = rows.get(qi)
+        if r is None:
+            q = pool[qi]
+            r = 0
+            for pi, p in enumerate(pool):
+                if jacobi(q, p) == 1:
+                    r |= 1 << pi
+            rows[qi] = r
+        return r
 
-    def extend(t: int) -> bool:
-        if t == total:
+    def extend(t: int, prior: int, cross: int, used: int) -> bool:
+        # prior: allowed by the entries before this slot's entry;
+        # cross: prior narrowed by this entry's primes chosen so far
+        if t == len(slots):
             return True
-        start = 0
-        if t > 0 and entry_of[t - 1] == entry_of[t]:
-            start = chosen[-1] + 1
-        for pi in range(start, len(pool)):
-            if fits(t, pi):
-                chosen.append(pi)
-                if extend(t + 1):
-                    return True
-                chosen.pop()
+        if slots[t]:
+            allowed = prior & ~used & -(2 << chosen[-1])
+        else:
+            prior = cross
+            allowed = prior & ~used
+        while allowed:
+            b = allowed & -allowed
+            allowed ^= b
+            pi = b.bit_length() - 1
+            chosen.append(pi)
+            if extend(t + 1, prior, cross & row(pi), used | b):
+                return True
+            chosen.pop()
         return False
 
-    if not extend(0):
+    if not extend(0, 0, (1 << len(pool)) - 1, 0):
         return None
     facts = []
     at = 0

@@ -18,7 +18,8 @@ from .expmaps import (CommVector, ThetaCocycle, build_phi_basis, coboundary,
 from .f2 import rank, spans_equal
 from .groups import (ResourceLimitError, augmentation_power_span,
                      build_universal, build_universal_general,
-                     check_expansion_axioms, descending_central_series)
+                     check_expansion_axioms, descending_central_series,
+                     universal_order_exponent)
 from .lie import (check_lie_axioms, governing_algebra,
                   governing_algebra_general, lie_epimorphism, lie_from_group)
 from .tensors import (BlockShape, cons_dim_formula, cons_dim_formula_general,
@@ -55,10 +56,6 @@ def _shape_arg(args) -> BlockShape:
     if getattr(args, "n", None):
         return BlockShape((1,) * args.n)
     raise ValueError("give either --n or --shape")
-
-
-def _order_exponent(shape: BlockShape) -> int:
-    return shape.N * 2 ** (shape.n - 1) - 2 ** shape.n + shape.n + 1
 
 
 def _finish(command: str, params: dict, results: dict, passed: bool,
@@ -106,7 +103,7 @@ def cmd_universal(args) -> RunReport:
     params = {"n": args.n, "shape": args.shape, "enumerate": args.enumerate}
     try:
         shape = _shape_arg(args)
-        exp = _order_exponent(shape)
+        exp = universal_order_exponent(shape)
         results = {"exponent": exp, "predicted_order": 2 ** exp}
         ok = True
         if args.enumerate:
@@ -150,7 +147,8 @@ def _verify_groups(checks: list) -> None:
         shape = BlockShape(k)
         G = build_universal_general(shape)
         _check(checks, f"groups order shape={k}",
-               G.order == 2 ** _order_exponent(shape), f"order {G.order}")
+               G.order == 2 ** universal_order_exponent(shape),
+               f"order {G.order}")
         _check(checks, f"groups axioms shape={k}",
                all(check_expansion_axioms(G).values()))
     G = build_universal(3)

@@ -481,7 +481,7 @@ def corner_operator(shape: BlockShape, i: int, phi: PhiMap) -> PhiMap:
             out ^= 1 << sub.index[("chi", xmap[x])]
         else:
             out ^= 1 << sub.index[("phi", rest, xmap[x])]
-    return PhiMap(shape.drop(i), out)
+    return PhiMap(sub.shape, out)
 
 
 def inflate(shape: BlockShape, gone, phi: PhiMap) -> PhiMap:

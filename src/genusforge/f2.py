@@ -88,18 +88,29 @@ def _strip(v: int, piv: dict[int, int], mask: int) -> int:
 
 
 def rref(m) -> dict[int, int]:
-    """Reduced row echelon form as a map pivot column -> row mask."""
+    """Reduced row echelon form as a map pivot column -> row mask.
+
+    Keys appear in the order their pivots were found.  Forward
+    elimination leaves each row free of the pivots found before it; one
+    back-substitution, highest pivot first, then clears the later ones
+    using rows that are already reduced, so a single pass over each row's
+    higher pivot bits suffices.
+    """
     piv: dict[int, int] = {}
     mask = 0
     for v in _rows_of(m):
         v = _strip(v, piv, mask)
         if v:
             p = low_bit(v)
-            for q, w in piv.items():
-                if w >> p & 1:
-                    piv[q] = w ^ v
             piv[p] = v
             mask |= 1 << p
+    for p in sorted(piv, reverse=True):
+        v = piv[p]
+        hit = v & mask & ~((2 << p) - 1)
+        if hit:
+            for q in bits_of(hit):
+                v ^= piv[q]
+            piv[p] = v
     return piv
 
 

@@ -335,12 +335,27 @@ def check_lie_axioms(L: GradedLie, shape: BlockShape | None = None) -> dict:
     entries do not see the order of the leading entries, vanish on a
     repeated leading entry, and [e_x, [e_x, -]] kills every grade.
     tilde1/tilde2 are the block refinements.
+
+    Right-nested brackets of basis tuples are shared by suffix within the
+    call; brackets with a general grade-1 entry are not stored.
     """
     if shape is None:
         shape = L.shape
     N = shape.N
     nclass = L.nclass
     report = {}
+    memo: dict[tuple[int, ...], int] = {}
+
+    def nested(xs: tuple[int, ...]) -> int:
+        # bits of the grade-len(xs) bracket [e_xs[0], [e_xs[1], ...]]
+        v = memo.get(xs)
+        if v is None:
+            if len(xs) == 1:
+                v = 1 << xs[0]
+            else:
+                v = L.bracket_gen(xs[0], len(xs) - 1, nested(xs[1:]))
+            memo[xs] = v
+        return v
 
     ok = L.dims[0] == N
     for x in range(N):
@@ -388,26 +403,24 @@ def check_lie_axioms(L: GradedLie, shape: BlockShape | None = None) -> dict:
     ok = True
     for i in range(4, nclass + 2):
         for xs in product(range(N), repeat=i):
-            base = L.nested(xs)[1]
+            base = nested(xs)
             for s in range(i - 3):
                 ys = list(xs)
                 ys[s], ys[s + 1] = ys[s + 1], ys[s]
-                if L.nested(ys)[1] != base:
+                if nested(tuple(ys)) != base:
                     ok = False
         free = i - 4
         for s, t in combinations(range(i - 2), 2):
             for sigma in range(1 << N):
                 for rest in product(range(N), repeat=free + 2):
-                    vecs = []
-                    r = iter(rest)
-                    for pos in range(i - 2):
-                        if pos == s or pos == t:
-                            vecs.append(sigma)
-                        else:
-                            vecs.append(1 << next(r))
-                    vecs.append(1 << next(r))
-                    vecs.append(1 << next(r))
-                    if L.nested_mixed(vecs)[1]:
+                    # entries after position t are the basis vectors rest[t-1:]
+                    head = [1 << x for x in rest[:t - 1]]
+                    head.insert(s, sigma)
+                    head.append(sigma)
+                    acc = (i - 1 - t, nested(rest[t - 1:]))
+                    for v in reversed(head):
+                        acc = L.bracket((1, v), acc)
+                    if acc[1]:
                         ok = False
     for x in range(N):
         for m in range(1, nclass + 1):
@@ -432,7 +445,7 @@ def check_lie_axioms(L: GradedLie, shape: BlockShape | None = None) -> dict:
     for j in range(2, nclass + 2):
         for xs in product(range(N), repeat=j):
             blocks = [shape.block(x) for x in xs]
-            if len(set(blocks)) < j and L.nested(xs)[1]:
+            if len(set(blocks)) < j and nested(xs):
                 ok = False
     report["tilde2"] = ok
     return report

@@ -8,9 +8,15 @@ the package itself, so agreement is meaningful.
 from __future__ import annotations
 
 import itertools
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
+
+from genusforge.arith import AcceptableVector, _primes_1mod4, jacobi
+from genusforge.f2 import _rows_of, _strip, bits_of, low_bit, rank
+from genusforge.lie import GradedLie
+from genusforge.tensors import BlockShape
 
 
 # ---------------------------------------------------------------------------
@@ -332,3 +338,202 @@ def solve_cochain_bfs(G, th):
             if row != th.rows[p]:
                 return None
     return table
+
+
+# ---------------------------------------------------------------------------
+# GF(2) elimination that keeps every stored row fully reduced
+
+
+def rref_incremental(m) -> dict[int, int]:
+    """Reduced row echelon form as a map pivot column -> row mask."""
+    piv: dict[int, int] = {}
+    mask = 0
+    for v in _rows_of(m):
+        v = _strip(v, piv, mask)
+        if v:
+            p = low_bit(v)
+            for q, w in piv.items():
+                if w >> p & 1:
+                    piv[q] = w ^ v
+            piv[p] = v
+            mask |= 1 << p
+    return piv
+
+
+# ---------------------------------------------------------------------------
+# the consistent-vector search, testing each candidate prime one symbol at
+# a time
+
+
+def search_consistent_scan(k, prime_budget: int):
+    """First strongly consistent vector with the given omega profile.
+
+    Slots are filled entry by entry with ascending primes 1 mod 4 below
+    the budget, each within-entry list itself ascending, backtracking
+    on quadratic-residue conflicts against earlier entries.  Returns
+    None once the pool is exhausted.
+    """
+    k = tuple(int(v) for v in k)
+    if not k or any(v < 1 for v in k):
+        raise ValueError("omega targets must be positive")
+    pool = _primes_1mod4(prime_budget)
+    ends = []
+    total = 0
+    for v in k:
+        total += v
+        ends.append(total)
+    entry_of = [sum(1 for e in ends if e <= t) for t in range(total)]
+    chosen: list[int] = []
+
+    def fits(t: int, pi: int) -> bool:
+        p = pool[pi]
+        for s, qi in enumerate(chosen):
+            if qi == pi:
+                return False
+            if entry_of[s] != entry_of[t] and jacobi(pool[qi], p) != 1:
+                return False
+        return True
+
+    def extend(t: int) -> bool:
+        if t == total:
+            return True
+        start = 0
+        if t > 0 and entry_of[t - 1] == entry_of[t]:
+            start = chosen[-1] + 1
+        for pi in range(start, len(pool)):
+            if fits(t, pi):
+                chosen.append(pi)
+                if extend(t + 1):
+                    return True
+                chosen.pop()
+        return False
+
+    if not extend(0):
+        return None
+    facts = []
+    at = 0
+    for v in k:
+        facts.append(sorted(pool[pi] for pi in chosen[at:at + v]))
+        at += v
+    prods = [1] * len(k)
+    for i, f in enumerate(facts):
+        for p in f:
+            prods[i] *= p
+    return AcceptableVector(prods, facts)
+
+
+# ---------------------------------------------------------------------------
+# the Lie axiom checks, every right-nested bracket built from scratch
+
+
+def check_lie_axioms_direct(L: GradedLie, shape: BlockShape | None = None) -> dict:
+    """Verify the defining conditions and the block conditions.
+
+    axiom1: grade 1 is the phi target and the bracket is alternating,
+    symmetric, graded, and satisfies Jacobi on basis triples.  axiom2:
+    the kernel of psi is abelian.  axiom3: brackets against grade 1
+    span every higher grade.  axiom4: right-nested brackets of grade-1
+    entries do not see the order of the leading entries, vanish on a
+    repeated leading entry, and [e_x, [e_x, -]] kills every grade.
+    tilde1/tilde2 are the block refinements.
+    """
+    if shape is None:
+        shape = L.shape
+    N = shape.N
+    nclass = L.nclass
+    report = {}
+
+    ok = L.dims[0] == N
+    for x in range(N):
+        if ok and L.bracket((1, 1 << x), (1, 1 << x))[1]:
+            ok = False
+    for x in range(N):
+        for y in range(N):
+            if L.bracket((1, 1 << x), (1, 1 << y))[1] != \
+                    L.bracket((1, 1 << y), (1, 1 << x))[1]:
+                ok = False
+    if ok:
+        for x in range(N):
+            for y in range(N):
+                ab = L.bracket((1, 1 << x), (1, 1 << y))
+                for m in range(1, nclass + 1):
+                    for k in range(L.dims[m - 1]):
+                        c = (m, 1 << k)
+                        acc = L.bracket((1, 1 << x), L.bracket((1, 1 << y), c))[1]
+                        acc ^= L.bracket((1, 1 << y), L.bracket((1, 1 << x), c))[1]
+                        acc ^= L.bracket(ab, c)[1]
+                        if acc:
+                            ok = False
+    report["axiom1"] = ok
+
+    ok = True
+    for m1 in range(2, nclass + 1):
+        for m2 in range(m1, nclass + 1):
+            for k1 in range(L.dims[m1 - 1]):
+                for k2 in range(L.dims[m2 - 1]):
+                    if L.bracket((m1, 1 << k1), (m2, 1 << k2))[1]:
+                        ok = False
+    report["axiom2"] = ok
+
+    ok = True
+    for m in range(2, nclass + 1):
+        tab = L.tables.get(m - 1)
+        if tab is None:
+            ok = L.dims[m - 1] == 0
+            continue
+        vecs = [e for row in tab for e in row]
+        if rank(vecs) != L.dims[m - 1]:
+            ok = False
+    report["axiom3"] = ok
+
+    ok = True
+    for i in range(4, nclass + 2):
+        for xs in product(range(N), repeat=i):
+            base = L.nested(xs)[1]
+            for s in range(i - 3):
+                ys = list(xs)
+                ys[s], ys[s + 1] = ys[s + 1], ys[s]
+                if L.nested(ys)[1] != base:
+                    ok = False
+        free = i - 4
+        for s, t in combinations(range(i - 2), 2):
+            for sigma in range(1 << N):
+                for rest in product(range(N), repeat=free + 2):
+                    vecs = []
+                    r = iter(rest)
+                    for pos in range(i - 2):
+                        if pos == s or pos == t:
+                            vecs.append(sigma)
+                        else:
+                            vecs.append(1 << next(r))
+                    vecs.append(1 << next(r))
+                    vecs.append(1 << next(r))
+                    if L.nested_mixed(vecs)[1]:
+                        ok = False
+    for x in range(N):
+        for m in range(1, nclass + 1):
+            for k in range(L.dims[m - 1]):
+                if L.bracket_gen(x, m + 1, L.bracket_gen(x, m, 1 << k)):
+                    ok = False
+    report["axiom4"] = ok
+
+    kb = [(1 << g) ^ (1 << r) for g, r in shape.ker_pi_basis()]
+    ok = all(L.bracket((1, u), (1, v))[1] == 0 for u in kb for v in kb)
+    for u in kb:
+        for m in range(2, nclass + 1):
+            for k in range(L.dims[m - 1]):
+                acc = 0
+                for x in bits_of(u):
+                    acc ^= L.bracket_gen(x, m, 1 << k)
+                if acc:
+                    ok = False
+    report["tilde1"] = ok
+
+    ok = True
+    for j in range(2, nclass + 2):
+        for xs in product(range(N), repeat=j):
+            blocks = [shape.block(x) for x in xs]
+            if len(set(blocks)) < j and L.nested(xs)[1]:
+                ok = False
+    report["tilde2"] = ok
+    return report

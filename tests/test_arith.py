@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -16,7 +17,7 @@ from genusforge.arith import (
     search_consistent,
     validate_acceptable,
 )
-from oracles import is_prime_naive, jacobi_by_euler
+from oracles import is_prime_naive, jacobi_by_euler, search_consistent_scan
 
 
 def small_primes(limit):
@@ -160,3 +161,26 @@ def test_search_output_is_acceptable():
     assert redone.factorizations == v.factorizations
     assert is_strongly_consistent(v)
     assert all(p % 4 == 1 for p in v.primes())
+
+
+def test_search_consistent_matches_scan():
+    for size in range(1, 5):
+        for k in product((1, 2, 3), repeat=size):
+            for budget in (5, 13, 30, 60, 120, 300):
+                got = search_consistent(k, budget)
+                want = search_consistent_scan(k, budget)
+                if want is None:
+                    assert got is None, (k, budget)
+                else:
+                    assert got is not None, (k, budget)
+                    assert got.a == want.a, (k, budget)
+                    assert got.factorizations == want.factorizations
+
+
+def test_search_consistent_slow_profiles():
+    # eight one-prime entries: search_consistent_scan needs minutes to
+    # exhaust the pool below 700 and seconds to find the vector below 2000
+    assert search_consistent((1,) * 8, 700) is None
+    v = search_consistent((1,) * 8, 2000)
+    assert v.a == (5, 41, 269, 349, 449, 821, 1481, 1549)
+    assert is_strongly_consistent(v)

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import given, strategies as st
 
+from genusforge import f2
 from genusforge.f2 import (
     F2Basis,
     F2Matrix,
@@ -15,9 +18,11 @@ from genusforge.f2 import (
     low_bit,
     parity,
     rank,
+    rref,
     solve,
     spans_equal,
 )
+from oracles import rref_incremental
 
 
 def mat(*rows):
@@ -183,3 +188,15 @@ def test_solve_none_means_inconsistent(rows, b):
         assert rank(aug) == m.rank() + 1
     else:
         assert m.apply(x) == b
+
+
+@given(st.lists(st.integers(0, 2**16 - 1), max_size=24),
+       st.integers(0, 2**24 - 1))
+def test_rref_matches_incremental_oracle(rows, b):
+    got, want = rref(rows), rref_incremental(rows)
+    assert got == want
+    assert list(got) == list(want)
+    ker, x = kernel_basis(rows, 16), solve(rows, b, 16)
+    with mock.patch.object(f2, "rref", rref_incremental):
+        assert ker == kernel_basis(rows, 16)
+        assert x == solve(rows, b, 16)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import random
 
 import pytest
 
@@ -24,6 +25,7 @@ from genusforge.lie import (
     tensor_pairing,
 )
 from genusforge.tensors import BlockShape
+from oracles import check_lie_axioms_direct
 
 
 def total_formula(shape: BlockShape) -> int:
@@ -225,3 +227,24 @@ def test_tensor_pairing_perfect():
         L = governing_algebra_general(sh)
         mats = tensor_pairing(L, 2)
         assert mats is not None and rank(mats) == L.grade_dim(2)
+
+
+def test_check_lie_axioms_matches_direct():
+    for k in ((1, 1, 1), (2, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1)):
+        L = governing_algebra_general(BlockShape(k))
+        assert check_lie_axioms(L) == check_lie_axioms_direct(L), k
+    rng = random.Random(5)
+    algebras = [governing_algebra_general(BlockShape(k))
+                for k in ((1, 1, 1), (2, 1), (2, 1, 1), (1, 1, 1, 1))]
+    failed = set()
+    for _ in range(100):
+        M = rng.choice(algebras)
+        tables = copy.deepcopy(M.tables)
+        m = rng.choice(sorted(tables))
+        row = tables[m][rng.randrange(M.shape.N)]
+        row[rng.randrange(len(row))] ^= 1 << rng.randrange(M.dims[m])
+        mutant = GradedLie(M.shape, M.dims, tables)
+        got = check_lie_axioms(mutant)
+        assert got == check_lie_axioms_direct(mutant)
+        failed |= {key for key, good in got.items() if not good}
+    assert {"axiom1", "axiom4", "tilde1", "tilde2"} <= failed
