@@ -107,8 +107,7 @@ def cmd_universal(args) -> RunReport:
         results = {"exponent": exp, "predicted_order": 2 ** exp}
         ok = True
         if args.enumerate:
-            G = (build_universal(shape.n) if args.shape is None
-                 else build_universal_general(shape))
+            G = build_universal_general(shape)
             axioms = check_expansion_axioms(G)
             results["order"] = G.order
             results["axioms"] = {k: bool(v) for k, v in axioms.items()}

@@ -25,7 +25,6 @@ import numpy as np
 from .f2 import F2Basis, F2Solver, bits_of, kernel_basis, rank, solve
 from .groups import ExpansionGroup, ResourceLimitError, build_universal_general, \
     descending_central_series, universal_order_exponent
-from .f2 import F2Vector
 from .tensors import BlockShape, governing_tensor_general
 
 __all__ = [
@@ -347,10 +346,11 @@ class ThetaCocycle:
 class ExpansionMap:
     """A pointed family of coefficient tables phi_B on one group.
 
-    support lists the block characters carried by the map, pointer marks
-    the distinguished one, and coords assigns to every subset B of the
-    non-pointed support positions the value table of phi_B; phi_empty is
-    the pointed character itself.
+    support lists the block characters carried by the map, each as the
+    mask of its block's coordinates; pointer marks the distinguished one,
+    and coords assigns to every subset B of the non-pointed support
+    positions the value table of phi_B; phi_empty is the pointed
+    character itself.
     """
 
     __slots__ = ("group", "support", "pointer", "coords")
@@ -365,7 +365,7 @@ class ExpansionMap:
         """Coboundary recursion on all pairs plus the pointed-base case."""
         ctx = _context(self.group.shape)
         chi = 0
-        for x in bits_of(self.support[self.pointer].bits):
+        for x in bits_of(self.support[self.pointer]):
             chi ^= ctx.table(("chi", x))
         if self.coords[()] != chi:
             return False
@@ -384,7 +384,7 @@ class ExpansionMap:
                             chi_s = full
                             for t in S:
                                 blk = 0
-                                for x in bits_of(self.support[t].bits):
+                                for x in bits_of(self.support[t]):
                                     blk ^= ctx.table(("chi", x))
                                 chi_s &= blk
                             if (chi_s >> p) & 1:
@@ -428,7 +428,7 @@ def expansion_map(shape: BlockShape, A, x: int) -> ExpansionMap:
     bx = shape.block(x)
     if bx not in A:
         raise ValueError("pointer block must lie in the support")
-    support = [F2Vector(shape.N, shape.block_mask(s)) for s in A]
+    support = [shape.block_mask(s) for s in A]
     pointer = A.index(bx)
     others = [t for t in range(len(A)) if t != pointer]
     coords = {}

@@ -23,8 +23,6 @@ __all__ = [
     "spans_equal",
     "F2Basis",
     "F2Solver",
-    "F2Vector",
-    "F2Matrix",
 ]
 
 
@@ -51,25 +49,11 @@ def bits_of(x: int) -> Iterator[int]:
         x ^= b
 
 
-def _rows_of(m) -> list[int]:
-    if isinstance(m, F2Matrix):
-        return m.data
-    return [v.bits if isinstance(v, F2Vector) else v for v in m]
-
-
-def _cols_of(m, cols: int | None) -> int:
-    if isinstance(m, F2Matrix):
-        return m.cols
-    if cols is None:
-        raise ValueError("column count required for raw rows")
-    return cols
-
-
-def rank(m) -> int:
-    """GF(2) row rank of an F2Matrix or an iterable of row masks."""
+def rank(m: Iterable[int]) -> int:
+    """GF(2) row rank of an iterable of row masks."""
     piv: dict[int, int] = {}
     mask = 0
-    for v in _rows_of(m):
+    for v in m:
         v = _strip(v, piv, mask)
         if v:
             p = low_bit(v)
@@ -87,7 +71,7 @@ def _strip(v: int, piv: dict[int, int], mask: int) -> int:
         v ^= piv[low_bit(hit)]
 
 
-def rref(m) -> dict[int, int]:
+def rref(m: Iterable[int]) -> dict[int, int]:
     """Reduced row echelon form as a map pivot column -> row mask.
 
     Keys appear in the order their pivots were found.  Forward
@@ -98,7 +82,7 @@ def rref(m) -> dict[int, int]:
     """
     piv: dict[int, int] = {}
     mask = 0
-    for v in _rows_of(m):
+    for v in m:
         v = _strip(v, piv, mask)
         if v:
             p = low_bit(v)
@@ -114,9 +98,9 @@ def rref(m) -> dict[int, int]:
     return piv
 
 
-def kernel_basis(m, cols: int | None = None) -> list[int]:
-    """Basis of {x : m.x = 0}, one vector per free column, ascending."""
-    cols = _cols_of(m, cols)
+def kernel_basis(m: Iterable[int], cols: int) -> list[int]:
+    """Basis of {x : m.x = 0} over cols columns, one vector per free
+    column, ascending."""
     piv = rref(m)
     out = []
     for f in range(cols):
@@ -130,16 +114,13 @@ def kernel_basis(m, cols: int | None = None) -> list[int]:
     return out
 
 
-def solve(m, b: int, cols: int | None = None) -> int | None:
+def solve(m: Iterable[int], b: int, cols: int) -> int | None:
     """Some x with m.x = b (bit k of b pairs with row k), else None.
 
-    Free variables are set to zero, so the answer is deterministic.
+    m has cols columns.  Free variables are set to zero, so the answer is
+    deterministic.
     """
-    cols = _cols_of(m, cols)
-    if isinstance(b, F2Vector):
-        b = b.bits
-    rows = _rows_of(m)
-    aug = [r | (b >> k & 1) << cols for k, r in enumerate(rows)]
+    aug = [r | (b >> k & 1) << cols for k, r in enumerate(m)]
     piv = rref(aug)
     if cols in piv:
         return None
@@ -151,14 +132,12 @@ def solve(m, b: int, cols: int | None = None) -> int | None:
 
 def in_span(vecs: Iterable[int], v: int) -> bool:
     """Whether v lies in the GF(2) span of the given vectors."""
-    return F2Basis(_rows_of(vecs)).reduce(
-        v.bits if isinstance(v, F2Vector) else v
-    ) == 0
+    return F2Basis(vecs).reduce(v) == 0
 
 
 def spans_equal(a: Iterable[int], b: Iterable[int]) -> bool:
     """Whether two vector collections span the same subspace."""
-    ba, bb = F2Basis(_rows_of(a)), F2Basis(_rows_of(b))
+    ba, bb = F2Basis(a), F2Basis(b)
     if len(ba) != len(bb):
         return False
     return all(v in bb for v in ba.basis())
@@ -248,106 +227,3 @@ class F2Solver:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-class F2Vector:
-    """Fixed-length GF(2) vector on a packed bitmask."""
-
-    __slots__ = ("n", "bits")
-
-    def __init__(self, n: int, bits: int = 0) -> None:
-        if bits >> n:
-            raise ValueError("bits beyond length")
-        self.n = n
-        self.bits = bits
-
-    @classmethod
-    def from_string(cls, s: str) -> "F2Vector":
-        """Parse a '0'/'1' string, index 0 first."""
-        bits = 0
-        for j, ch in enumerate(s):
-            if ch == "1":
-                bits |= 1 << j
-            elif ch != "0":
-                raise ValueError(f"bad bit {ch!r}")
-        return cls(len(s), bits)
-
-    def __str__(self) -> str:
-        return "".join("1" if self.bits >> j & 1 else "0" for j in range(self.n))
-
-    def __repr__(self) -> str:
-        return f"F2Vector({self.n}, 0b{self.bits:0{max(self.n, 1)}b})"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, F2Vector)
-            and self.n == other.n
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bits))
-
-    def __xor__(self, other: "F2Vector") -> "F2Vector":
-        if self.n != other.n:
-            raise ValueError("length mismatch")
-        return F2Vector(self.n, self.bits ^ other.bits)
-
-    def dot(self, other: "F2Vector") -> int:
-        return dot(self.bits, other.bits)
-
-
-class F2Matrix:
-    """GF(2) matrix stored as one bitmask per row."""
-
-    __slots__ = ("cols", "data")
-
-    def __init__(self, cols: int, rows: Iterable[int] = ()) -> None:
-        self.cols = cols
-        self.data = [v.bits if isinstance(v, F2Vector) else v for v in rows]
-        for v in self.data:
-            if v >> cols:
-                raise ValueError("row wider than cols")
-
-    @classmethod
-    def from_strings(cls, rows: Iterable[str]) -> "F2Matrix":
-        vecs = [F2Vector.from_string(s) for s in rows]
-        if not vecs:
-            raise ValueError("need at least one row")
-        if len({v.n for v in vecs}) != 1:
-            raise ValueError("ragged rows")
-        return cls(vecs[0].n, vecs)
-
-    @property
-    def rows(self) -> int:
-        return len(self.data)
-
-    def row(self, k: int) -> F2Vector:
-        return F2Vector(self.cols, self.data[k])
-
-    def apply(self, x: int) -> int:
-        """m.x as a bitmask over row indices."""
-        out = 0
-        for k, r in enumerate(self.data):
-            out |= dot(r, x) << k
-        return out
-
-    def rank(self) -> int:
-        return rank(self)
-
-    def kernel_basis(self) -> list[F2Vector]:
-        return [F2Vector(self.cols, x) for x in kernel_basis(self)]
-
-    def solve(self, b) -> F2Vector | None:
-        x = solve(self, b)
-        return None if x is None else F2Vector(self.cols, x)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, F2Matrix)
-            and self.cols == other.cols
-            and self.data == other.data
-        )
-
-    def __repr__(self) -> str:
-        return f"F2Matrix(cols={self.cols}, rows={self.rows})"

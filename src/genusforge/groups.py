@@ -1,5 +1,5 @@
-"""Expansion groups over F2: semidirect factors, generated products,
-universal groups for block shapes, axiom checks, central series, corners.
+"""Expansion groups over F2: universal groups for block shapes on packed
+element codes, axiom checks, the central series.
 
 Elements live in products of factors F2[F2^S] x| F2^S. Each factor stores a
 polynomial part in square-free monomial coordinates t_B (bit index = subset
@@ -11,7 +11,6 @@ into integer codes, field by field, so closures are plain sorted int arrays.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import product as iproduct
 from typing import Iterable, Sequence
@@ -22,6 +21,8 @@ from .f2 import F2Basis, bits_of
 from .tensors import BlockShape
 
 ENUM_CEILING = 1 << 22
+# element codes live in uint64 arrays, with the top bit left spare
+CODE_WIDTH_LIMIT = 63
 
 
 def _power_text(v: int) -> str:
@@ -33,14 +34,20 @@ class ResourceLimitError(RuntimeError):
 
     ceiling and limit name the ceiling that tripped: the element ceiling
     of enumeration by default, the value-table ceiling for expansion maps.
+    width is set instead when element codes are too wide to store.
     """
 
     def __init__(self, predicted_order: int | None = None,
-                 ceiling: int | None = None, limit: str = "enumeration ceiling"):
+                 ceiling: int | None = None, limit: str = "enumeration ceiling",
+                 width: int | None = None):
         self.predicted_order = predicted_order
+        self.width = width
         if ceiling is None:
             ceiling = ENUM_CEILING
-        if predicted_order is None:
+        if width is not None:
+            msg = (f"element codes {width} bits wide exceed the code-width "
+                   f"limit of {CODE_WIDTH_LIMIT} bits")
+        elif predicted_order is None:
             msg = f"enumeration exceeded the ceiling of {ceiling} elements"
         else:
             msg = (f"predicted order {_power_text(predicted_order)} exceeds "
@@ -69,107 +76,6 @@ def _act(v: int, a: int, m: int) -> int:
     return a
 
 
-class SemidirectElement:
-    """One factor coordinate (poly, vec) of F2[F2^S] x| F2^S.
-
-    i is the distinguished index and ambient the ordered index set S; poly is
-    a bitmask over subsets of S, vec a bitmask over positions in ambient.
-    """
-
-    __slots__ = ("i", "ambient", "poly", "vec")
-
-    def __init__(self, i: int, ambient: Iterable[int], poly: int = 0, vec: int = 0):
-        self.i = i
-        self.ambient = tuple(ambient)
-        self.poly = poly
-        self.vec = vec
-
-    def mul(self, other: "SemidirectElement") -> "SemidirectElement":
-        if (self.i, self.ambient) != (other.i, other.ambient):
-            raise ValueError("factor mismatch")
-        m = len(self.ambient)
-        return SemidirectElement(self.i, self.ambient,
-                                 self.poly ^ _act(self.vec, other.poly, m),
-                                 self.vec ^ other.vec)
-
-    __mul__ = mul
-
-    def inv(self) -> "SemidirectElement":
-        m = len(self.ambient)
-        return SemidirectElement(self.i, self.ambient,
-                                 _act(self.vec, self.poly, m), self.vec)
-
-    def is_identity(self) -> bool:
-        return self.poly == 0 and self.vec == 0
-
-    def is_involution(self) -> bool:
-        return self.mul(self).is_identity()
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, SemidirectElement)
-                and (self.i, self.ambient, self.poly, self.vec)
-                == (other.i, other.ambient, other.poly, other.vec))
-
-    def __hash__(self) -> int:
-        return hash((self.i, self.ambient, self.poly, self.vec))
-
-    def __repr__(self) -> str:
-        return (f"SemidirectElement(i={self.i}, poly={self.poly:#x}, "
-                f"vec={self.vec:#x})")
-
-
-class GroupElement:
-    """Tuple of factor coordinates with componentwise multiplication."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Iterable[SemidirectElement]):
-        self.components = tuple(components)
-
-    def mul(self, other: "GroupElement") -> "GroupElement":
-        if (not isinstance(other, GroupElement)
-                or len(self.components) != len(other.components)):
-            raise ValueError("shape mismatch")
-        return GroupElement(a.mul(b) for a, b in zip(self.components, other.components))
-
-    __mul__ = mul
-
-    def inv(self) -> "GroupElement":
-        return GroupElement(c.inv() for c in self.components)
-
-    def is_identity(self) -> bool:
-        return all(c.is_identity() for c in self.components)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GroupElement) and self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash(self.components)
-
-    def __repr__(self) -> str:
-        return f"GroupElement({list(self.components)!r})"
-
-
-def mul(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Product of two elements of the same product of factors."""
-    return a.mul(b)
-
-
-def commutator(a: GroupElement, b: GroupElement) -> GroupElement:
-    return a.mul(b).mul(a.inv().mul(b.inv()))
-
-
-def nested_commutator(g_list: Sequence[GroupElement]) -> GroupElement:
-    """Right-nested commutator [g1,[g2,[...,[g_(m-1),g_m]...]]]."""
-    gs = list(g_list)
-    if len(gs) < 2:
-        raise ValueError("need at least two elements")
-    acc = gs[-1]
-    for g in gs[-2::-1]:
-        acc = commutator(g, acc)
-    return acc
-
-
 class _Comp:
     """Packed-field layout of one factor inside an element code."""
 
@@ -191,13 +97,13 @@ class _Comp:
         return (1 << self.m) + self.m
 
 
-def _layout(specs: Iterable[tuple[int, tuple[int, ...]]]) -> tuple[tuple[_Comp, ...], int]:
+def _layout(specs: Iterable[tuple[int, tuple[int, ...]]]) -> tuple[_Comp, ...]:
     comps, off = [], 0
     for i, ambient in specs:
         c = _Comp(i, ambient, off)
         comps.append(c)
         off += c.width
-    return tuple(comps), off
+    return tuple(comps)
 
 
 class ExpansionGroup:
@@ -222,6 +128,8 @@ class ExpansionGroup:
             self.vec_field_mask |= c.vec_mask << c.vec_off
         if expected_order is not None and expected_order > ENUM_CEILING:
             raise ResourceLimitError(expected_order)
+        if self.width > CODE_WIDTH_LIMIT:
+            raise ResourceLimitError(width=self.width)
         self.codes = self._close(self.gen_codes)
         self._report: dict | None = None
         self._series: list[list[int]] | None = None
@@ -269,31 +177,6 @@ class ExpansionGroup:
             out |= ((code >> pos) & 1) << x
         return out
 
-    # -- element/code conversion --
-
-    def element(self, code: int) -> GroupElement:
-        parts = []
-        for c in self.comps:
-            parts.append(SemidirectElement(c.i, c.ambient,
-                                           (code >> c.poly_off) & c.poly_mask,
-                                           (code >> c.vec_off) & c.vec_mask))
-        return GroupElement(parts)
-
-    def code_of(self, g: GroupElement) -> int:
-        if len(g.components) != len(self.comps):
-            raise ValueError("shape mismatch")
-        out = 0
-        for c, part in zip(self.comps, g.components):
-            if (part.i, part.ambient) != (c.i, c.ambient):
-                raise ValueError("factor mismatch")
-            out |= part.poly << c.poly_off
-            out |= part.vec << c.vec_off
-        return out
-
-    @property
-    def generators(self) -> list[GroupElement]:
-        return [self.element(g) for g in self.gen_codes]
-
     @property
     def order(self) -> int:
         return len(self.codes)
@@ -302,27 +185,18 @@ class ExpansionGroup:
         return len(self.codes)
 
     def contains(self, code: int) -> bool:
-        if isinstance(self.codes, np.ndarray):
-            i = int(np.searchsorted(self.codes, np.uint64(code)))
-            return i < len(self.codes) and int(self.codes[i]) == code
-        i = bisect_left(self.codes, code)
-        return i < len(self.codes) and self.codes[i] == code
+        return _member(self.codes, code)
 
-    def __contains__(self, g) -> bool:
-        return self.contains(self.code_of(g) if isinstance(g, GroupElement) else int(g))
+    def __contains__(self, code) -> bool:
+        return self.contains(int(code))
 
     def iter_codes(self) -> Iterable[int]:
         for c in self.codes:
             yield int(c)
 
-    def iter_elements(self) -> Iterable[GroupElement]:
-        for c in self.codes:
-            yield self.element(int(c))
-
-    def with_generators(self, gens: Iterable) -> "ExpansionGroup":
+    def with_generators(self, gens: Iterable[int]) -> "ExpansionGroup":
         """Same layout and phi, different generating set; re-enumerates."""
-        codes = [g if isinstance(g, int) else self.code_of(g) for g in gens]
-        return ExpansionGroup(self.shape, self.comps, codes, self.phi_bits)
+        return ExpansionGroup(self.shape, self.comps, gens, self.phi_bits)
 
     # -- vectorized code arithmetic --
 
@@ -409,12 +283,7 @@ class ExpansionGroup:
 
     # -- closure --
 
-    def _close(self, gen_codes: list[int]):
-        if self.width <= 63:
-            return self._close_np(gen_codes)
-        return self._close_set(gen_codes)
-
-    def _close_np(self, gen_codes: list[int]) -> np.ndarray:
+    def _close(self, gen_codes: list[int]) -> np.ndarray:
         """Breadth-first closure as a sorted array, deduplicated by sorting:
         no hashing, so its cost is a few sorts per layer."""
         tables = [self._gen_table(g) for g in gen_codes]
@@ -435,32 +304,6 @@ class ExpansionGroup:
                 raise ResourceLimitError(self.expected_order)
             frontier = fresh
         return seen
-
-    def _close_set(self, gen_codes: list[int]) -> list[int]:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g in gen_codes:
-                    w = self.mul(u, g)
-                    if w not in seen:
-                        seen.add(w)
-                        if len(seen) > ENUM_CEILING:
-                            raise ResourceLimitError(self.expected_order)
-                        nxt.append(w)
-            frontier = nxt
-        return sorted(seen)
-
-    def close_subgroup(self, gen_codes: Iterable[int]):
-        """Closure of a custom generating set inside this layout."""
-        gens = sorted(set(int(g) for g in gen_codes) - {0})
-        if not gens:
-            return (np.array([0], dtype=np.uint64) if self.width <= 63
-                    else [0])
-        if self.width <= 63:
-            return self._close_np(gens)
-        return self._close_set(gens)
 
     # -- dump --
 
@@ -488,56 +331,16 @@ class ExpansionGroup:
 
 # -- constructors --
 
-def single_factor_order_exponent(n: int) -> int:
-    return 2 ** (n - 1) + n - 1
-
-
 def universal_order_exponent(shape: BlockShape) -> int:
     n = shape.n
     return shape.N * 2 ** (n - 1) - 2 ** n + n + 1
 
 
-def build_single_factor(n: int, i: int) -> ExpansionGroup:
-    """The factor F2[F2^([n]-i)] x| F2^([n]-i) on generators g_(i,j)."""
-    if not 0 <= i < n:
-        raise ValueError("factor index out of range")
-    ambient = tuple(j for j in range(n) if j != i)
-    comps, _ = _layout([(i, ambient)])
-    c = comps[0]
-    gen_codes, phi_bits = [], []
-    for j in range(n):
-        if j == i:
-            gen_codes.append(1 << c.poly_off)
-            phi_bits.append(c.poly_off)
-        else:
-            gen_codes.append(1 << (c.vec_off + c.pos[j]))
-            phi_bits.append(c.vec_off + c.pos[j])
-    return ExpansionGroup(BlockShape((1,) * n), comps, gen_codes, phi_bits,
-                          expected_order=1 << single_factor_order_exponent(n))
-
-
-def product_expansion(a: ExpansionGroup, b: ExpansionGroup) -> ExpansionGroup:
-    """Subgroup of the direct product generated by the paired generators."""
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch")
-    specs = [(c.i, c.ambient) for c in a.comps] + [(c.i, c.ambient) for c in b.comps]
-    comps, _ = _layout(specs)
-    gens = [ga | (gb << a.width) for ga, gb in zip(a.gen_codes, b.gen_codes)]
-    return ExpansionGroup(a.shape, comps, gens, a.phi_bits)
-
-
 def build_universal(n: int) -> ExpansionGroup:
-    """Product of all single factors, generated by the paired generators."""
+    """Universal group on n marked involutions: the all-ones block shape."""
     if n < 1:
         raise ValueError("n must be positive")
-    predicted = 1 << universal_order_exponent(BlockShape((1,) * n))
-    if predicted > ENUM_CEILING:
-        raise ResourceLimitError(predicted)
-    G = build_single_factor(n, 0)
-    for i in range(1, n):
-        G = product_expansion(G, build_single_factor(n, i))
-    G.expected_order = predicted
-    return G
+    return build_universal_general(BlockShape((1,) * n))
 
 
 def build_universal_general(shape: BlockShape) -> ExpansionGroup:
@@ -547,7 +350,7 @@ def build_universal_general(shape: BlockShape) -> ExpansionGroup:
     for x in range(shape.N):
         ambient = tuple(s for s in range(shape.n) if s != shape.block(x))
         specs.append((x, ambient))
-    comps, _ = _layout(specs)
+    comps = _layout(specs)
     gen_codes = []
     for j in range(shape.N):
         code = 0
@@ -563,103 +366,7 @@ def build_universal_general(shape: BlockShape) -> ExpansionGroup:
                           expected_order=1 << universal_order_exponent(shape))
 
 
-# -- normal closures, corners, quotients --
-
-def normal_closure(G: ExpansionGroup, start_codes: Iterable[int]):
-    """Smallest subgroup containing the given codes and normal in G."""
-    gens = sorted(set(int(c) for c in start_codes))
-    while True:
-        H = G.close_subgroup(gens)
-        if isinstance(H, np.ndarray):
-            def member(c):
-                i = int(np.searchsorted(H, np.uint64(c)))
-                return i < len(H) and int(H[i]) == c
-        else:
-            Hset = set(H)
-            member = Hset.__contains__
-        new = []
-        for s in gens:
-            for g in G.gen_codes:
-                c = G.conj(g, s)
-                if not member(c):
-                    new.append(c)
-        if not new:
-            return H
-        gens = sorted(set(gens) | set(new))
-
-
-class CosetGroup:
-    """Quotient of an enumerated group by a normal subgroup, with cosets
-    represented by their minimal element code."""
-
-    def __init__(self, parent: ExpansionGroup, normal, kept: list[int],
-                 shape: BlockShape):
-        self.parent = parent
-        self.normal = normal
-        self.kept = kept
-        self.shape = shape
-        self.identity = 0
-        self.gen_codes = [self.rep(parent.gen_codes[x]) for x in kept]
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for g in self.gen_codes:
-                    w = self.mul(u, g)
-                    if w not in seen:
-                        seen.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        self.codes = sorted(seen)
-
-    def rep(self, code: int) -> int:
-        if isinstance(self.normal, np.ndarray):
-            return int(self.parent.mul_left_array(code, self.normal).min())
-        return min(self.parent.mul(code, n) for n in self.normal)
-
-    def mul(self, a: int, b: int) -> int:
-        return self.rep(self.parent.mul(a, b))
-
-    def inv(self, a: int) -> int:
-        return self.rep(self.parent.inv(a))
-
-    def conj(self, g: int, w: int) -> int:
-        return self.rep(self.parent.conj(g, w))
-
-    def commutator(self, a: int, b: int) -> int:
-        return self.rep(self.parent.commutator(a, b))
-
-    def phi(self, code: int) -> int:
-        full = self.parent.phi(code)
-        out = 0
-        for t, x in enumerate(self.kept):
-            out |= ((full >> x) & 1) << t
-        return out
-
-    @property
-    def order(self) -> int:
-        return len(self.codes)
-
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def iter_codes(self) -> Iterable[int]:
-        return iter(self.codes)
-
-    def __repr__(self) -> str:
-        return (f"CosetGroup(shape={list(self.shape.k)}, "
-                f"order=2^{self.order.bit_length() - 1})")
-
-
-def corner(G: ExpansionGroup, i: int) -> CosetGroup:
-    """Quotient by the normal closure of the generators in block i."""
-    if G.shape.n < 2:
-        raise ValueError("corner needs at least two blocks")
-    ncl = normal_closure(G, [G.gen_codes[x] for x in G.shape.members(i)])
-    kept = [x for x in range(G.shape.N) if G.shape.block(x) != i]
-    return CosetGroup(G, ncl, kept, G.shape.drop(i))
-
+# -- homomorphisms --
 
 def unique_epimorphism(source, target) -> dict[int, int] | None:
     """Extend g_x -> g'_x multiplicatively; the full element map, or None."""
@@ -686,6 +393,12 @@ def unique_epimorphism(source, target) -> dict[int, int] | None:
 
 # -- axiom verification --
 
+def _member(codes: np.ndarray, code: int) -> bool:
+    """Whether code occurs in the sorted array codes."""
+    i = int(np.searchsorted(codes, np.uint64(code)))
+    return i < len(codes) and int(codes[i]) == code
+
+
 def _xor_closed_sorted(codes: np.ndarray) -> bool:
     """Is a sorted array of distinct codes closed under XOR?"""
     size = int(codes.size)
@@ -706,16 +419,12 @@ def _xor_closed_sorted(codes: np.ndarray) -> bool:
     return size == 1 << len(basis)
 
 
-def _is_elementary_abelian(G, codes) -> bool:
-    """Exact check that a subset of codes is an elementary abelian subgroup."""
-    vmask = getattr(G, "vec_field_mask", None)
-    if vmask is not None and isinstance(codes, np.ndarray):
-        if not np.any(codes & np.uint64(vmask)):
-            return _xor_closed_sorted(np.sort(codes))
+def _is_elementary_abelian(G: ExpansionGroup, codes: np.ndarray) -> bool:
+    """Exact check that a sorted array of codes is an elementary abelian
+    subgroup."""
+    if not np.any(codes & np.uint64(G.vec_field_mask)):
+        return _xor_closed_sorted(codes)
     items = [int(c) for c in codes]
-    if vmask is not None and all((c & vmask) == 0 for c in items):
-        basis = F2Basis(items)
-        return len(items) == 1 << len(basis)
     if len(items) ** 2 > ENUM_CEILING:
         raise ResourceLimitError()
     S = set(items)
@@ -729,30 +438,21 @@ def _is_elementary_abelian(G, codes) -> bool:
     return True
 
 
-def _phi_zero_sets(G):
-    """Codes with phi = 0 and codes with pi(phi) = 0."""
+def _phi_zero_sets(G: ExpansionGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Codes with phi = 0 and codes with pi(phi) = 0, both sorted."""
     shape = G.shape
-    if isinstance(getattr(G, "codes", None), np.ndarray):
-        codes = G.codes
-        bits = [G.phi_bit_array(codes, x) for x in range(shape.N)]
-        nz = np.zeros(codes.size, dtype=np.uint8)
-        for b in bits:
-            nz |= b
-        pi_nz = np.zeros(codes.size, dtype=np.uint8)
-        for s in range(shape.n):
-            acc = np.zeros(codes.size, dtype=np.uint8)
-            for x in shape.members(s):
-                acc ^= bits[x]
-            pi_nz |= acc
-        return codes[nz == 0], codes[pi_nz == 0]
-    ker, tilde = [], []
-    for c in G.iter_codes():
-        ph = G.phi(c)
-        if ph == 0:
-            ker.append(c)
-        if shape.pi(ph) == 0:
-            tilde.append(c)
-    return ker, tilde
+    codes = G.codes
+    bits = [G.phi_bit_array(codes, x) for x in range(shape.N)]
+    nz = np.zeros(codes.size, dtype=np.uint8)
+    for b in bits:
+        nz |= b
+    pi_nz = np.zeros(codes.size, dtype=np.uint8)
+    for s in range(shape.n):
+        acc = np.zeros(codes.size, dtype=np.uint8)
+        for x in shape.members(s):
+            acc ^= bits[x]
+        pi_nz |= acc
+    return codes[nz == 0], codes[pi_nz == 0]
 
 
 def _commutator_span(G) -> F2Basis:
@@ -775,54 +475,36 @@ def _commutator_span(G) -> F2Basis:
     return B
 
 
-def check_expansion_axioms(G) -> dict[str, bool]:
+def check_expansion_axioms(G: ExpansionGroup) -> dict[str, bool]:
     """Verify the defining conditions and the block condition on an
     enumerated group; failures come back as report fields, not errors.
 
-    An ExpansionGroup keeps the report, which descending_central_series
-    reads instead of checking again."""
+    The group keeps the report, which descending_central_series reads
+    instead of checking again."""
     report = {}
     report["axiom1"] = all(G.phi(g) == 1 << x for x, g in enumerate(G.gen_codes))
     if report["axiom1"]:
-        if isinstance(getattr(G, "codes", None), np.ndarray):
-            # phi(u g) = phi(u) + phi(g) for all u, read on every phi bit at once
-            codes = G.codes
-            mask = 0
-            for pos in G.phi_bits:
-                mask |= 1 << pos
-            M = np.uint64(mask)
-            report["axiom1"] = all(
-                bool(np.all(((G.right_mul_array(codes, g) ^ codes) & M)
-                            == np.uint64(g & mask)))
-                for g in G.gen_codes)
-        else:
-            for u in G.iter_codes():
-                pu = G.phi(u)
-                for g in G.gen_codes:
-                    if G.phi(G.mul(u, g)) != pu ^ G.phi(g):
-                        report["axiom1"] = False
-                        break
-                if not report["axiom1"]:
-                    break
+        # phi(u g) = phi(u) + phi(g) for all u, read on every phi bit at once
+        codes = G.codes
+        mask = 0
+        for pos in G.phi_bits:
+            mask |= 1 << pos
+        M = np.uint64(mask)
+        report["axiom1"] = all(
+            bool(np.all(((G.right_mul_array(codes, g) ^ codes) & M)
+                        == np.uint64(g & mask)))
+            for g in G.gen_codes)
     ker, tilde = _phi_zero_sets(G)
     report["axiom2"] = _is_elementary_abelian(G, ker)
     if report["axiom2"]:
         span = _commutator_span(G)
-        ker_set = (set(int(c) for c in ker) if not isinstance(ker, np.ndarray)
-                   else None)
-        def in_ker(c):
-            if ker_set is not None:
-                return c in ker_set
-            i = int(np.searchsorted(ker, np.uint64(c)))
-            return i < len(ker) and int(ker[i]) == c
         report["axiom3"] = (len(ker) == 1 << len(span)
-                            and all(in_ker(b) for b in span.basis()))
+                            and all(_member(ker, b) for b in span.basis()))
     else:
         report["axiom3"] = False
     report["axiom4"] = all(G.mul(g, g) == G.identity for g in G.gen_codes)
     report["tilde_condition"] = _is_elementary_abelian(G, tilde)
-    if isinstance(G, ExpansionGroup):
-        G._report = report
+    G._report = report
     return report
 
 

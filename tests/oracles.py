@@ -7,6 +7,7 @@ the package itself, so agreement is meaningful.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from itertools import combinations, product
 from math import comb
@@ -14,7 +15,7 @@ from math import comb
 import numpy as np
 
 from genusforge.arith import AcceptableVector, _primes_1mod4, jacobi
-from genusforge.f2 import _rows_of, _strip, bits_of, low_bit, rank
+from genusforge.f2 import _strip, bits_of, low_bit, rank
 from genusforge.lie import GradedLie
 from genusforge.tensors import BlockShape
 
@@ -257,6 +258,173 @@ def series_dims_by_sets(gens, mul, inv, identity):
 
 
 # ---------------------------------------------------------------------------
+# quotients of an enumerated group and their Lie algebras, built from sets
+
+
+def normal_closure(G, start_codes) -> set[int]:
+    """Smallest subgroup containing the given codes and normal in G."""
+    gens = set(int(c) for c in start_codes)
+    while True:
+        H = closure_by_sets(sorted(gens), G.mul, 0)
+        new = {G.conj(g, s) for s in gens for g in G.gen_codes} - H
+        if not new:
+            return H
+        gens |= new
+
+
+class QuotientGroup:
+    """G modulo a normal subgroup, each coset named by its least code.
+
+    The generators are the cosets of G's generators listed in kept, and
+    shape is the block shape they carry.
+    """
+
+    def __init__(self, G, normal, kept, shape: BlockShape):
+        self.parent = G
+        self.normal = np.array(sorted(normal), dtype=np.uint64)
+        self.kept = list(kept)
+        self.shape = shape
+        self.identity = 0
+        self.gen_codes = [self.rep(G.gen_codes[x]) for x in kept]
+        self.codes = sorted(closure_by_sets(self.gen_codes, self.mul, 0))
+
+    def rep(self, code: int) -> int:
+        return int(self.parent.mul_left_array(code, self.normal).min())
+
+    def mul(self, a: int, b: int) -> int:
+        return self.rep(self.parent.mul(a, b))
+
+    def conj(self, g: int, w: int) -> int:
+        return self.rep(self.parent.conj(g, w))
+
+    def commutator(self, a: int, b: int) -> int:
+        return self.rep(self.parent.commutator(a, b))
+
+    def phi(self, code: int) -> int:
+        """The parent's phi read on the kept coordinates; well defined
+        when phi of every normal subgroup element vanishes there."""
+        full = self.parent.phi(code)
+        return sum(((full >> x) & 1) << t for t, x in enumerate(self.kept))
+
+    @property
+    def order(self) -> int:
+        return len(self.codes)
+
+
+def _elementary_abelian_by_sets(G, subset) -> bool:
+    S = set(subset)
+    return all(G.mul(a, a) == G.identity for a in S) and all(
+        G.mul(a, b) in S and G.mul(a, b) == G.mul(b, a)
+        for a, b in combinations(S, 2))
+
+
+def check_expansion_axioms_by_sets(G: QuotientGroup) -> dict[str, bool]:
+    """The expansion axioms and the block condition, checked element by
+    element: phi additive with phi(g_x) = e_x, ker(phi) elementary abelian
+    and equal to [G,G], generators of order 2, and the preimage of ker pi
+    elementary abelian."""
+    ker = [c for c in G.codes if G.phi(c) == 0]
+    derived = normal_closure(
+        G, [G.commutator(a, b) for a, b in combinations(G.gen_codes, 2)])
+    return {
+        "axiom1": all(G.phi(g) == 1 << x for x, g in enumerate(G.gen_codes))
+        and all(G.phi(G.mul(u, g)) == G.phi(u) ^ G.phi(g)
+                for u in G.codes for g in G.gen_codes),
+        "axiom2": _elementary_abelian_by_sets(G, ker),
+        "axiom3": set(ker) == derived,
+        "axiom4": all(G.mul(g, g) == G.identity for g in G.gen_codes),
+        "tilde_condition": _elementary_abelian_by_sets(
+            G, [c for c in G.codes if G.shape.pi(G.phi(c)) == 0]),
+    }
+
+
+def corner(G, i: int) -> QuotientGroup:
+    """Quotient by the normal closure of the generators in block i."""
+    shape = G.shape.drop(i)
+    ncl = normal_closure(G, [G.gen_codes[x] for x in G.shape.members(i)])
+    kept = [x for x in range(G.shape.N) if G.shape.block(x) != i]
+    return QuotientGroup(G, ncl, kept, shape)
+
+
+def _span_map(G, gens):
+    """Greedy basis and coordinate table of a subgroup of ker(phi).
+
+    Valid because ker(phi) is elementary abelian, so the subgroup is a
+    vector space and every element is a product of a basis subset.
+    """
+    table = {G.identity: 0}
+    basis = []
+    for w in gens:
+        if w in table:
+            continue
+        for e, bits in list(table.items()):
+            table[G.mul(e, w)] = bits | (1 << len(basis))
+        basis.append(w)
+    return basis, table
+
+
+def lie_from_quotient(G: QuotientGroup) -> GradedLie:
+    """Associated graded algebra of the descending central series, each
+    term enumerated as a set; the group must satisfy the expansion axioms."""
+    if not all(check_expansion_axioms_by_sets(G).values()):
+        raise ValueError("expansion axioms do not hold")
+
+    def conj_closed(seed):
+        out, seen = [], set()
+        queue = [w for w in seed if w != G.identity]
+        while queue:
+            w = queue.pop()
+            if w in seen:
+                continue
+            seen.add(w)
+            out.append(w)
+            for g in G.gen_codes:
+                c = G.conj(g, w)
+                if c != G.identity and c not in seen:
+                    queue.append(c)
+        return out
+
+    gens = list(G.gen_codes)
+    seed = [G.commutator(a, b) for a, b in combinations(gens, 2)]
+    subgroups = []
+    cur_gens = conj_closed(seed)
+    while cur_gens:
+        _, table = _span_map(G, cur_gens)
+        subgroups.append(table)
+        nxt = conj_closed([G.commutator(g, w) for g in gens for w in table])
+        cur_gens = nxt
+    total = G.order.bit_length() - 1
+    head = (len(subgroups[0]).bit_length() - 1) if subgroups else 0
+    if total - head != G.shape.N:
+        raise ValueError("generators do not span the abelianization")
+    dims = [G.shape.N]
+    reps = {1: gens}
+    coord = {}
+    for m in range(2, len(subgroups) + 2):
+        cur = subgroups[m - 2]
+        nxt = subgroups[m - 1] if m - 1 < len(subgroups) else {G.identity: 0}
+        basis, table = _span_map(G, list(nxt) + sorted(cur))
+        lead = len(nxt).bit_length() - 1
+        reps[m] = basis[lead:]
+        dims.append(len(basis) - lead)
+
+        def cm(code: int, table=table, lead=lead) -> int:
+            return table[code] >> lead
+
+        coord[m] = cm
+    nclass = len(dims)
+    tables = {}
+    for m in range(1, nclass):
+        tables[m] = [[coord[m + 1](G.commutator(gx, r)) for r in reps[m]]
+                     for gx in gens]
+    for r in reps[nclass]:
+        for gx in gens:
+            if G.commutator(gx, r) != G.identity:
+                raise ValueError("series did not terminate at the top grade")
+    return GradedLie(G.shape, dims, tables, dict(reps))
+
+
+# ---------------------------------------------------------------------------
 # elementary number theory
 
 
@@ -348,7 +516,7 @@ def rref_incremental(m) -> dict[int, int]:
     """Reduced row echelon form as a map pivot column -> row mask."""
     piv: dict[int, int] = {}
     mask = 0
-    for v in _rows_of(m):
+    for v in m:
         v = _strip(v, piv, mask)
         if v:
             p = low_bit(v)
@@ -371,7 +539,8 @@ def search_consistent_scan(k, prime_budget: int):
     Slots are filled entry by entry with ascending primes 1 mod 4 below
     the budget, each within-entry list itself ascending, backtracking
     on quadratic-residue conflicts against earlier entries.  Returns
-    None once the pool is exhausted.
+    None once the pool is exhausted.  Each symbol is computed once per
+    call.
     """
     k = tuple(int(v) for v in k)
     if not k or any(v < 1 for v in k):
@@ -385,12 +554,15 @@ def search_consistent_scan(k, prime_budget: int):
     entry_of = [sum(1 for e in ends if e <= t) for t in range(total)]
     chosen: list[int] = []
 
+    @functools.cache
+    def symbol(qi: int, pi: int) -> int:
+        return jacobi(pool[qi], pool[pi])
+
     def fits(t: int, pi: int) -> bool:
-        p = pool[pi]
         for s, qi in enumerate(chosen):
             if qi == pi:
                 return False
-            if entry_of[s] != entry_of[t] and jacobi(pool[qi], p) != 1:
+            if entry_of[s] != entry_of[t] and symbol(qi, pi) != 1:
                 return False
         return True
 

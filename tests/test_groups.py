@@ -1,4 +1,4 @@
-"""Semidirect factors, universal groups, axiom reports, series, corners."""
+"""Universal groups, single factors, axiom reports, series, corners."""
 
 from __future__ import annotations
 
@@ -8,87 +8,85 @@ import pytest
 import oracles
 from genusforge import groups
 from genusforge.f2 import spans_equal
-from genusforge.groups import (CosetGroup, ExpansionGroup, GroupElement,
-                               ResourceLimitError, SemidirectElement,
-                               augmentation_power_span, build_single_factor,
-                               build_universal, build_universal_general,
-                               check_expansion_axioms, commutator, corner,
-                               descending_central_series, grade_dims, mul,
-                               nested_commutator, nilpotency_class,
-                               normal_closure, product_expansion,
-                               unique_epimorphism, universal_order_exponent)
+from genusforge.groups import (ExpansionGroup, ResourceLimitError,
+                               augmentation_power_span, build_universal,
+                               build_universal_general, check_expansion_axioms,
+                               descending_central_series, grade_dims,
+                               nilpotency_class, unique_epimorphism,
+                               universal_order_exponent)
 from genusforge.tensors import BlockShape
 
 
+def single_factor(n: int, i: int) -> ExpansionGroup:
+    """Factor i of build_universal(n), F2[F2^([n]-i)] x| F2^([n]-i), as a
+    group of its own: each generator keeps its field in that factor."""
+    U = build_universal(n)
+    c = U.comps[i]
+    comps = groups._layout([(c.i, c.ambient)])
+    gens = [(g >> c.poly_off) & ((1 << c.width) - 1) for g in U.gen_codes]
+    # each generator is a single bit of the factor, and phi reads it
+    return ExpansionGroup(U.shape, comps, gens,
+                          [g.bit_length() - 1 for g in gens])
+
+
+def fields(G: ExpansionGroup, code: int, k: int = 0) -> tuple[int, int]:
+    """(poly, vec) of a code in factor k."""
+    c = G.comps[k]
+    return (code >> c.poly_off) & c.poly_mask, (code >> c.vec_off) & c.vec_mask
+
+
 def test_factor_product_frozen():
-    G = build_single_factor(2, 0)
-    g00, g01 = G.generators
-    prod = mul(g00, g01)
-    assert prod.components[0] == SemidirectElement(0, (1,), poly=0b01, vec=0b1)
-    c = commutator(g00, g01)
+    G = single_factor(2, 0)
+    g00, g01 = G.gen_codes
+    assert fields(G, G.mul(g00, g01)) == (0b01, 0b1)
     # the commutator is the monomial in the adjoined variable, vector part 0
-    assert c.components[0] == SemidirectElement(0, (1,), poly=0b10, vec=0b0)
+    assert fields(G, G.commutator(g00, g01)) == (0b10, 0b0)
 
 
 def test_squares_land_in_poly_part():
-    G = build_single_factor(3, 0)
+    G = single_factor(3, 0)
     for code in G.iter_codes():
-        g = G.element(code)
-        sq = (g * g).components[0]
-        assert sq.vec == 0
-        if g.components[0].vec == 0:
-            assert (g * g).is_identity()
-
-
-def test_mul_mismatch_raises():
-    a = build_single_factor(2, 0).generators[0]
-    b = build_single_factor(3, 0).generators[0]
-    with pytest.raises(ValueError):
-        mul(a, b)
-    c = build_single_factor(2, 1).generators[0]
-    with pytest.raises(ValueError):
-        mul(a, c)
+        sq = G.mul(code, code)
+        assert fields(G, sq)[1] == 0
+        if fields(G, code)[1] == 0:
+            assert sq == G.identity
 
 
 def test_mul_identity_and_associativity():
     G = build_universal(2)
-    ident = G.element(0)
-    gens = G.generators
+    gens = G.gen_codes
     for g in gens:
-        assert mul(g, ident) == g
-        assert mul(ident, g) == g
-    pool = gens + [mul(gens[0], gens[1])]
+        assert G.mul(g, 0) == g
+        assert G.mul(0, g) == g
+    pool = gens + [G.mul(gens[0], gens[1])]
     for a in pool:
         for b in pool:
             for c in pool:
-                assert mul(mul(a, b), c) == mul(a, mul(b, c))
+                assert G.mul(G.mul(a, b), c) == G.mul(a, G.mul(b, c))
     for a in pool:
-        assert mul(a, a.inv()).is_identity()
+        assert G.mul(a, G.inv(a)) == 0
 
 
 def test_nested_commutator():
     G = build_universal(3)
-    g1, g2, g3 = G.generators
+    g1, g2, g3 = G.gen_codes
     with pytest.raises(ValueError):
-        nested_commutator([g1])
-    assert nested_commutator([g1, g1]).is_identity()
-    ident = G.element(0)
-    assert nested_commutator([ident, ident, ident]).is_identity()
-    assert not nested_commutator([g1, g2, g3]).is_identity()
+        G.nested_commutator([g1])
+    assert G.nested_commutator([g1, g1]) == 0
+    assert G.nested_commutator([0, 0, 0]) == 0
+    assert G.nested_commutator([g1, g2, g3]) != 0
 
 
 def test_single_factor_orders():
-    assert build_single_factor(1, 0).order == 2
-    assert build_single_factor(2, 0).order == 8
-    assert build_single_factor(3, 0).order == 64
-    assert build_single_factor(3, 1).order == 64
-    with pytest.raises(ValueError):
-        build_single_factor(3, 3)
+    assert single_factor(1, 0).order == 2
+    assert single_factor(2, 0).order == 8
+    assert single_factor(3, 0).order == 64
+    assert single_factor(3, 1).order == 64
 
 
 def test_single_factor_axioms():
     for n, i in [(2, 0), (2, 1), (3, 0), (3, 2)]:
-        rep = check_expansion_axioms(build_single_factor(n, i))
+        rep = check_expansion_axioms(single_factor(n, i))
         assert all(rep.values()), (n, i, rep)
 
 
@@ -117,11 +115,12 @@ def test_universal_general_matches_tuple_model():
 
 
 def test_universal_agrees_with_general_shape():
-    U = build_universal(3)
-    T = build_universal_general(BlockShape((1, 1, 1)))
-    assert U.order == T.order
-    assert unique_epimorphism(U, T) is not None
-    assert unique_epimorphism(T, U) is not None
+    for n in (1, 2, 3):
+        U = build_universal(n)
+        T = build_universal_general(BlockShape((1,) * n))
+        assert np.array_equal(U.codes, T.codes) and U.gen_codes == T.gen_codes
+    with pytest.raises(ValueError):
+        build_universal(0)
 
 
 def test_resource_limit_reports_predicted_order():
@@ -134,24 +133,30 @@ def test_resource_limit_reports_predicted_order():
     assert "2^22" in str(e.value)
 
 
-def test_product_expansion():
-    a = build_single_factor(2, 0)
-    b = build_single_factor(2, 1)
-    P = product_expansion(a, b)
-    assert P.order == 8
-    assert all(check_expansion_axioms(P).values())
-    # pairing with itself generates the diagonal
-    D = product_expansion(a, a)
-    assert D.order == a.order
-    assert unique_epimorphism(D, a) is not None
-    with pytest.raises(ValueError):
-        product_expansion(a, build_single_factor(3, 0))
+def test_code_width_limit_refused_before_enumeration(monkeypatch):
+    def refuse(self, gen_codes):
+        raise AssertionError("enumerated past the code-width limit")
+
+    shape = BlockShape((1,))
+    # factor widths 2^m + m: 37 + 20 + 6 = 63, and one more bit is too many
+    specs = [(0, tuple(range(5))), (0, tuple(range(4))), (0, (0, 1))]
+    assert ExpansionGroup(shape, groups._layout(specs), [1], [0]).order == 2
+    monkeypatch.setattr(ExpansionGroup, "_close", refuse)
+    with pytest.raises(ResourceLimitError) as e:
+        ExpansionGroup(shape, groups._layout(specs + [(0, ())]), [1], [0])
+    assert e.value.width == 64
+    assert "code-width limit of 63 bits" in str(e.value)
+    # with the element ceiling out of the way, (1,1,1,1,1) is still too wide
+    monkeypatch.setattr(groups, "ENUM_CEILING", 1 << 60)
+    with pytest.raises(ResourceLimitError) as e:
+        build_universal(5)
+    assert e.value.width == 100 and e.value.predicted_order is None
 
 
 def test_projection_epimorphisms_exist():
     U = build_universal(3)
     for i in range(3):
-        F = build_single_factor(3, i)
+        F = single_factor(3, i)
         table = unique_epimorphism(U, F)
         assert table is not None
         assert len(set(table.values())) == F.order
@@ -215,31 +220,33 @@ def test_exponent_four_and_generator_identities():
 
 def test_corner_examples():
     U2 = build_universal(2)
-    assert corner(U2, 1).order == 2
+    assert oracles.corner(U2, 1).order == 2
     U3 = build_universal(3)
-    C = corner(U3, 2)
+    C = oracles.corner(U3, 2)
     assert C.order == build_universal(2).order
     with pytest.raises(ValueError):
-        corner(build_universal(1), 0)
+        oracles.corner(build_universal(1), 0)
 
 
 def test_corner_isomorphic_to_reduced_universal():
-    G = build_universal_general(BlockShape((2, 1)))
-    C = corner(G, 1)
-    M = build_universal_general(BlockShape((2,)))
-    assert C.order == M.order
-    assert all(check_expansion_axioms(C).values())
-    assert unique_epimorphism(C, M) is not None
-    assert unique_epimorphism(M, C) is not None
-    C0 = corner(G, 0)
-    assert C0.order == 2
+    for k in [(2, 1), (1, 1, 1), (2, 1, 1)]:
+        shape = BlockShape(k)
+        G = build_universal_general(shape)
+        for i in range(shape.n):
+            C = oracles.corner(G, i)
+            M = build_universal_general(shape.drop(i))
+            assert C.order == M.order, (k, i)
+            rep = oracles.check_expansion_axioms_by_sets(C)
+            assert all(rep.values()), (k, i, rep)
+            assert unique_epimorphism(C, M) is not None, (k, i)
+            assert unique_epimorphism(M, C) is not None, (k, i)
 
 
 def test_epimorphism_to_proper_quotient_only():
     G = build_universal(2)
     g0, g1 = G.gen_codes
-    N = normal_closure(G, [G.commutator(g0, g1)])
-    Q = CosetGroup(G, N, [0, 1], G.shape)
+    N = oracles.normal_closure(G, [G.commutator(g0, g1)])
+    Q = oracles.QuotientGroup(G, N, [0, 1], G.shape)
     assert Q.order == 4
     assert unique_epimorphism(G, Q) is not None
     assert unique_epimorphism(Q, G) is None
@@ -251,12 +258,9 @@ def test_phi_and_membership():
     G = build_universal_general(BlockShape((2, 1)))
     for x, g in enumerate(G.gen_codes):
         assert G.phi(g) == 1 << x
-    assert G.contains(0)
-    for g in G.generators:
         assert g in G
-        assert G.code_of(g) in G
-    for code in list(G.iter_codes())[:16]:
-        assert G.code_of(G.element(code)) == code
+    assert G.contains(0)
+    assert not G.contains(int(G.codes[-1]) + 1)
 
 
 def test_group_dump_format():
@@ -277,10 +281,11 @@ def test_enumeration_deterministic():
 def test_close_np_matches_close_set():
     for k in [(1, 1), (2, 1), (2, 2), (1, 1, 1), (2, 1, 1)]:
         G = build_universal_general(BlockShape(k))
-        codes = G._close_np(G.gen_codes)
+        codes = G._close(G.gen_codes)
         assert codes.dtype == np.uint64
         assert bool(np.all(codes[1:] > codes[:-1])), k
-        assert codes.tolist() == G._close_set(G.gen_codes), k
+        want = oracles.closure_by_sets(G.gen_codes, G.mul, 0)
+        assert codes.tolist() == sorted(want), k
 
 
 def test_close_np_orders_on_enumerate_shapes():
@@ -301,7 +306,7 @@ def test_close_np_ceiling_trips_partway(monkeypatch):
         return step(codes, table)
 
     monkeypatch.setattr(ExpansionGroup, "_step", staticmethod(counted))
-    G._close_np(G.gen_codes)
+    G._close(G.gen_codes)
     full = len(steps)
     steps.clear()
     monkeypatch.setattr(groups, "ENUM_CEILING", G.order // 8)

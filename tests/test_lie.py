@@ -7,14 +7,10 @@ import random
 
 import pytest
 
+import oracles
 from genusforge.f2 import rank
-from genusforge.groups import (
-    CosetGroup,
-    build_universal,
-    build_universal_general,
-    corner,
-    normal_closure,
-)
+from genusforge.groups import (build_universal, build_universal_general,
+                               unique_epimorphism)
 from genusforge.lie import (
     GradedLie,
     check_lie_axioms,
@@ -145,11 +141,14 @@ def test_lie_from_group_requires_axioms():
 
 def test_quotient_group_lie_surjection():
     G = build_universal(3)
-    ncl = normal_closure(G, [G.commutator(G.gen_codes[0], G.gen_codes[1])])
-    Q = CosetGroup(G, ncl, [0, 1, 2], G.shape)
-    assert len(Q) < G.order
-    LQ = lie_from_group(Q)
-    assert LQ.total_dim == len(Q).bit_length() - 1
+    ncl = oracles.normal_closure(
+        G, [G.commutator(G.gen_codes[0], G.gen_codes[1])])
+    Q = oracles.QuotientGroup(G, ncl, [0, 1, 2], G.shape)
+    assert Q.order < G.order
+    assert all(oracles.check_expansion_axioms_by_sets(Q).values())
+    assert unique_epimorphism(G, Q) is not None
+    LQ = oracles.lie_from_quotient(Q)
+    assert LQ.total_dim == Q.order.bit_length() - 1
     assert all(check_lie_axioms(LQ).values())
     M = governing_algebra(3)
     fwd = lie_epimorphism(M, LQ)
@@ -158,16 +157,33 @@ def test_quotient_group_lie_surjection():
     assert M.total_dim - LQ.total_dim == 8 - LQ.total_dim > 0
 
 
+def test_quotient_lie_requires_axioms():
+    # g0 dies in the quotient but stays a generator, so phi(g0) = 0
+    G = build_universal(3)
+    Q = oracles.QuotientGroup(
+        G, oracles.normal_closure(G, [G.gen_codes[0]]), [0, 1, 2], G.shape)
+    rep = oracles.check_expansion_axioms_by_sets(Q)
+    assert not rep["axiom1"] and rep["axiom4"]
+    with pytest.raises(ValueError, match="expansion axioms"):
+        oracles.lie_from_quotient(Q)
+
+
 def test_corner_quotient_lie():
     G = build_universal(3)
-    Q = corner(G, 2)
-    LQ = lie_from_group(Q)
+    LQ = oracles.lie_from_quotient(oracles.corner(G, 2))
     assert LQ.dims == (2, 1)
     fwd = lie_epimorphism(governing_algebra(2), LQ)
     assert [rank(v) for v in fwd.values()] == [2, 1]
 
-    H = build_universal_general(BlockShape((2, 1)))
-    LC = lie_from_group(corner(H, 1))
+    for k in [(2, 1), (1, 1, 1), (2, 1, 1)]:
+        shape = BlockShape(k)
+        G = build_universal_general(shape)
+        for i in range(shape.n):
+            LC = oracles.lie_from_quotient(oracles.corner(G, i))
+            LM = lie_from_group(build_universal_general(shape.drop(i)))
+            assert LC.dims == LM.dims, (k, i)
+    LC = oracles.lie_from_quotient(
+        oracles.corner(build_universal_general(BlockShape((2, 1))), 1))
     assert LC.dims == (2,)
 
 
@@ -248,3 +264,22 @@ def test_check_lie_axioms_matches_direct():
         assert got == check_lie_axioms_direct(mutant)
         failed |= {key for key, good in got.items() if not good}
     assert {"axiom1", "axiom4", "tilde1", "tilde2"} <= failed
+
+
+def test_axiom4_mutants_fail_both_checkers():
+    # (shape, table, row x, entry k, bit) flipped once.  In the grade-3
+    # table of (1,1,1,1) the first two flips are caught by both the swap
+    # check and [e_x, [e_x, -]], the next two by the swap check alone.  No
+    # one-bit flip of a grade >= 3 table escapes the swap check on
+    # (1,1,1,1), (2,1,1,1) or (1,1,1,1,1), so the flip that only
+    # [e_x, [e_x, -]] catches is in the grade-2 table of (1,1,1).
+    flips = [((1, 1, 1, 1), 3, 0, 1, 0), ((1, 1, 1, 1), 3, 1, 2, 1),
+             ((1, 1, 1, 1), 3, 0, 0, 0), ((1, 1, 1, 1), 3, 2, 3, 2),
+             ((1, 1, 1), 2, 0, 0, 0)]
+    for k, m, x, kk, bit in flips:
+        M = governing_algebra_general(BlockShape(k))
+        tables = copy.deepcopy(M.tables)
+        tables[m][x][kk] ^= 1 << bit
+        mutant = GradedLie(M.shape, M.dims, tables)
+        assert check_lie_axioms(mutant)["axiom4"] is False, (k, m, x, kk, bit)
+        assert check_lie_axioms_direct(mutant)["axiom4"] is False, (k, m, x, kk, bit)
