@@ -3,22 +3,33 @@
 A map Phi on the group is stored by its coefficients over the
 distinguished basis: the characters chi_x together with the coefficient
 extractors Phi_(A,x), where Phi_(A,x)(sigma) reads the t_{A - block(x)}
-monomial of the polynomial part of component x.  Value tables are bit
-masks indexed by the group's sorted code order.  Cornering, commuting
-vectors, the theta 2-cocycle, and layer reconstruction all act on the
-coefficient side; tables are materialized only on small groups.
+monomial of the polynomial part of component x; each label reads one
+code bit.  Value tables are bit masks indexed by the group's sorted code
+order.  Cornering, commuting vectors, the theta 2-cocycle, and layer
+reconstruction all act on the coefficient side; tables are materialized
+only on small groups.  Cornering at a block is one matrix per shape and
+block, built from the label rule.
+
+Whole-table identities read one product table, the group's mul_table
+M[p, q] = position of codes[p] * codes[q], built for each call that needs
+it.  coboundary and the 2-cocycle identity gather uint8 value arrays
+through M, and one recursion check, phi_B(st) = phi_B(s) + phi_B(t) + the
+sum over nonempty S disjoint from B of chi_S(s) phi_(B+S)(t), certifies
+both the cornered tables of cocycle_view and the pointed family of an
+ExpansionMap.
 
 A row of theta depends only on the block characters at its element, so
 theta keeps one row per block-character pattern and shares it.  The
 coboundary test solve_cochain propagates values down the group's cached
 Cayley spanning tree, one numpy step per tree layer, then checks every
 Cayley edge at once; groups with order^2 <= 2^20 also get a closing
-check of the whole table against every row of theta.
+check of the coboundary of the table, through M, against every row of
+theta.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -53,21 +64,33 @@ __all__ = [
 TABLE_CEILING = 1 << 16
 
 
-def _pack_bits(arr: np.ndarray) -> int:
-    return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
+def _pack(bits: np.ndarray):
+    """A 0/1 array as one int (1-D) or one int per row (2-D), bit q from
+    column q."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    if bits.ndim == 1:
+        return int.from_bytes(packed.tobytes(), "little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _unpack_bits(tab: int, order: int) -> np.ndarray:
-    return np.unpackbits(
-        np.frombuffer(tab.to_bytes((order + 7) // 8, "little"), dtype=np.uint8),
-        bitorder="little", count=order)
+def _unpack(tabs, order: int) -> np.ndarray:
+    """Inverse of _pack: one int gives a 1-D uint8 array, a sequence of
+    ints a 2-D one."""
+    nbytes = (order + 7) // 8
+    if isinstance(tabs, int):
+        buf, shape = tabs.to_bytes(nbytes, "little"), (nbytes,)
+    else:
+        buf = b"".join(t.to_bytes(nbytes, "little") for t in tabs)
+        shape = (len(tabs), nbytes)
+    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(shape),
+                         axis=-1, bitorder="little", count=order)
 
 
 class _Context:
     """Enumerated universal group of a shape plus its Phi bookkeeping."""
 
-    __slots__ = ("shape", "group", "labels", "index", "order", "_tables",
-                 "_solver", "_series", "_blockchi", "_mulpos", "_checked",
+    __slots__ = ("shape", "group", "labels", "index", "bitpos", "order",
+                 "_tables", "_solver", "_series", "_blockchi", "_checked",
                  "_corners")
 
     def __init__(self, shape: BlockShape):
@@ -81,66 +104,48 @@ class _Context:
                         labels.append(("phi", A, x))
         self.labels = labels
         self.index = {lab: p for p, lab in enumerate(labels)}
+        # every label reads one code bit: chi_x the t_empty bit of factor x,
+        # Phi_(A,x) the t_{A - block(x)} bit of factor x
+        self.bitpos = {}
+        for lab in labels:
+            comp = self.group.comps[lab[-1]]
+            A = lab[1] if lab[0] == "phi" else ()
+            self.bitpos[lab] = comp.poly_off + sum(
+                1 << comp.pos[s] for s in A if s != shape.block(lab[-1]))
         self.order = self.group.order
         self._tables = {}
         self._solver = None
         self._series = None
         self._blockchi = None
-        self._mulpos = {}
         self._checked = False
         self._corners = {}
 
-    # -- single-element reads --
-
     def eval_label(self, label, code: int) -> int:
-        if label[0] == "chi":
-            return (self.group.phi(code) >> label[1]) & 1
-        _, A, x = label
-        comp = self.group.comps[x]
-        idx = 0
-        bx = self.shape.block(x)
-        for s in A:
-            if s != bx:
-                idx |= 1 << comp.pos[s]
-        return (code >> (comp.poly_off + idx)) & 1
+        return (code >> self.bitpos[label]) & 1
 
     # -- whole tables --
 
-    def _codes(self) -> np.ndarray:
-        return self.group.codes
-
     def pos_of(self, code: int) -> int:
-        codes = self._codes()
+        codes = self.group.codes
         p = int(np.searchsorted(codes, np.uint64(code)))
         if p >= len(codes) or int(codes[p]) != code:
             raise ValueError("code outside the enumerated group")
         return p
 
-    def positions(self, arr: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._codes(), arr)
-
     def _guard(self):
         if self.order > TABLE_CEILING:
             raise ResourceLimitError(self.order, TABLE_CEILING, "table ceiling")
+
+    def mul_table(self) -> np.ndarray:
+        self._guard()
+        return self.group.mul_table()
 
     def table(self, label) -> int:
         tab = self._tables.get(label)
         if tab is None:
             self._guard()
-            codes = self._codes()
-            if label[0] == "chi":
-                bits = self.group.phi_bit_array(codes, label[1])
-            else:
-                _, A, x = label
-                comp = self.group.comps[x]
-                idx = 0
-                bx = self.shape.block(x)
-                for s in A:
-                    if s != bx:
-                        idx |= 1 << comp.pos[s]
-                shift = np.uint64(comp.poly_off + idx)
-                bits = ((codes >> shift) & np.uint64(1)).astype(np.uint8)
-            tab = _pack_bits(bits)
+            shift = np.uint64(self.bitpos[label])
+            tab = _pack(((self.group.codes >> shift) & np.uint64(1)).astype(np.uint8))
             self._tables[label] = tab
         return tab
 
@@ -179,16 +184,6 @@ class _Context:
         for s in B:
             tab &= self.block_char(s)
         return tab
-
-    def mul_positions(self, p: int) -> np.ndarray:
-        """Positions of codes[p] * codes[q] over all q."""
-        row = self._mulpos.get(p)
-        if row is None:
-            self._guard()
-            prods = self.group.mul_left_array(int(self._codes()[p]), self._codes())
-            row = self.positions(prods)
-            self._mulpos[p] = row
-        return row
 
 
 _CONTEXTS: dict[tuple[int, ...], _Context] = {}
@@ -272,10 +267,9 @@ class CommVector:
         self.entries = entries
 
     def is_commuting(self) -> bool:
-        n = self.shape.n
-        for i, j in combinations(range(n), 2):
-            if n == 2:
-                continue
+        if self.shape.n == 2:
+            return True
+        for i, j in combinations(range(self.shape.n), 2):
             left = corner_operator(self.shape.drop(i),
                                    _drop_index(self.shape, i, j),
                                    self.entries[i])
@@ -307,8 +301,7 @@ class ThetaCocycle:
 
     @classmethod
     def from_function(cls, shape: BlockShape, fn) -> "ThetaCocycle":
-        ctx = _context(shape)
-        codes = [int(c) for c in ctx._codes()]
+        codes = [int(c) for c in _context(shape).group.codes]
         rows = []
         for a in codes:
             row = 0
@@ -318,23 +311,21 @@ class ThetaCocycle:
         return cls(shape, rows)
 
     def is_cocycle(self, samples: int = 4096, seed: int = 0) -> bool:
-        """2-cocycle identity; exhaustive up to order 256, sampled above."""
+        """theta(st, u) + theta(s, tu) + theta(t, u) + theta(s, t) = 0 on
+        every u, for all pairs (s, t) up to order 256 and sampled above."""
         ctx = _context(self.shape)
         order = ctx.order
-        R = np.zeros((order, order), dtype=np.uint8)
-        for p, row in enumerate(self.rows):
-            R[p] = _unpack_bits(row, order)
-        M = np.vstack([ctx.mul_positions(p) for p in range(order)])
+        M = ctx.mul_table()
+        R = _unpack(self.rows, order)
         if order <= 256:
-            pairs = product(range(order), repeat=2)
+            ps, qs = np.divmod(np.arange(order * order), order)
         else:
             rng = np.random.default_rng(seed)
-            pairs = zip(rng.integers(0, order, samples),
-                        rng.integers(0, order, samples))
-        for p, q in pairs:
-            acc = R[M[p, q]] ^ R[p, M[q]] ^ R[q]
-            if R[p, q]:
-                acc ^= 1
+            ps = rng.integers(0, order, samples)
+            qs = rng.integers(0, order, samples)
+        for lo in range(0, len(ps), 256):
+            p, q = ps[lo:lo + 256], qs[lo:lo + 256]
+            acc = R[M[p, q]] ^ R[p[:, None], M[q]] ^ R[q] ^ R[p, q][:, None]
             if acc.any():
                 return False
         return True
@@ -362,41 +353,49 @@ class ExpansionMap:
         self.coords = dict(coords)
 
     def verify(self) -> bool:
-        """Coboundary recursion on all pairs plus the pointed-base case."""
+        """The pointed-base case plus the recursion on all pairs.
+
+        coords[B] is the corner table of the support positions outside B,
+        so it is re-keyed by complement before the recursion check.
+        """
         ctx = _context(self.group.shape)
-        chi = 0
-        for x in bits_of(self.support[self.pointer]):
-            chi ^= ctx.table(("chi", x))
-        if self.coords[()] != chi:
+        chis = []
+        for mask in self.support:
+            tab = 0
+            for x in bits_of(mask):
+                tab ^= ctx.table(("chi", x))
+            chis.append(tab)
+        if self.coords[()] != chis[self.pointer]:
             return False
         others = [t for t in range(len(self.support)) if t != self.pointer]
-        order = ctx.order
-        full = (1 << order) - 1
-        for r in range(len(others) + 1):
-            for B in combinations(others, r):
-                tab = self.coords[B]
-                for p in range(order):
-                    mrow = ctx.mul_positions(p)
-                    left = _gather_bits(tab, mrow, order)
-                    acc = left ^ ((full if (tab >> p) & 1 else 0)) ^ tab
-                    for s in range(1, r + 1):
-                        for S in combinations(B, s):
-                            chi_s = full
-                            for t in S:
-                                blk = 0
-                                for x in bits_of(self.support[t]):
-                                    blk ^= ctx.table(("chi", x))
-                                chi_s &= blk
-                            if (chi_s >> p) & 1:
-                                rest = tuple(t for t in B if t not in S)
-                                acc ^= self.coords[rest]
-                    if acc:
-                        return False
-        return True
+        vals = [self.coords[tuple(t for k, t in enumerate(others) if not (C >> k) & 1)]
+                for C in range(1 << len(others))]
+        return _recursion_holds(_unpack(vals, ctx.order),
+                                _unpack([chis[t] for t in others], ctx.order),
+                                ctx.mul_table())
 
 
-def _gather_bits(tab: int, positions: np.ndarray, order: int) -> int:
-    return _pack_bits(_unpack_bits(tab, order)[positions])
+def _recursion_holds(vals: np.ndarray, chis: np.ndarray, M: np.ndarray) -> bool:
+    """The recursion T_B(st) = T_B(s) + T_B(t) + sum over nonempty S
+    disjoint from B of chi_S(s) T_(B+S)(t), on every pair and every B.
+
+    vals[B] is the uint8 table T_B for each subset mask B of the
+    len(chis) blocks, chis[b] the uint8 table of block character b, and M
+    the group's product table.  chi_S(s) depends only on the pattern of
+    block characters at s, so the sum is built once per pattern.
+    """
+    masks = np.arange(len(vals))
+    pattern = np.zeros(len(M), dtype=np.intp)
+    for b, chi in enumerate(chis):
+        pattern |= chi.astype(np.intp) << b
+    for B, tab in enumerate(vals):
+        rhs = np.zeros_like(vals)
+        for S in range(1, len(vals)):
+            if not S & B:
+                rhs[(masks & S) == S] ^= vals[B | S]
+        if (tab[M] ^ tab[:, None] ^ tab[None, :] ^ rhs[pattern]).any():
+            return False
+    return True
 
 
 # -- the distinguished basis --
@@ -444,14 +443,6 @@ def expansion_map(shape: BlockShape, A, x: int) -> ExpansionMap:
 
 # -- cornering --
 
-def _drop_maps(shape: BlockShape, d: int):
-    kept_blocks = [s for s in range(shape.n) if s != d]
-    bmap = {s: t for t, s in enumerate(kept_blocks)}
-    xs = [x for x in range(shape.N) if shape.block(x) != d]
-    xmap = {x: t for t, x in enumerate(xs)}
-    return bmap, xmap
-
-
 def _drop_index(shape: BlockShape, dropped: int, s: int) -> int:
     """Index of original block s inside shape.drop(dropped)."""
     return s - 1 if s > dropped else s
@@ -465,23 +456,44 @@ def corner_operator(shape: BlockShape, i: int, phi: PhiMap) -> PhiMap:
         raise ValueError("cannot corner a single block")
     if phi.shape != shape:
         raise ValueError("map lives on a different shape")
-    ctx = _context(shape)
-    sub = _context(shape.drop(i))
-    bmap, xmap = _drop_maps(shape, i)
+    mat = _corner_matrix(shape, i)
     out = 0
     for p in bits_of(phi.coords):
-        label = ctx.labels[p]
-        if label[0] == "chi":
-            continue
-        _, A, x = label
-        if i not in A or shape.block(x) == i:
-            continue
-        rest = tuple(bmap[s] for s in A if s != i)
-        if len(rest) == 1:
-            out ^= 1 << sub.index[("chi", xmap[x])]
-        else:
-            out ^= 1 << sub.index[("phi", rest, xmap[x])]
-    return PhiMap(sub.shape, out)
+        out ^= mat[p]
+    return PhiMap(shape.drop(i), out)
+
+
+def _corner_matrix(shape: BlockShape, i: int) -> list[int]:
+    """Corner coordinates of every basis label under the block-i operator,
+    built once per shape and block.
+
+    Characters die, and so do extractors whose support misses block i or
+    whose pointer lies in it; the others lose block i from their support,
+    becoming a character when one block is left.
+    """
+    ctx = _context(shape)
+    mat = ctx._corners.get(i)
+    if mat is None:
+        sub = _context(shape.drop(i))
+        mat = []
+        for label in ctx.labels:
+            if label[0] == "chi" or i not in label[1] or shape.block(label[2]) == i:
+                mat.append(0)
+                continue
+            _, A, x = label
+            rest = tuple(_drop_index(shape, i, s) for s in A if s != i)
+            y = x - shape.k[i] if shape.block(x) > i else x
+            key = ("chi", y) if len(rest) == 1 else ("phi", rest, y)
+            mat.append(1 << sub.index[key])
+        ctx._corners[i] = mat
+    return mat
+
+
+def _corner_chain(phi: PhiMap, B) -> PhiMap:
+    """Corner phi at each block of B in turn, B indexing phi's blocks."""
+    for k, b in enumerate(sorted(B)):
+        phi = corner_operator(phi.shape, b - k, phi)
+    return phi
 
 
 def inflate(shape: BlockShape, gone, phi: PhiMap) -> PhiMap:
@@ -590,16 +602,9 @@ def _span_canon(vecs) -> list[int]:
 def coboundary(phi: PhiMap) -> ThetaCocycle:
     """dPhi(sigma, tau) = Phi(sigma tau) + Phi(sigma) + Phi(tau)."""
     ctx = _context(phi.shape)
-    order = ctx.order
-    tab = phi.values
-    full = (1 << order) - 1
-    rows = []
-    for p in range(order):
-        row = _gather_bits(tab, ctx.mul_positions(p), order)
-        row ^= full if (tab >> p) & 1 else 0
-        row ^= tab
-        rows.append(row)
-    return ThetaCocycle(phi.shape, rows)
+    val = _unpack(phi.values, ctx.order)
+    return ThetaCocycle(phi.shape,
+                        _pack(val[ctx.mul_table()] ^ val[:, None] ^ val[None, :]))
 
 
 def cocycle_view(phi: PhiMap) -> dict:
@@ -614,51 +619,17 @@ def cocycle_view(phi: PhiMap) -> dict:
     """
     shape = phi.shape
     ctx = _context(shape)
-    order = ctx.order
-    full = (1 << order) - 1
     tables = {(): phi.values}
-    for r in range(1, shape.n + 1):
+    for r in range(1, shape.n):
         for B in combinations(range(shape.n), r):
-            if r == shape.n:
-                tables[B] = 0
-                continue
-            cur = phi
-            cur_shape = shape
-            dropped = []
-            for b in B:
-                cur = corner_operator(cur_shape, _shifted_index(b, dropped), cur)
-                cur_shape = cur.shape
-                dropped.append(b)
-            tables[B] = inflate(shape, B, cur).values
-    certified = True
-    chis = {B: ctx.chi_set(B) for B in tables if B}
-    for B, tab in tables.items():
-        comp = [s for s in range(shape.n) if s not in B]
-        for p in range(order):
-            acc = _gather_bits(tab, ctx.mul_positions(p), order)
-            acc ^= full if (tab >> p) & 1 else 0
-            acc ^= tab
-            for r in range(1, len(comp) + 1):
-                for S in combinations(comp, r):
-                    if (chis[S] >> p) & 1:
-                        acc ^= tables[tuple(sorted(B + S))]
-            if acc:
-                certified = False
+            tables[B] = inflate(shape, B, _corner_chain(phi, B)).values
+    tables[tuple(range(shape.n))] = 0
+    vals = [tables[tuple(s for s in range(shape.n) if (B >> s) & 1)]
+            for B in range(1 << shape.n)]
+    chis = [ctx.block_char(s) for s in range(shape.n)]
+    certified = _recursion_holds(_unpack(vals, ctx.order), _unpack(chis, ctx.order),
+                                 ctx.mul_table())
     return {"tables": tables, "certified": certified}
-
-
-def _shifted_index(b: int, dropped: list[int]) -> int:
-    return b - sum(1 for d in dropped if d < b)
-
-
-def _composite(shape: BlockShape, v: CommVector, B) -> PhiMap:
-    B = sorted(B)
-    phi = v.entries[B[0]]
-    dropped = [B[0]]
-    for b in B[1:]:
-        phi = corner_operator(phi.shape, _shifted_index(b, dropped), phi)
-        dropped.append(b)
-    return phi
 
 
 def theta(shape: BlockShape, v: CommVector) -> ThetaCocycle:
@@ -679,7 +650,8 @@ def theta(shape: BlockShape, v: CommVector) -> ThetaCocycle:
     parts = []
     for r in range(1, shape.n):
         for B in combinations(range(shape.n), r):
-            tab = inflate(shape, B, _composite(shape, v, B)).values
+            corner = _corner_chain(v.entries[B[0]], [b - 1 for b in B[1:]])
+            tab = inflate(shape, B, corner).values
             if tab:
                 parts.append((sum(1 << s for s in B), tab))
     shared = []
@@ -691,7 +663,7 @@ def theta(shape: BlockShape, v: CommVector) -> ThetaCocycle:
         shared.append(row)
     pattern = np.zeros(order, dtype=np.int64)
     for s in range(shape.n):
-        pattern |= _unpack_bits(ctx.block_char(s), order).astype(np.int64) << s
+        pattern |= _unpack(ctx.block_char(s), order).astype(np.int64) << s
     return ThetaCocycle(shape, [shared[m] for m in pattern.tolist()])
 
 
@@ -725,38 +697,16 @@ def solve_cochain(G: ExpansionGroup, th: ThetaCocycle):
         val[kids] = val[parents] ^ col[gens, parents]
     if val[gen_pos].any() or (val[perms] != val ^ col).any():
         return None
-    table = _pack_bits(val)
     if order * order <= 1 << 20:
         if max(rows) >> order:
             return None  # bits past the order are in no coboundary row
-        # M[p, q] is the position of codes[p] * codes[q], column by tree layer
-        M = np.empty((order, order), dtype=np.int32)
-        M[:, 0] = np.arange(order)
-        for kids, parents, gens in tree:
-            M[:, kids] = perms[gens, M[:, parents]]
-        nbytes = (order + 7) // 8
-        R = np.unpackbits(
-            np.frombuffer(b"".join(r.to_bytes(nbytes, "little") for r in rows),
-                          dtype=np.uint8).reshape(order, nbytes),
-            axis=1, bitorder="little", count=order)
-        if (val[M] ^ val[:, None] ^ val[None, :] != R).any():
+        d = val[G.mul_table()] ^ val[:, None] ^ val[None, :]
+        if (d != _unpack(rows, order)).any():
             return None
-    return table
+    return _pack(val)
 
 
 # -- realization and layer reconstruction --
-
-def _corner_matrix(shape: BlockShape, i: int) -> list[int]:
-    """Corner coordinates of every basis map under the block-i operator,
-    built once per shape and block."""
-    ctx = _context(shape)
-    mat = ctx._corners.get(i)
-    if mat is None:
-        mat = [corner_operator(shape, i, PhiMap(shape, 1 << p)).coords
-               for p in range(len(ctx.labels))]
-        ctx._corners[i] = mat
-    return mat
-
 
 def realize_commuting_vector(shape: BlockShape, v: CommVector) -> PhiMap:
     """Solve for a map whose corners are the given vector."""
@@ -771,10 +721,7 @@ def realize_commuting_vector(shape: BlockShape, v: CommVector) -> PhiMap:
         mat = _corner_matrix(shape, i)
         sub = _context(shape.drop(i))
         for l in range(len(sub.labels)):
-            row = 0
-            for k in range(width):
-                row |= ((mat[k] >> l) & 1) << k
-            rows.append(row)
+            rows.append(_transpose_mask(mat, l))
             rhs |= ((v.entries[i].coords >> l) & 1) << r
             r += 1
     coords = solve(rows, rhs, cols=width)

@@ -263,20 +263,19 @@ class ExpansionGroup:
             self._cayley = (gen_pos, perms, tuple(tree))
         return self._cayley
 
-    def mul_left_array(self, x: int, arr: np.ndarray) -> np.ndarray:
-        """x * arr[k] for every k, x fixed."""
-        out = np.zeros_like(arr)
-        for c in self.comps:
-            a1 = (x >> c.poly_off) & c.poly_mask
-            v1 = (x >> c.vec_off) & c.vec_mask
-            p = (arr >> np.uint64(c.poly_off)) & np.uint64(c.poly_mask)
-            masks = _clear_masks(c.m)
-            for j in bits_of(v1):
-                p = p ^ ((p & np.uint64(masks[j])) << np.uint64(1 << j))
-            v = (arr >> np.uint64(c.vec_off)) & np.uint64(c.vec_mask)
-            out = out | ((p ^ np.uint64(a1)) << np.uint64(c.poly_off))
-            out = out | ((v ^ np.uint64(v1)) << np.uint64(c.vec_off))
-        return out
+    def mul_table(self) -> np.ndarray:
+        """M[p, q], the position of codes[p] * codes[q], as int32; not cached.
+
+        Column 0 is the identity's; each tree edge codes[kid] =
+        codes[parent] * g gives M[:, kid] = perms[g, M[:, parent]], one
+        numpy step per tree layer.
+        """
+        _, perms, tree = self.cayley_tree()
+        M = np.empty((self.order, self.order), dtype=np.int32)
+        M[:, 0] = np.arange(self.order)
+        for kids, parents, gens in tree:
+            M[:, kids] = perms[gens, M[:, parents]]
+        return M
 
     def phi_bit_array(self, codes: np.ndarray, x: int) -> np.ndarray:
         return ((codes >> np.uint64(self.phi_bits[x])) & np.uint64(1)).astype(np.uint8)
@@ -289,7 +288,7 @@ class ExpansionGroup:
         tables = [self._gen_table(g) for g in gen_codes]
         seen = np.zeros(1, dtype=np.uint64)
         frontier = seen
-        while frontier.size:
+        while frontier.size and tables:
             nxt = np.concatenate([self._step(frontier, t) for t in tables])
             nxt.sort()
             nxt = nxt[np.concatenate(([True], nxt[1:] != nxt[:-1]))]

@@ -16,6 +16,7 @@ import numpy as np
 
 from genusforge.arith import AcceptableVector, _primes_1mod4, jacobi
 from genusforge.f2 import _strip, bits_of, low_bit, rank
+from genusforge.groups import _clear_masks
 from genusforge.lie import GradedLie
 from genusforge.tensors import BlockShape
 
@@ -289,7 +290,7 @@ class QuotientGroup:
         self.codes = sorted(closure_by_sets(self.gen_codes, self.mul, 0))
 
     def rep(self, code: int) -> int:
-        return int(self.parent.mul_left_array(code, self.normal).min())
+        return int(mul_left_array(self.parent, code, self.normal).min())
 
     def mul(self, a: int, b: int) -> int:
         return self.rep(self.parent.mul(a, b))
@@ -456,11 +457,35 @@ def _pack_bits(arr) -> int:
     return int.from_bytes(np.packbits(arr, bitorder="little").tobytes(), "little")
 
 
-def _gather_bits(tab: int, positions, order: int) -> int:
-    arr = np.unpackbits(
-        np.frombuffer(tab.to_bytes((order + 7) // 8, "little"), dtype=np.uint8),
+def mul_left_array(G, x: int, arr: np.ndarray) -> np.ndarray:
+    """x * arr[k] for every k, x fixed: the left action field by field."""
+    out = np.zeros_like(arr)
+    for c in G.comps:
+        a1 = (x >> c.poly_off) & c.poly_mask
+        v1 = (x >> c.vec_off) & c.vec_mask
+        p = (arr >> np.uint64(c.poly_off)) & np.uint64(c.poly_mask)
+        masks = _clear_masks(c.m)
+        for j in bits_of(v1):
+            p = p ^ ((p & np.uint64(masks[j])) << np.uint64(1 << j))
+        v = (arr >> np.uint64(c.vec_off)) & np.uint64(c.vec_mask)
+        out = out | ((p ^ np.uint64(a1)) << np.uint64(c.poly_off))
+        out = out | ((v ^ np.uint64(v1)) << np.uint64(c.vec_off))
+    return out
+
+
+def coboundary_rows(G, table: int) -> list[int]:
+    """Rows of the coboundary of a value table, one left product at a time."""
+    codes, order = G.codes, G.order
+    bits = np.unpackbits(
+        np.frombuffer(table.to_bytes((order + 7) // 8, "little"), dtype=np.uint8),
         bitorder="little", count=order)
-    return _pack_bits(arr[positions])
+    full = (1 << order) - 1
+    rows = []
+    for p, c in enumerate(codes):
+        row = _pack_bits(bits[np.searchsorted(codes, mul_left_array(G, int(c), codes))])
+        row ^= full if (table >> p) & 1 else 0
+        rows.append(row ^ table)
+    return rows
 
 
 def solve_cochain_bfs(G, th):
@@ -496,15 +521,8 @@ def solve_cochain_bfs(G, th):
                     return None
         frontier = nxt
     table = _pack_bits((val == 1).astype(np.uint8))
-    if order * order <= 1 << 20:
-        full = (1 << order) - 1
-        for p in range(order):
-            prods = G.mul_left_array(int(codes[p]), codes)
-            row = _gather_bits(table, np.searchsorted(codes, prods), order)
-            row ^= full if (table >> p) & 1 else 0
-            row ^= table
-            if row != th.rows[p]:
-                return None
+    if order * order <= 1 << 20 and coboundary_rows(G, table) != list(th.rows):
+        return None
     return table
 
 

@@ -36,7 +36,7 @@ from genusforge.expmaps import (
 from genusforge.f2 import F2Basis, rank
 from genusforge.groups import ResourceLimitError
 from genusforge.tensors import BlockShape
-from oracles import normal_closure, solve_cochain_bfs
+from oracles import coboundary_rows, normal_closure, solve_cochain_bfs
 
 S11 = BlockShape((1, 1))
 S21 = BlockShape((2, 1))
@@ -283,6 +283,74 @@ def test_theta_cocycle_identity_exhaustive():
         assert coboundary(p).is_cocycle()
     with pytest.raises(ValueError):
         ThetaCocycle(S11, [1] + [0] * 7)
+
+
+def test_is_cocycle_fails_on_one_flipped_bit():
+    rng = random.Random(3)
+    for shape in (S11, S21, S111):
+        ctx = _context(shape)
+        order = ctx.order
+        for _ in range(4):
+            p, q = rng.randrange(order), rng.randrange(1, order)
+            rows = [0] * order
+            rows[p] = 1 << q
+            assert not ThetaCocycle(shape, rows).is_cocycle(), (shape.k, p, q)
+            d = list(coboundary(PhiMap(shape, rng.getrandbits(len(ctx.labels)))).rows)
+            d[p] ^= 1 << q
+            assert not ThetaCocycle(shape, d).is_cocycle(), (shape.k, p, q)
+
+
+def test_expansion_map_verify_fails_on_flipped_tables():
+    rng = random.Random(5)
+    for shape, A, x in ((S11, (0, 1), 0), (S21, (0, 1), 2), (S111, (0, 1, 2), 1)):
+        order = _context(shape).order
+        for B in expansion_map(shape, A, x).coords:
+            em = expansion_map(shape, A, x)
+            em.coords[B] ^= 1 << rng.randrange(order)
+            assert not em.verify(), (shape.k, B)
+
+
+def test_expansion_map_verify_checks_pointed_base():
+    # a one-block family is its base alone, and any character passes the
+    # recursion there; only the pointed-base check sees the wrong one
+    em = expansion_map(S11, (0,), 0)
+    assert em.verify()
+    em.coords[()] = _context(S11).table(("chi", 1))
+    assert not em.verify()
+
+
+def test_recursion_check_fails_on_one_flipped_table():
+    rng = random.Random(9)
+    shape = S111
+    ctx = _context(shape)
+    order = ctx.order
+    tables = cocycle_view(PhiMap(shape, rng.getrandbits(len(ctx.labels))))["tables"]
+
+    def bits(tab):
+        return [(tab >> q) & 1 for q in range(order)]
+
+    vals = np.array([bits(tables[tuple(s for s in range(3) if (B >> s) & 1)])
+                     for B in range(8)], dtype=np.uint8)
+    chis = np.array([bits(ctx.block_char(s)) for s in range(3)], dtype=np.uint8)
+    M = ctx.group.mul_table()
+    assert expmaps._recursion_holds(vals, chis, M)
+    for B in range(8):
+        bad = vals.copy()
+        bad[B, rng.randrange(order)] ^= 1
+        assert not expmaps._recursion_holds(bad, chis, M), B
+
+
+def test_coboundary_matches_left_multiplication_oracle():
+    for shape in (S11, S21, S22, S111):
+        G = _context(shape).group
+        for p in build_phi_basis(shape):
+            assert list(coboundary(p).rows) == coboundary_rows(G, p.values), shape.k
+    shape = BlockShape((2, 1, 1))
+    ctx = _context(shape)
+    rng = random.Random(11)
+    for _ in range(2):
+        p = PhiMap(shape, rng.getrandbits(len(ctx.labels)))
+        assert list(coboundary(p).rows) == coboundary_rows(ctx.group, p.values)
 
 
 def test_solve_cochain_round_trip():

@@ -288,6 +288,26 @@ def test_close_np_matches_close_set():
         assert codes.tolist() == sorted(want), k
 
 
+def test_empty_generating_set_is_trivial():
+    G = build_universal(2)
+    assert G._close([]).tolist() == [0]
+    T = G.with_generators([])
+    assert T.order == 1 and T.codes.dtype == np.uint64
+    assert T.mul_table().tolist() == [[0]]
+
+
+def test_mul_table_matches_left_multiplication():
+    for k in [(1, 1), (2, 1), (2, 2), (1, 1, 1)]:
+        G = build_universal_general(BlockShape(k))
+        M = G.mul_table()
+        codes = G.codes
+        want = np.vstack([
+            np.searchsorted(codes, oracles.mul_left_array(G, int(c), codes))
+            for c in codes])
+        assert M.dtype == np.int32, k
+        assert np.array_equal(M, want), k
+
+
 def test_close_np_orders_on_enumerate_shapes():
     for k in [(4, 4), (2, 2, 1), (3, 1, 1), (5, 4)]:
         shape = BlockShape(k)
