@@ -10,6 +10,10 @@ reconstruction all act on the coefficient side; tables are materialized
 only on small groups.  Cornering at a block is one matrix per shape and
 block, built from the label rule.
 
+Layer reconstruction realizes first, in label coordinates with no value
+table; only a commuting vector that does not realize goes on to theta
+and solve_cochain, the one place it builds tables.
+
 Whole-table identities read one product table, the group's mul_table
 M[p, q] = position of codes[p] * codes[q], built for each call that needs
 it.  coboundary and the 2-cocycle identity gather uint8 value arrays
@@ -35,7 +39,7 @@ import numpy as np
 
 from .f2 import F2Basis, F2Solver, bits_of, kernel_basis, rank, solve
 from .groups import ExpansionGroup, ResourceLimitError, build_universal_general, \
-    descending_central_series, universal_order_exponent
+    descending_central_series
 from .tensors import BlockShape, governing_tensor_general
 
 __all__ = [
@@ -43,6 +47,7 @@ __all__ = [
     "CommVector",
     "ThetaCocycle",
     "ExpansionMap",
+    "LiftError",
     "build_phi_basis",
     "phi_one_basis",
     "phi_layer",
@@ -62,6 +67,11 @@ __all__ = [
 ]
 
 TABLE_CEILING = 1 << 16
+
+
+class LiftError(RuntimeError):
+    """A commuting vector whose theta is a coboundary, with no map in the
+    span of the labels to realize it."""
 
 
 def _pack(bits: np.ndarray):
@@ -337,11 +347,11 @@ class ThetaCocycle:
 class ExpansionMap:
     """A pointed family of coefficient tables phi_B on one group.
 
-    support lists the block characters carried by the map, each as the
-    mask of its block's coordinates; pointer marks the distinguished one,
-    and coords assigns to every subset B of the non-pointed support
-    positions the value table of phi_B; phi_empty is the pointed
-    character itself.
+    support lists the characters carried by the map, each as a mask of
+    coordinates: the whole block for a non-pointed position, the pointed
+    coordinate x alone at pointer.  coords assigns to every subset B of
+    the non-pointed support positions the value table of phi_B;
+    phi_empty is the pointed character chi_x itself.
     """
 
     __slots__ = ("group", "support", "pointer", "coords")
@@ -429,6 +439,7 @@ def expansion_map(shape: BlockShape, A, x: int) -> ExpansionMap:
         raise ValueError("pointer block must lie in the support")
     support = [shape.block_mask(s) for s in A]
     pointer = A.index(bx)
+    support[pointer] = 1 << x
     others = [t for t in range(len(A)) if t != pointer]
     coords = {}
     for r in range(len(others) + 1):
@@ -708,8 +719,13 @@ def solve_cochain(G: ExpansionGroup, th: ThetaCocycle):
 
 # -- realization and layer reconstruction --
 
-def realize_commuting_vector(shape: BlockShape, v: CommVector) -> PhiMap:
-    """Solve for a map whose corners are the given vector."""
+def realize_commuting_vector(shape: BlockShape, v: CommVector) -> PhiMap | None:
+    """Solve for a map whose corners are the given vector; None when no
+    map in the span of the labels has them.
+
+    The system is one row per corner label, in label coordinates, so no
+    value table is built.
+    """
     if v.shape != shape:
         raise ValueError("vector lives on a different shape")
     if not v.is_commuting():
@@ -725,9 +741,7 @@ def realize_commuting_vector(shape: BlockShape, v: CommVector) -> PhiMap:
             rhs |= ((v.entries[i].coords >> l) & 1) << r
             r += 1
     coords = solve(rows, rhs, cols=width)
-    if coords is None:
-        raise RuntimeError("commuting vector admits no realization")
-    return PhiMap(shape, coords)
+    return None if coords is None else PhiMap(shape, coords)
 
 
 def nil_deg(shape: BlockShape, phi: PhiMap) -> int:
@@ -764,11 +778,18 @@ def phi_layer(shape: BlockShape, j: int) -> list[PhiMap]:
 
 
 def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
-    """Commuting vectors from corner layers, filtered, lifted, spanned.
+    """Commuting vectors from corner layers, lifted and spanned.
 
     corner_spaces[i] is a basis of the (j-1)-th layer on the corner
-    without block i.  The commuting conditions cut a kernel; survivors
-    of the coboundary test are realized and joined with layer 1.
+    without block i.  The commuting conditions cut a kernel, and each
+    kernel vector is realized in label coordinates, which needs no value
+    table.  A map phi with corners v has theta(v) = d phi by the
+    expansion equation, so a vector that realizes lifts.  Only a vector
+    that does not realize reaches theta and solve_cochain, the one place
+    that builds value tables (under the table ceiling): no cochain means
+    the vector is obstructed and counted, a cochain means theta is a
+    coboundary that lifts outside the span of the labels, a LiftError.
+    The lifts are joined with layer 1.
     """
     if j < 2:
         raise ValueError("reconstruction starts at layer 2")
@@ -779,9 +800,6 @@ def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
         for phi in space:
             if phi.shape != shape.drop(i):
                 raise ValueError(f"corner basis {i} lives on the wrong shape")
-    predicted = 1 << universal_order_exponent(shape)
-    if predicted > TABLE_CEILING:
-        raise ResourceLimitError(predicted, TABLE_CEILING, "table ceiling")
     ctx = _context(shape)
     sizes = [len(c) for c in corner_spaces]
     offs = [sum(sizes[:i]) for i in range(shape.n)]
@@ -818,10 +836,14 @@ def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
                     c ^= corner_spaces[i][k].coords
             entries.append(PhiMap(shape.drop(i), c))
         v = CommVector(shape, entries)
-        if solve_cochain(ctx.group, theta(shape, v)) is None:
-            obstructions += 1
-            continue
-        span.add(realize_commuting_vector(shape, v).coords)
+        phi = realize_commuting_vector(shape, v)
+        if phi is None:
+            if solve_cochain(ctx.group, theta(shape, v)) is None:
+                obstructions += 1
+                continue
+            raise LiftError(f"commuting vector {kv:#x}: theta is a coboundary "
+                            "that lifts outside the span of the labels")
+        span.add(phi.coords)
     for phi in phi_one_basis(shape):
         span.add(phi.coords)
     basis = [PhiMap(shape, c) for c in span.basis()]

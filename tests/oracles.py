@@ -15,8 +15,11 @@ from math import comb
 import numpy as np
 
 from genusforge.arith import AcceptableVector, _primes_1mod4, jacobi
-from genusforge.f2 import _strip, bits_of, low_bit, rank
-from genusforge.groups import _clear_masks
+from genusforge.expmaps import (TABLE_CEILING, CommVector, PhiMap, _context,
+                                _drop_index, corner_operator, phi_one_basis,
+                                realize_commuting_vector, solve_cochain, theta)
+from genusforge.f2 import F2Basis, _strip, bits_of, kernel_basis, low_bit, rank
+from genusforge.groups import ResourceLimitError, _clear_masks, universal_order_exponent
 from genusforge.lie import GradedLie
 from genusforge.tensors import BlockShape
 
@@ -524,6 +527,88 @@ def solve_cochain_bfs(G, th):
     if order * order <= 1 << 20 and coboundary_rows(G, table) != list(th.rows):
         return None
     return table
+
+
+# ---------------------------------------------------------------------------
+# layer reconstruction with the coboundary test ahead of realization
+
+
+def reconstruct_report_cochain_first(shape: BlockShape, j: int, corner_spaces) -> dict:
+    """Commuting vectors from corner layers, filtered, lifted, spanned.
+
+    corner_spaces[i] is a basis of the (j-1)-th layer on the corner
+    without block i.  The commuting conditions cut a kernel; survivors
+    of the coboundary test are realized and joined with layer 1.
+
+    This is the cochain-first route: theta and solve_cochain run on every
+    kernel vector before it is realized, so every vector pays for value
+    tables.  genusforge.expmaps.reconstruct_report realizes first.
+    """
+    if j < 2:
+        raise ValueError("reconstruction starts at layer 2")
+    corner_spaces = [list(c) for c in corner_spaces]
+    if len(corner_spaces) != shape.n or any(not c for c in corner_spaces):
+        raise ValueError("need a nonempty basis for every corner")
+    for i, space in enumerate(corner_spaces):
+        for phi in space:
+            if phi.shape != shape.drop(i):
+                raise ValueError(f"corner basis {i} lives on the wrong shape")
+    predicted = 1 << universal_order_exponent(shape)
+    if predicted > TABLE_CEILING:
+        raise ResourceLimitError(predicted, TABLE_CEILING, "table ceiling")
+    ctx = _context(shape)
+    sizes = [len(c) for c in corner_spaces]
+    offs = [sum(sizes[:i]) for i in range(shape.n)]
+    width = sum(sizes)
+    conds = []
+    for i, jj in combinations(range(shape.n), 2):
+        if shape.n == 2:
+            continue
+        sub = _context(shape.drop((i, jj)))
+        li = [corner_operator(shape.drop(i), _drop_index(shape, i, jj), p).coords
+              for p in corner_spaces[i]]
+        lj = [corner_operator(shape.drop(jj), _drop_index(shape, jj, i), p).coords
+              for p in corner_spaces[jj]]
+        for l in range(len(sub.labels)):
+            row = 0
+            for k, c in enumerate(li):
+                row |= ((c >> l) & 1) << (offs[i] + k)
+            for k, c in enumerate(lj):
+                row |= ((c >> l) & 1) << (offs[jj] + k)
+            if row:
+                conds.append(row)
+    if conds:
+        kernel = kernel_basis(conds, cols=width)
+    else:
+        kernel = [1 << t for t in range(width)]
+    span = F2Basis()
+    obstructions = 0
+    for kv in kernel:
+        entries = []
+        for i in range(shape.n):
+            c = 0
+            for k in range(sizes[i]):
+                if (kv >> (offs[i] + k)) & 1:
+                    c ^= corner_spaces[i][k].coords
+            entries.append(PhiMap(shape.drop(i), c))
+        v = CommVector(shape, entries)
+        if solve_cochain(ctx.group, theta(shape, v)) is None:
+            obstructions += 1
+            continue
+        span.add(realize_commuting_vector(shape, v).coords)
+    for phi in phi_one_basis(shape):
+        span.add(phi.coords)
+    basis = [PhiMap(shape, c) for c in span.basis()]
+    return {
+        "shape": list(shape.k),
+        "j": j,
+        "dim": len(basis),
+        "basis_coords": [p.coords for p in basis],
+        "obstruction_count": obstructions,
+        "commvect_dim": len(kernel),
+        "lifted_count": len(kernel) - obstructions,
+        "basis": basis,
+    }
 
 
 # ---------------------------------------------------------------------------

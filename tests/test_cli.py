@@ -5,11 +5,10 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
-import time
 
 import pytest
 
-from genusforge import cli
+from genusforge import cli, expmaps
 from genusforge.cli import RunReport, build_parser, main
 from genusforge.lie import lie_epimorphism
 
@@ -92,13 +91,37 @@ def test_reconstruct_command(capsys):
     assert code == 1 and "error" in rep["results"]
 
 
-def test_reconstruct_refuses_oversized_up_front(capsys):
-    t0 = time.perf_counter()
+def test_reconstruct_past_table_ceiling(capsys, monkeypatch):
+    # order 2^21: every commuting vector realizes in label space, so no
+    # value table is built and the 2^16 table ceiling never trips
+    monkeypatch.setattr(expmaps, "_CONTEXTS", {})
     code, rep = run_json(capsys, "reconstruct", "--shape", "1,1,1,1", "--j", "2")
-    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and rep["passed"] is True
+    res = rep["results"]
+    assert res["equal"] is True and res["lifted_count"] == 17
+    assert res["layer_report"]["obstruction_count"] == 0
+    assert res["layer_report"]["dim"] == res["direct_dim"] == 21
+
+
+def test_reconstruct_refuses_before_enumerating(capsys, monkeypatch):
+    def no_enumeration(shape):
+        raise AssertionError(f"enumerated {shape.k} before refusing")
+
+    monkeypatch.setattr(expmaps, "_CONTEXTS", {})
+    monkeypatch.setattr(expmaps, "build_universal_general", no_enumeration)
+    monkeypatch.setattr(cli, "build_universal_general", no_enumeration)
+    code, rep = run_json(capsys, "reconstruct", "--shape", "1,1,1,1,1", "--j", "2")
     assert code == 1 and rep["passed"] is False
     assert rep["results"]["error"] == \
-        "predicted order 2^21 exceeds the table ceiling 2^16"
+        "predicted order 2^54 exceeds the enumeration ceiling 2^22"
+
+
+def test_reconstruct_unliftable_coboundary_is_a_failed_report(capsys, monkeypatch):
+    monkeypatch.setattr(expmaps, "realize_commuting_vector", lambda shape, v: None)
+    code, rep = run_json(capsys, "reconstruct", "--shape", "1,1", "--j", "2")
+    assert code == 1 and rep["passed"] is False
+    assert rep["results"]["error"].endswith(
+        "theta is a coboundary that lifts outside the span of the labels")
 
 
 def _raising(source, target):

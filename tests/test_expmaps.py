@@ -36,7 +36,8 @@ from genusforge.expmaps import (
 from genusforge.f2 import F2Basis, rank
 from genusforge.groups import ResourceLimitError
 from genusforge.tensors import BlockShape
-from oracles import coboundary_rows, normal_closure, solve_cochain_bfs
+from oracles import (coboundary_rows, normal_closure, reconstruct_report_cochain_first,
+                     solve_cochain_bfs)
 
 S11 = BlockShape((1, 1))
 S21 = BlockShape((2, 1))
@@ -298,6 +299,25 @@ def test_is_cocycle_fails_on_one_flipped_bit():
             d = list(coboundary(PhiMap(shape, rng.getrandbits(len(ctx.labels)))).rows)
             d[p] ^= 1 << q
             assert not ThetaCocycle(shape, d).is_cocycle(), (shape.k, p, q)
+
+
+@pytest.mark.parametrize("k", [(2, 2), (2, 1), (3, 1), (2, 1, 1)])
+def test_expansion_map_every_family_verifies(k, monkeypatch):
+    # pointer blocks of several coordinates: the base is chi_x alone
+    shape = BlockShape(k)
+    # one product table for the shape, read by every family's verify
+    M = _context(shape).mul_table()
+    monkeypatch.setattr(expmaps._Context, "mul_table", lambda self: M)
+    families = 0
+    for size in range(1, shape.n + 1):
+        for A in combinations(range(shape.n), size):
+            for i in A:
+                for x in shape.members(i):
+                    em = expansion_map(shape, A, x)
+                    assert em.support[em.pointer] == 1 << x
+                    assert em.verify(), (A, x)
+                    families += 1
+    assert families == {(2, 2): 8, (2, 1): 6, (3, 1): 8, (2, 1, 1): 16}[k]
 
 
 def test_expansion_map_verify_fails_on_flipped_tables():
@@ -569,15 +589,62 @@ def test_reconstruct_validates_corners():
         reconstruct_layer(S11, 2, [corners[0], phi_layer(S21, 1)])
 
 
-def test_reconstruct_refuses_past_table_ceiling(monkeypatch):
+def _unrealizable(monkeypatch):
+    """Make every commuting vector miss the label-space system, so each
+    one reaches the cochain fallback."""
+    monkeypatch.setattr(expmaps, "realize_commuting_vector", lambda shape, v: None)
+
+
+def test_reconstruct_fallback_counts_obstructed_vectors(monkeypatch):
+    # chi_0(s) chi_0(t) restricts to the order-4 extension class on <g_0>,
+    # so no cochain has it as coboundary
+    ctx = _context(S11)
+    th = ThetaCocycle.from_function(
+        S11, lambda a, b: ctx.eval_label(("chi", 0), a) & ctx.eval_label(("chi", 0), b))
+    assert th.is_cocycle() and solve_cochain(ctx.group, th) is None
+    _unrealizable(monkeypatch)
+    monkeypatch.setattr(expmaps, "theta", lambda shape, v: th)
+    corners = [phi_layer(S11.drop(i), 1) for i in range(2)]
+    rep = reconstruct_report(S11, 2, corners)
+    assert rep["commvect_dim"] == 2
+    assert rep["obstruction_count"] == 2 and rep["lifted_count"] == 0
+    assert sorted(rep["basis_coords"]) == sorted(span_coords(phi_one_basis(S11)))
+
+
+def test_reconstruct_fallback_refuses_unliftable_coboundary(monkeypatch):
+    # theta of a kernel vector is the coboundary of its realization, so
+    # with realization withheld the fallback finds a cochain
+    _unrealizable(monkeypatch)
+    corners = [phi_layer(S11.drop(i), 1) for i in range(2)]
+    with pytest.raises(expmaps.LiftError,
+                       match="coboundary that lifts outside the span of the labels"):
+        reconstruct_report(S11, 2, corners)
+
+
+def test_reconstruct_fallback_respects_table_ceiling(monkeypatch):
+    # order 2^21: realized in label space the layer needs no table, but the
+    # fallback builds theta's tables and trips the table ceiling
+    monkeypatch.setattr(expmaps, "_CONTEXTS", {})
     shape = BlockShape((1, 1, 1, 1))
     corners = [phi_layer(shape.drop(i), 1) for i in range(shape.n)]
-
-    def no_enumeration(sh):
-        raise AssertionError(f"enumerated {sh.k} before refusing")
-
-    monkeypatch.setattr(expmaps, "_context", no_enumeration)
+    _unrealizable(monkeypatch)
     with pytest.raises(ResourceLimitError) as err:
         reconstruct_report(shape, 2, corners)
     assert str(err.value) == "predicted order 2^21 exceeds the table ceiling 2^16"
     assert err.value.predicted_order == 1 << 21
+
+
+@pytest.mark.parametrize("k, j", [
+    ((1, 1), 2), ((2, 1), 2), ((2, 2), 2), ((1, 1, 1), 2), ((2, 1, 1), 2),
+    ((3, 3), 2), ((6, 1), 2), ((4, 3), 2),
+    ((1, 1, 1), 3), ((2, 1, 1), 3), ((4, 3), 3),
+])
+def test_reconstruct_routes_agree(k, j):
+    shape = BlockShape(k)
+    corners = [phi_layer(shape.drop(i), j - 1) for i in range(shape.n)]
+    got = reconstruct_report(shape, j, corners)
+    want = reconstruct_report_cochain_first(shape, j, corners)
+    for key in ("obstruction_count", "lifted_count", "commvect_dim"):
+        assert got[key] == want[key], key
+    assert sorted(F2Basis(got["basis_coords"]).basis()) == \
+        sorted(F2Basis(want["basis_coords"]).basis())
