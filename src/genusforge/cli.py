@@ -12,15 +12,14 @@ from dataclasses import asdict, dataclass
 from itertools import combinations, product
 
 from . import arith
-from .expmaps import (CommVector, LiftError, ThetaCocycle, build_phi_basis,
-                      coboundary, cocycle_view, corner_operator, lcomm_check,
-                      phi_layer, reconstruct_report, solve_cochain, theta,
-                      _context)
+from .expmaps import (CommVector, ThetaCocycle, build_phi_basis, coboundary,
+                      cocycle_view, corner_operator, lcomm_check, phi_layer,
+                      reconstruct_report, solve_cochain, theta, _context)
 from .f2 import rank, spans_equal
-from .groups import (ENUM_CEILING, ResourceLimitError,
-                     augmentation_power_span, build_universal,
-                     build_universal_general, check_expansion_axioms,
-                     descending_central_series, universal_order_exponent)
+from .groups import (ResourceLimitError, augmentation_power_span,
+                     build_universal, build_universal_general,
+                     check_expansion_axioms, descending_central_series,
+                     universal_order_exponent)
 from .lie import (check_lie_axioms, governing_algebra,
                   governing_algebra_general, lie_epimorphism, lie_from_group)
 from .tensors import (BlockShape, cons_dim_formula, cons_dim_formula_general,
@@ -273,15 +272,14 @@ def cmd_reconstruct(args) -> RunReport:
     params = {"shape": args.shape, "j": args.j}
     try:
         shape = _parse_shape(args.shape)
-        predicted = 1 << universal_order_exponent(shape)
-        if predicted > ENUM_CEILING:
-            raise ResourceLimitError(predicted)
+        # the group's own guard refuses an oversized shape before any
+        # corner layer is built
+        width = len(_context(shape).labels)
         corners = [phi_layer(shape.drop(i), args.j - 1)
                    for i in range(shape.n)]
         rep = reconstruct_report(shape, args.j, corners)
         direct = phi_layer(shape, args.j)
         equal = spans_equal(rep["basis_coords"], [p.coords for p in direct])
-        width = len(_context(shape).labels)
         layer = {"shape": rep["shape"], "j": rep["j"], "dim": rep["dim"],
                  "basis_coords": [[(c >> t) & 1 for t in range(width)]
                                   for c in rep["basis_coords"]],
@@ -292,7 +290,7 @@ def cmd_reconstruct(args) -> RunReport:
                    "direct_dim": len(direct),
                    "equal": equal}
         return _finish("reconstruct", params, results, equal, t0)
-    except (ValueError, ResourceLimitError, LiftError) as err:
+    except (ValueError, ResourceLimitError) as err:
         return _failed("reconstruct", params, err, t0)
 
 

@@ -10,9 +10,10 @@ reconstruction all act on the coefficient side; tables are materialized
 only on small groups.  Cornering at a block is one matrix per shape and
 block, built from the label rule.
 
-Layer reconstruction realizes first, in label coordinates with no value
-table; only a commuting vector that does not realize goes on to theta
-and solve_cochain, the one place it builds tables.
+Layer reconstruction realizes every commuting vector in label
+coordinates and builds no value table: the corner system is onto the
+commuting vectors (see reconstruct_report), so no vector is obstructed
+and theta and solve_cochain are not called there.
 
 Whole-table identities read one product table, the group's mul_table
 M[p, q] = position of codes[p] * codes[q], built for each call that needs
@@ -47,7 +48,6 @@ __all__ = [
     "CommVector",
     "ThetaCocycle",
     "ExpansionMap",
-    "LiftError",
     "build_phi_basis",
     "phi_one_basis",
     "phi_layer",
@@ -67,11 +67,6 @@ __all__ = [
 ]
 
 TABLE_CEILING = 1 << 16
-
-
-class LiftError(RuntimeError):
-    """A commuting vector whose theta is a coboundary, with no map in the
-    span of the labels to realize it."""
 
 
 def _pack(bits: np.ndarray):
@@ -719,9 +714,8 @@ def solve_cochain(G: ExpansionGroup, th: ThetaCocycle):
 
 # -- realization and layer reconstruction --
 
-def realize_commuting_vector(shape: BlockShape, v: CommVector) -> PhiMap | None:
-    """Solve for a map whose corners are the given vector; None when no
-    map in the span of the labels has them.
+def realize_commuting_vector(shape: BlockShape, v: CommVector) -> PhiMap:
+    """Solve for a map whose corners are the given vector.
 
     The system is one row per corner label, in label coordinates, so no
     value table is built.
@@ -741,7 +735,9 @@ def realize_commuting_vector(shape: BlockShape, v: CommVector) -> PhiMap | None:
             rhs |= ((v.entries[i].coords >> l) & 1) << r
             r += 1
     coords = solve(rows, rhs, cols=width)
-    return None if coords is None else PhiMap(shape, coords)
+    if coords is None:
+        raise RuntimeError("commuting vector admits no realization")
+    return PhiMap(shape, coords)
 
 
 def nil_deg(shape: BlockShape, phi: PhiMap) -> int:
@@ -781,15 +777,19 @@ def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
     """Commuting vectors from corner layers, lifted and spanned.
 
     corner_spaces[i] is a basis of the (j-1)-th layer on the corner
-    without block i.  The commuting conditions cut a kernel, and each
-    kernel vector is realized in label coordinates, which needs no value
-    table.  A map phi with corners v has theta(v) = d phi by the
-    expansion equation, so a vector that realizes lifts.  Only a vector
-    that does not realize reaches theta and solve_cochain, the one place
-    that builds value tables (under the table ceiling): no cochain means
-    the vector is obstructed and counted, a cochain means theta is a
-    coboundary that lifts outside the span of the labels, a LiftError.
-    The lifts are joined with layer 1.
+    without block i.  The commuting conditions cut a kernel, each kernel
+    vector is realized in label coordinates, and the lifts are joined
+    with layer 1.  No value table is built.
+
+    Every commuting vector realizes.  Cornering at block i sends the
+    label (A, x), with i in A and i != block(x), to (A - {i}, x) and
+    kills every other label, so each corner label has exactly one
+    preimage.  A label (A, x) is then fixed once for every block of A
+    other than block(x), and two such values agree exactly when the two
+    corners commute there.  A map phi with corners v has theta(v) = d phi
+    by the expansion equation, so no vector is obstructed: the report's
+    obstruction_count is 0.  tests/oracles.py keeps the route that puts
+    every vector through theta and solve_cochain first.
     """
     if j < 2:
         raise ValueError("reconstruction starts at layer 2")
@@ -800,7 +800,6 @@ def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
         for phi in space:
             if phi.shape != shape.drop(i):
                 raise ValueError(f"corner basis {i} lives on the wrong shape")
-    ctx = _context(shape)
     sizes = [len(c) for c in corner_spaces]
     offs = [sum(sizes[:i]) for i in range(shape.n)]
     width = sum(sizes)
@@ -826,7 +825,6 @@ def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
     else:
         kernel = [1 << t for t in range(width)]
     span = F2Basis()
-    obstructions = 0
     for kv in kernel:
         entries = []
         for i in range(shape.n):
@@ -835,15 +833,7 @@ def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
                 if (kv >> (offs[i] + k)) & 1:
                     c ^= corner_spaces[i][k].coords
             entries.append(PhiMap(shape.drop(i), c))
-        v = CommVector(shape, entries)
-        phi = realize_commuting_vector(shape, v)
-        if phi is None:
-            if solve_cochain(ctx.group, theta(shape, v)) is None:
-                obstructions += 1
-                continue
-            raise LiftError(f"commuting vector {kv:#x}: theta is a coboundary "
-                            "that lifts outside the span of the labels")
-        span.add(phi.coords)
+        span.add(realize_commuting_vector(shape, CommVector(shape, entries)).coords)
     for phi in phi_one_basis(shape):
         span.add(phi.coords)
     basis = [PhiMap(shape, c) for c in span.basis()]
@@ -852,9 +842,9 @@ def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
         "j": j,
         "dim": len(basis),
         "basis_coords": [p.coords for p in basis],
-        "obstruction_count": obstructions,
+        "obstruction_count": 0,
         "commvect_dim": len(kernel),
-        "lifted_count": len(kernel) - obstructions,
+        "lifted_count": len(kernel),
         "basis": basis,
     }
 

@@ -542,7 +542,8 @@ def reconstruct_report_cochain_first(shape: BlockShape, j: int, corner_spaces) -
 
     This is the cochain-first route: theta and solve_cochain run on every
     kernel vector before it is realized, so every vector pays for value
-    tables.  genusforge.expmaps.reconstruct_report realizes first.
+    tables.  genusforge.expmaps.reconstruct_report skips both, because no
+    commuting vector is obstructed.
     """
     if j < 2:
         raise ValueError("reconstruction starts at layer 2")

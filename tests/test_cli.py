@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from genusforge import cli, expmaps
+from genusforge import cli, expmaps, groups
 from genusforge.cli import RunReport, build_parser, main
 from genusforge.lie import lie_epimorphism
 
@@ -104,24 +104,15 @@ def test_reconstruct_past_table_ceiling(capsys, monkeypatch):
 
 
 def test_reconstruct_refuses_before_enumerating(capsys, monkeypatch):
-    def no_enumeration(shape):
-        raise AssertionError(f"enumerated {shape.k} before refusing")
+    def no_enumeration(self, gens):
+        raise AssertionError(f"enumerated {self.shape.k} before refusing")
 
     monkeypatch.setattr(expmaps, "_CONTEXTS", {})
-    monkeypatch.setattr(expmaps, "build_universal_general", no_enumeration)
-    monkeypatch.setattr(cli, "build_universal_general", no_enumeration)
+    monkeypatch.setattr(groups.ExpansionGroup, "_close", no_enumeration)
     code, rep = run_json(capsys, "reconstruct", "--shape", "1,1,1,1,1", "--j", "2")
     assert code == 1 and rep["passed"] is False
     assert rep["results"]["error"] == \
         "predicted order 2^54 exceeds the enumeration ceiling 2^22"
-
-
-def test_reconstruct_unliftable_coboundary_is_a_failed_report(capsys, monkeypatch):
-    monkeypatch.setattr(expmaps, "realize_commuting_vector", lambda shape, v: None)
-    code, rep = run_json(capsys, "reconstruct", "--shape", "1,1", "--j", "2")
-    assert code == 1 and rep["passed"] is False
-    assert rep["results"]["error"].endswith(
-        "theta is a coboundary that lifts outside the span of the labels")
 
 
 def _raising(source, target):

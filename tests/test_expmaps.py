@@ -506,6 +506,26 @@ def test_realize_recovers_mod_characters():
     assert realize_commuting_vector(shape, zero).coords == 0
 
 
+def test_every_commuting_vector_realizes():
+    # reconstruct_report's lemma, exhaustively on (1,1,1): every commuting
+    # corner vector lifts to a map with exactly those corners
+    shape = S111
+    widths = [len(_context(shape.drop(i)).labels) for i in range(shape.n)]
+    commuting = 0
+    for bits in range(1 << sum(widths)):
+        entries = []
+        for i, w in enumerate(widths):
+            entries.append(PhiMap(shape.drop(i), bits & ((1 << w) - 1)))
+            bits >>= w
+        v = CommVector(shape, entries)
+        if not v.is_commuting():
+            continue
+        got = realize_commuting_vector(shape, v)
+        assert [corner_operator(shape, i, got) for i in range(shape.n)] == entries
+        commuting += 1
+    assert commuting == 512
+
+
 def test_nil_deg_frozen():
     assert nil_deg(S11, PhiMap(S11, 0)) == 0
     assert nil_deg(S11, PhiMap(S11, 1)) == 1
@@ -589,49 +609,15 @@ def test_reconstruct_validates_corners():
         reconstruct_layer(S11, 2, [corners[0], phi_layer(S21, 1)])
 
 
-def _unrealizable(monkeypatch):
-    """Make every commuting vector miss the label-space system, so each
-    one reaches the cochain fallback."""
-    monkeypatch.setattr(expmaps, "realize_commuting_vector", lambda shape, v: None)
-
-
-def test_reconstruct_fallback_counts_obstructed_vectors(monkeypatch):
-    # chi_0(s) chi_0(t) restricts to the order-4 extension class on <g_0>,
-    # so no cochain has it as coboundary
-    ctx = _context(S11)
-    th = ThetaCocycle.from_function(
-        S11, lambda a, b: ctx.eval_label(("chi", 0), a) & ctx.eval_label(("chi", 0), b))
-    assert th.is_cocycle() and solve_cochain(ctx.group, th) is None
-    _unrealizable(monkeypatch)
-    monkeypatch.setattr(expmaps, "theta", lambda shape, v: th)
-    corners = [phi_layer(S11.drop(i), 1) for i in range(2)]
-    rep = reconstruct_report(S11, 2, corners)
-    assert rep["commvect_dim"] == 2
-    assert rep["obstruction_count"] == 2 and rep["lifted_count"] == 0
-    assert sorted(rep["basis_coords"]) == sorted(span_coords(phi_one_basis(S11)))
-
-
-def test_reconstruct_fallback_refuses_unliftable_coboundary(monkeypatch):
-    # theta of a kernel vector is the coboundary of its realization, so
-    # with realization withheld the fallback finds a cochain
-    _unrealizable(monkeypatch)
-    corners = [phi_layer(S11.drop(i), 1) for i in range(2)]
-    with pytest.raises(expmaps.LiftError,
-                       match="coboundary that lifts outside the span of the labels"):
-        reconstruct_report(S11, 2, corners)
-
-
-def test_reconstruct_fallback_respects_table_ceiling(monkeypatch):
-    # order 2^21: realized in label space the layer needs no table, but the
-    # fallback builds theta's tables and trips the table ceiling
+def test_value_tables_refuse_past_table_ceiling(monkeypatch):
     monkeypatch.setattr(expmaps, "_CONTEXTS", {})
-    shape = BlockShape((1, 1, 1, 1))
-    corners = [phi_layer(shape.drop(i), 1) for i in range(shape.n)]
-    _unrealizable(monkeypatch)
-    with pytest.raises(ResourceLimitError) as err:
-        reconstruct_report(shape, 2, corners)
-    assert str(err.value) == "predicted order 2^21 exceeds the table ceiling 2^16"
-    assert err.value.predicted_order == 1 << 21
+    monkeypatch.setattr(expmaps, "TABLE_CEILING", 4)
+    ctx = _context(S11)
+    want = "predicted order 2^3 exceeds the table ceiling 2^2"
+    with pytest.raises(ResourceLimitError, match=want.replace("^", r"\^")):
+        ctx.table(("chi", 0))
+    with pytest.raises(ResourceLimitError, match=want.replace("^", r"\^")):
+        ctx.mul_table()
 
 
 @pytest.mark.parametrize("k, j", [
