@@ -10,10 +10,12 @@ reconstruction all act on the coefficient side; tables are materialized
 only on small groups.  Cornering at a block is one matrix per shape and
 block, built from the label rule.
 
-Layer reconstruction realizes every commuting vector in label
-coordinates and builds no value table: the corner system is onto the
-commuting vectors (see reconstruct_report), so no vector is obstructed
-and theta and solve_cochain are not called there.
+Layer reconstruction is one preimage in label coordinates and builds no
+value table: layer j is the maps whose corners lie in the corner layers
+j-1, joined with layer 1.  Every commuting vector is the corner vector
+of a map, which realize_commuting_vector reads off the corners (see
+reconstruct_report), so no vector is obstructed and theta and
+solve_cochain are not called there.
 
 Whole-table identities read one product table, the group's mul_table
 M[p, q] = position of codes[p] * codes[q], built for each call that needs
@@ -38,7 +40,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .f2 import F2Basis, F2Solver, bits_of, kernel_basis, rank, solve
+from .f2 import F2Basis, bits_of, kernel_basis, rank, spans_equal
 from .groups import ExpansionGroup, ResourceLimitError, build_universal_general, \
     descending_central_series
 from .tensors import BlockShape, governing_tensor_general
@@ -62,7 +64,6 @@ __all__ = [
     "solve_cochain",
     "realize_commuting_vector",
     "nil_deg",
-    "reconstruct_layer",
     "reconstruct_report",
 ]
 
@@ -95,8 +96,7 @@ class _Context:
     """Enumerated universal group of a shape plus its Phi bookkeeping."""
 
     __slots__ = ("shape", "group", "labels", "index", "bitpos", "order",
-                 "_tables", "_solver", "_series", "_blockchi", "_checked",
-                 "_corners")
+                 "_tables", "_series", "_blockchi", "_corners")
 
     def __init__(self, shape: BlockShape):
         self.shape = shape
@@ -119,10 +119,8 @@ class _Context:
                 1 << comp.pos[s] for s in A if s != shape.block(lab[-1]))
         self.order = self.group.order
         self._tables = {}
-        self._solver = None
         self._series = None
         self._blockchi = None
-        self._checked = False
         self._corners = {}
 
     def eval_label(self, label, code: int) -> int:
@@ -153,19 +151,6 @@ class _Context:
             tab = _pack(((self.group.codes >> shift) & np.uint64(1)).astype(np.uint8))
             self._tables[label] = tab
         return tab
-
-    def all_tables(self) -> list[int]:
-        tabs = [self.table(lab) for lab in self.labels]
-        if not self._checked:
-            if rank(tabs) != len(tabs):
-                raise ValueError("distinguished family is dependent")
-            self._checked = True
-        return tabs
-
-    def solver(self) -> F2Solver:
-        if self._solver is None:
-            self._solver = F2Solver(self.all_tables())
-        return self._solver
 
     def series(self) -> list[list[int]]:
         if self._series is None:
@@ -572,35 +557,23 @@ def restriction_kernel_check(shape: BlockShape) -> dict:
     """
     ctx = _context(shape)
     series = ctx.series()
-    comm = series[0] if series else []
-    rows = []
-    for lab in ctx.labels:
-        row = 0
-        for t, w in enumerate(comm):
-            row |= ctx.eval_label(lab, w) << t
-        rows.append(row)
+    rows = [_label_row(ctx, w) for w in (series[0] if series else [])]
     image_dim = rank(rows)
-    ker = kernel_basis([_transpose_mask(rows, t) for t in range(len(comm))],
-                       cols=len(ctx.labels))
-    predicted = [p.coords for p in phi_one_basis(shape)]
+    ker = kernel_basis(rows, cols=len(ctx.labels))
     return {
-        "surjective": image_dim == len(comm),
+        "surjective": image_dim == len(rows),
         "image_dim": image_dim,
         "kernel_dim": len(ker),
-        "kernel_matches": sorted(_span_canon(ker)) == sorted(_span_canon(predicted)),
+        "kernel_matches": spans_equal(ker, [p.coords for p in phi_one_basis(shape)]),
     }
 
 
-def _transpose_mask(rows: list[int], t: int) -> int:
-    out = 0
-    for k, row in enumerate(rows):
-        out |= ((row >> t) & 1) << k
-    return out
-
-
-def _span_canon(vecs) -> list[int]:
-    b = F2Basis(vecs)
-    return b.basis()
+def _label_row(ctx: _Context, w: int) -> int:
+    """Bit p is the value of label p at the code w."""
+    row = 0
+    for p, lab in enumerate(ctx.labels):
+        row |= ctx.eval_label(lab, w) << p
+    return row
 
 
 # -- coboundaries and cocycles --
@@ -715,29 +688,25 @@ def solve_cochain(G: ExpansionGroup, th: ThetaCocycle):
 # -- realization and layer reconstruction --
 
 def realize_commuting_vector(shape: BlockShape, v: CommVector) -> PhiMap:
-    """Solve for a map whose corners are the given vector.
+    """The map with no character part whose corners are the given vector.
 
-    The system is one row per corner label, in label coordinates, so no
-    value table is built.
+    Cornering at block i sends each label it keeps to one corner label,
+    so the lift reads that label's coefficient off entry i; a label kept
+    by several blocks takes the OR of their readings.  The lift's corners
+    equal v exactly when v is commuting (see reconstruct_report).  No
+    system is solved and no value table is built.
     """
     if v.shape != shape:
         raise ValueError("vector lives on a different shape")
-    if not v.is_commuting():
+    coords = 0
+    for i, phi in enumerate(v.entries):
+        for p, image in enumerate(_corner_matrix(shape, i)):
+            if image & phi.coords:
+                coords |= 1 << p
+    lift = PhiMap(shape, coords)
+    if any(corner_operator(shape, i, lift) != phi for i, phi in enumerate(v.entries)):
         raise ValueError("vector is not commuting")
-    ctx = _context(shape)
-    width = len(ctx.labels)
-    rows, rhs, r = [], 0, 0
-    for i in range(shape.n):
-        mat = _corner_matrix(shape, i)
-        sub = _context(shape.drop(i))
-        for l in range(len(sub.labels)):
-            rows.append(_transpose_mask(mat, l))
-            rhs |= ((v.entries[i].coords >> l) & 1) << r
-            r += 1
-    coords = solve(rows, rhs, cols=width)
-    if coords is None:
-        raise RuntimeError("commuting vector admits no realization")
-    return PhiMap(shape, coords)
+    return lift
 
 
 def nil_deg(shape: BlockShape, phi: PhiMap) -> int:
@@ -761,93 +730,66 @@ def phi_layer(shape: BlockShape, j: int) -> list[PhiMap]:
     if j == 0:
         return []
     series = ctx.series()
-    conds = []
-    for basis in series[j - 1:]:
-        for w in basis:
-            row = 0
-            for p, lab in enumerate(ctx.labels):
-                row |= ctx.eval_label(lab, w) << p
-            conds.append(row)
+    conds = [_label_row(ctx, w) for basis in series[j - 1:] for w in basis]
     if not conds:
         return [PhiMap(shape, 1 << p) for p in range(width)]
     return [PhiMap(shape, c) for c in kernel_basis(conds, cols=width)]
 
 
 def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
-    """Commuting vectors from corner layers, lifted and spanned.
+    """Layer j as the maps whose corners lie in the corner layers j-1.
 
-    corner_spaces[i] is a basis of the (j-1)-th layer on the corner
-    without block i.  The commuting conditions cut a kernel, each kernel
-    vector is realized in label coordinates, and the lifts are joined
-    with layer 1.  No value table is built.
+    corner_spaces[i] spans the (j-1)-th layer on the corner without
+    block i; the vectors need not be independent.  The functionals
+    vanishing on each space are pulled back through the block-i corner
+    matrix, one kernel over the shape's labels takes every condition at
+    once, and the preimage is joined with layer 1.  No value table is
+    built.
 
-    Every commuting vector realizes.  Cornering at block i sends the
-    label (A, x), with i in A and i != block(x), to (A - {i}, x) and
-    kills every other label, so each corner label has exactly one
-    preimage.  A label (A, x) is then fixed once for every block of A
-    other than block(x), and two such values agree exactly when the two
-    corners commute there.  A map phi with corners v has theta(v) = d phi
-    by the expansion equation, so no vector is obstructed: the report's
-    obstruction_count is 0.  tests/oracles.py keeps the route that puts
-    every vector through theta and solve_cochain first.
+    The preimage is the span of the realized commuting vectors plus the
+    characters.  Cornering at block i sends the label (A, x), with i in
+    A and i != block(x), to (A - {i}, x) and kills every other label, so
+    each corner label has exactly one preimage and the maps every corner
+    kills are the N characters.  A label (A, x) is then fixed once for
+    every block of A other than block(x), and two such values agree
+    exactly when the two corners commute there: every commuting vector
+    in the product of the corner spaces is the corner vector of a map,
+    and these vectors form a space of dimension dim(preimage) - N.  A map
+    phi with corners v has theta(v) = d phi by the expansion equation, so
+    no vector is obstructed: obstruction_count is 0.  commvect_dim and
+    lifted_count count the coefficient vectors over the given spanning
+    lists, so each list's dependencies add len - rank.  tests/oracles.py
+    keeps the route that solves the commuting conditions and puts every
+    vector through theta and solve_cochain first.
     """
     if j < 2:
         raise ValueError("reconstruction starts at layer 2")
     corner_spaces = [list(c) for c in corner_spaces]
     if len(corner_spaces) != shape.n or any(not c for c in corner_spaces):
         raise ValueError("need a nonempty basis for every corner")
-    for i, space in enumerate(corner_spaces):
-        for phi in space:
-            if phi.shape != shape.drop(i):
-                raise ValueError(f"corner basis {i} lives on the wrong shape")
-    sizes = [len(c) for c in corner_spaces]
-    offs = [sum(sizes[:i]) for i in range(shape.n)]
-    width = sum(sizes)
-    conds = []
-    for i, jj in combinations(range(shape.n), 2):
-        if shape.n == 2:
-            continue
-        sub = _context(shape.drop((i, jj)))
-        li = [corner_operator(shape.drop(i), _drop_index(shape, i, jj), p).coords
-              for p in corner_spaces[i]]
-        lj = [corner_operator(shape.drop(jj), _drop_index(shape, jj, i), p).coords
-              for p in corner_spaces[jj]]
-        for l in range(len(sub.labels)):
-            row = 0
-            for k, c in enumerate(li):
-                row |= ((c >> l) & 1) << (offs[i] + k)
-            for k, c in enumerate(lj):
-                row |= ((c >> l) & 1) << (offs[jj] + k)
-            if row:
-                conds.append(row)
-    if conds:
-        kernel = kernel_basis(conds, cols=width)
-    else:
-        kernel = [1 << t for t in range(width)]
-    span = F2Basis()
-    for kv in kernel:
-        entries = []
-        for i in range(shape.n):
-            c = 0
-            for k in range(sizes[i]):
-                if (kv >> (offs[i] + k)) & 1:
-                    c ^= corner_spaces[i][k].coords
-            entries.append(PhiMap(shape.drop(i), c))
-        span.add(realize_commuting_vector(shape, CommVector(shape, entries)).coords)
+    conds, dependent = [], 0
+    for i, maps in enumerate(corner_spaces):
+        sub = shape.drop(i)
+        if any(phi.shape != sub for phi in maps):
+            raise ValueError(f"corner basis {i} lives on the wrong shape")
+        space = [phi.coords for phi in maps]
+        dependent += len(space) - rank(space)
+        mat = _corner_matrix(shape, i)
+        for f in kernel_basis(space, cols=len(_context(sub).labels)):
+            conds.append(sum(1 << p for p, image in enumerate(mat) if image & f))
+    preimage = kernel_basis(conds, cols=len(_context(shape).labels))
+    span = F2Basis(preimage)
     for phi in phi_one_basis(shape):
         span.add(phi.coords)
     basis = [PhiMap(shape, c) for c in span.basis()]
+    lifted = len(preimage) - shape.N + dependent
     return {
         "shape": list(shape.k),
         "j": j,
         "dim": len(basis),
         "basis_coords": [p.coords for p in basis],
         "obstruction_count": 0,
-        "commvect_dim": len(kernel),
-        "lifted_count": len(kernel),
+        "commvect_dim": lifted,
+        "lifted_count": lifted,
         "basis": basis,
     }
-
-
-def reconstruct_layer(shape: BlockShape, j: int, corner_spaces) -> list[PhiMap]:
-    return reconstruct_report(shape, j, corner_spaces)["basis"]

@@ -25,7 +25,6 @@ from genusforge.expmaps import (
     phi_layer,
     phi_one_basis,
     realize_commuting_vector,
-    reconstruct_layer,
     reconstruct_report,
     restriction_kernel_check,
     shuffling_check,
@@ -33,7 +32,7 @@ from genusforge.expmaps import (
     theta,
     _context,
 )
-from genusforge.f2 import F2Basis, rank
+from genusforge.f2 import F2Basis, rank, spans_equal
 from genusforge.groups import ResourceLimitError
 from genusforge.tensors import BlockShape
 from oracles import (coboundary_rows, normal_closure, reconstruct_report_cochain_first,
@@ -508,10 +507,11 @@ def test_realize_recovers_mod_characters():
 
 def test_every_commuting_vector_realizes():
     # reconstruct_report's lemma, exhaustively on (1,1,1): every commuting
-    # corner vector lifts to a map with exactly those corners
+    # corner vector lifts to a map with exactly those corners, and every
+    # other vector is refused
     shape = S111
     widths = [len(_context(shape.drop(i)).labels) for i in range(shape.n)]
-    commuting = 0
+    commuting = refused = 0
     for bits in range(1 << sum(widths)):
         entries = []
         for i, w in enumerate(widths):
@@ -519,11 +519,14 @@ def test_every_commuting_vector_realizes():
             bits >>= w
         v = CommVector(shape, entries)
         if not v.is_commuting():
+            with pytest.raises(ValueError, match="not commuting"):
+                realize_commuting_vector(shape, v)
+            refused += 1
             continue
         got = realize_commuting_vector(shape, v)
         assert [corner_operator(shape, i, got) for i in range(shape.n)] == entries
         commuting += 1
-    assert commuting == 512
+    assert (commuting, refused) == (512, 3584)
 
 
 def test_nil_deg_frozen():
@@ -591,22 +594,21 @@ def test_reconstruct_round_trip():
             rep = reconstruct_report(shape, j, corners)
             assert rep["obstruction_count"] == 0
             assert rep["shape"] == list(shape.k) and rep["j"] == j
-            got = F2Basis(rep["basis_coords"])
-            want = span_coords(phi_layer(shape, j))
+            want = [p.coords for p in phi_layer(shape, j)]
             assert rep["dim"] == len(want)
-            assert sorted(got.basis()) == sorted(want)
+            assert spans_equal(rep["basis_coords"], want)
 
 
 def test_reconstruct_validates_corners():
     corners = [phi_layer(S11.drop(i), 1) for i in range(2)]
     with pytest.raises(ValueError):
-        reconstruct_layer(S11, 1, corners)
+        reconstruct_report(S11, 1, corners)
     with pytest.raises(ValueError):
-        reconstruct_layer(S11, 2, [corners[0], []])
+        reconstruct_report(S11, 2, [corners[0], []])
     with pytest.raises(ValueError):
-        reconstruct_layer(S11, 2, [corners[0]])
+        reconstruct_report(S11, 2, [corners[0]])
     with pytest.raises(ValueError):
-        reconstruct_layer(S11, 2, [corners[0], phi_layer(S21, 1)])
+        reconstruct_report(S11, 2, [corners[0], phi_layer(S21, 1)])
 
 
 def test_value_tables_refuse_past_table_ceiling(monkeypatch):
@@ -627,10 +629,26 @@ def test_value_tables_refuse_past_table_ceiling(monkeypatch):
 ])
 def test_reconstruct_routes_agree(k, j):
     shape = BlockShape(k)
-    corners = [phi_layer(shape.drop(i), j - 1) for i in range(shape.n)]
-    got = reconstruct_report(shape, j, corners)
-    want = reconstruct_report_cochain_first(shape, j, corners)
-    for key in ("obstruction_count", "lifted_count", "commvect_dim"):
-        assert got[key] == want[key], key
-    assert sorted(F2Basis(got["basis_coords"]).basis()) == \
-        sorted(F2Basis(want["basis_coords"]).basis())
+    cases = [[phi_layer(shape.drop(i), j - 1) for i in range(shape.n)]]
+    if shape.n == 3 and j == 2:
+        cases += [random_corner_spaces(shape, seed) for seed in range(3)]
+    for corners in cases:
+        got = reconstruct_report(shape, j, corners)
+        want = reconstruct_report_cochain_first(shape, j, corners)
+        for key in ("dim", "obstruction_count", "lifted_count", "commvect_dim"):
+            assert got[key] == want[key], key
+        assert spans_equal(got["basis_coords"], want["basis_coords"])
+
+
+def random_corner_spaces(shape: BlockShape, seed: int) -> list[list[PhiMap]]:
+    """Seeded corner spaces that are no layer, each list with one repeated
+    vector, so commvect_dim counts a dependency phi_layer never produces."""
+    rng = random.Random(seed)
+    corners = []
+    for i in range(shape.n):
+        sub = shape.drop(i)
+        width = len(_context(sub).labels)
+        space = [PhiMap(sub, rng.getrandbits(width) or 1)
+                 for _ in range(rng.randint(width // 2, width - 1))]
+        corners.append(space + [space[0]])
+    return corners

@@ -1,0 +1,85 @@
+"""Source hygiene with the standard library alone: every name a module
+exports resolves, and no package module imports a name it never uses."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "genusforge"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each top-level import, with its line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                out[name] = node.lineno
+    return out
+
+
+def _defined(tree: ast.Module) -> set[str]:
+    """Names bound at module level by a def, class, assignment or import."""
+    out = set(_imported(tree))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                out.update(n.id for n in ast.walk(t) if isinstance(n, ast.Name))
+    return out
+
+
+def _used(tree: ast.Module) -> set[str]:
+    """Names read anywhere, quoted annotations included."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, (ast.arg, ast.FunctionDef, ast.AsyncFunctionDef)):
+            ann = node.annotation if isinstance(node, ast.arg) else node.returns
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                out |= _used(ast.parse(ann.value, mode="eval"))
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_exports_resolve(path):
+    tree = _tree(path)
+    missing = sorted(set(_exports(tree)) - _defined(tree))
+    assert not missing, f"{path.name}: __all__ names undefined {missing}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = _tree(path)
+    used = _used(tree) | set(_exports(tree))
+    unused = sorted((line, name) for name, line in _imported(tree).items()
+                    if name not in used)
+    assert not unused, f"{path.name}: imported but never used {unused}"
+
+
+def test_checks_can_fail():
+    tree = ast.parse("from os import path, sep\n__all__ = ['gone']\nprint(sep)\n")
+    assert set(_exports(tree)) - _defined(tree) == {"gone"}
+    assert [n for n in _imported(tree) if n not in _used(tree)] == ["path"]
