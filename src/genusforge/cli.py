@@ -109,9 +109,10 @@ def cmd_universal(args) -> RunReport:
         if args.enumerate:
             G = build_universal_general(shape)
             axioms = check_expansion_axioms(G)
-            results["order"] = G.order
+            # the enumerated count checks the presentation's order
+            results["order"] = len(G.codes)
             results["axioms"] = {k: bool(v) for k, v in axioms.items()}
-            ok = G.order == 2 ** exp and all(axioms.values())
+            ok = len(G.codes) == G.order == 2 ** exp and all(axioms.values())
         return _finish("universal", params, results, ok, t0)
     except (ValueError, ResourceLimitError) as err:
         return _failed("universal", params, err, t0)
@@ -146,8 +147,8 @@ def _verify_groups(checks: list) -> None:
         shape = BlockShape(k)
         G = build_universal_general(shape)
         _check(checks, f"groups order shape={k}",
-               G.order == 2 ** universal_order_exponent(shape),
-               f"order {G.order}")
+               len(G.codes) == G.order == 2 ** universal_order_exponent(shape),
+               f"order {len(G.codes)}")
         _check(checks, f"groups axioms shape={k}",
                all(check_expansion_axioms(G).values()))
     G = build_universal(3)

@@ -1,4 +1,4 @@
-"""Expansion maps on enumerated universal groups, in monomial coordinates.
+"""Expansion maps on universal groups, in monomial coordinates.
 
 A map Phi on the group is stored by its coefficients over the
 distinguished basis: the characters chi_x together with the coefficient
@@ -18,12 +18,12 @@ reconstruct_report), so no vector is obstructed and theta and
 solve_cochain are not called there.
 
 Whole-table identities read one product table, the group's mul_table
-M[p, q] = position of codes[p] * codes[q], built for each call that needs
-it.  coboundary and the 2-cocycle identity gather uint8 value arrays
-through M, and one recursion check, phi_B(st) = phi_B(s) + phi_B(t) + the
-sum over nonempty S disjoint from B of chi_S(s) phi_(B+S)(t), certifies
-both the cornered tables of cocycle_view and the pointed family of an
-ExpansionMap.
+M[p, q] = position of codes[p] * codes[q], built once per shape and kept
+in the shape's context.  coboundary and the 2-cocycle identity gather
+uint8 value arrays through M, and one recursion check, phi_B(st) =
+phi_B(s) + phi_B(t) + the sum over nonempty S disjoint from B of
+chi_S(s) phi_(B+S)(t), certifies both the cornered tables of
+cocycle_view and the pointed family of an ExpansionMap.
 
 A row of theta depends only on the block characters at its element, so
 theta keeps one row per block-character pattern and shares it.  The
@@ -93,10 +93,16 @@ def _unpack(tabs, order: int) -> np.ndarray:
 
 
 class _Context:
-    """Enumerated universal group of a shape plus its Phi bookkeeping."""
+    """Universal group of a shape plus its Phi bookkeeping.
 
-    __slots__ = ("shape", "group", "labels", "index", "bitpos", "order",
-                 "_tables", "_series", "_blockchi", "_corners")
+    Labels, corner matrices and the series come from the group's
+    presentation; the group is enumerated only when a value table, the
+    product table or pos_of is asked for.  The product table is built
+    once and kept with the context, so _CONTEXTS.clear() frees it.
+    """
+
+    __slots__ = ("shape", "group", "labels", "index", "bitpos",
+                 "_tables", "_mul", "_series", "_blockchi", "_corners")
 
     def __init__(self, shape: BlockShape):
         self.shape = shape
@@ -117,11 +123,15 @@ class _Context:
             A = lab[1] if lab[0] == "phi" else ()
             self.bitpos[lab] = comp.poly_off + sum(
                 1 << comp.pos[s] for s in A if s != shape.block(lab[-1]))
-        self.order = self.group.order
         self._tables = {}
+        self._mul = None
         self._series = None
         self._blockchi = None
         self._corners = {}
+
+    @property
+    def order(self) -> int:
+        return self.group.order
 
     def eval_label(self, label, code: int) -> int:
         return (code >> self.bitpos[label]) & 1
@@ -140,8 +150,10 @@ class _Context:
             raise ResourceLimitError(self.order, TABLE_CEILING, "table ceiling")
 
     def mul_table(self) -> np.ndarray:
-        self._guard()
-        return self.group.mul_table()
+        if self._mul is None:
+            self._guard()
+            self._mul = self.group.mul_table()
+        return self._mul
 
     def table(self, label) -> int:
         tab = self._tables.get(label)
@@ -188,7 +200,7 @@ def _context(shape: BlockShape) -> _Context:
 
 
 class PhiMap:
-    """Function on the enumerated universal group, by basis coefficients."""
+    """Function on the universal group, by basis coefficients."""
 
     __slots__ = ("shape", "coords", "_nil")
 

@@ -107,10 +107,16 @@ def _layout(specs: Iterable[tuple[int, tuple[int, ...]]]) -> tuple[_Comp, ...]:
 
 
 class ExpansionGroup:
-    """Enumerated group on packed integer element codes.
+    """Group generated by packed integer codes inside a product of factors.
 
-    Codes concatenate per-factor fields [poly | vec]; the closure is a sorted
-    array for binary search. phi reads one code bit per coordinate of [N].
+    Codes concatenate per-factor fields [poly | vec]. The group is its
+    presentation: generators and the product on codes. The order, the
+    axiom report and the central series come from generator arithmetic
+    (check_generator_axioms); codes, the sorted array of every element,
+    is enumerated on its first read, by a value table, to_text or the
+    enumerated check_expansion_axioms. The element ceiling and the
+    code-width limit are checked in __init__, before anything is built.
+    phi reads one code bit per coordinate of [N].
     """
 
     def __init__(self, shape: BlockShape, comps: tuple[_Comp, ...],
@@ -130,10 +136,19 @@ class ExpansionGroup:
             raise ResourceLimitError(expected_order)
         if self.width > CODE_WIDTH_LIMIT:
             raise ResourceLimitError(width=self.width)
-        self.codes = self._close(self.gen_codes)
+        self._codes: np.ndarray | None = None
+        self._order: int | None = None
+        self._derived: F2Basis | None = None
         self._report: dict | None = None
         self._series: list[list[int]] | None = None
         self._cayley = None
+
+    @property
+    def codes(self) -> np.ndarray:
+        """Every element as a sorted uint64 array, enumerated on first read."""
+        if self._codes is None:
+            self._codes = self._close(self.gen_codes)
+        return self._codes
 
     # -- scalar element arithmetic on codes --
 
@@ -158,7 +173,16 @@ class ExpansionGroup:
         return out
 
     def conj(self, g: int, w: int) -> int:
-        return self.mul(self.mul(g, w), self.inv(g))
+        """g w g^-1; for pure-polynomial w this is g's vector part acting
+        on w, factor by factor: (a, v)(b, 0)(v.a, v) = (v.b, 0)."""
+        if w & self.vec_field_mask:
+            return self.mul(self.mul(g, w), self.inv(g))
+        out = 0
+        for c in self.comps:
+            b = (w >> c.poly_off) & c.poly_mask
+            if b:
+                out |= _act((g >> c.vec_off) & c.vec_mask, b, c.m) << c.poly_off
+        return out
 
     def commutator(self, a: int, b: int) -> int:
         return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
@@ -179,23 +203,20 @@ class ExpansionGroup:
 
     @property
     def order(self) -> int:
-        return len(self.codes)
+        """2^(N + dim[G,G]) when check_generator_axioms passes, else the
+        number of enumerated codes."""
+        if self._order is None:
+            if all(check_generator_axioms(self).values()):
+                self._order = 1 << (len(self.gen_codes) + len(_commutator_span(self)))
+            else:
+                self._order = len(self.codes)
+        return self._order
 
     def __len__(self) -> int:
         return len(self.codes)
 
-    def contains(self, code: int) -> bool:
-        return _member(self.codes, code)
-
-    def __contains__(self, code) -> bool:
-        return self.contains(int(code))
-
-    def iter_codes(self) -> Iterable[int]:
-        for c in self.codes:
-            yield int(c)
-
     def with_generators(self, gens: Iterable[int]) -> "ExpansionGroup":
-        """Same layout and phi, different generating set; re-enumerates."""
+        """Same layout and phi, different generating set."""
         return ExpansionGroup(self.shape, self.comps, gens, self.phi_bits)
 
     # -- vectorized code arithmetic --
@@ -271,8 +292,9 @@ class ExpansionGroup:
         numpy step per tree layer.
         """
         _, perms, tree = self.cayley_tree()
-        M = np.empty((self.order, self.order), dtype=np.int32)
-        M[:, 0] = np.arange(self.order)
+        order = len(self.codes)
+        M = np.empty((order, order), dtype=np.int32)
+        M[:, 0] = np.arange(order)
         for kids, parents, gens in tree:
             M[:, kids] = perms[gens, M[:, parents]]
         return M
@@ -454,24 +476,87 @@ def _phi_zero_sets(G: ExpansionGroup) -> tuple[np.ndarray, np.ndarray]:
     return codes[nz == 0], codes[pi_nz == 0]
 
 
-def _commutator_span(G) -> F2Basis:
-    """Basis of [G,G] as an F2-span of codes, saturated under conjugation.
+def _commutator_span(G: ExpansionGroup) -> F2Basis:
+    """Basis of [G,G] as an F2-span of codes, saturated under conjugation,
+    built once per group; callers read it and never add to it.
 
-    Valid once ker(phi) is elementary abelian: products there are XOR."""
-    B = F2Basis()
-    queue = []
-    for s, gi in enumerate(G.gen_codes):
-        for gj in G.gen_codes[s + 1:]:
-            w = G.commutator(gi, gj)
-            if B.add(w):
-                queue.append(w)
-    while queue:
-        w = queue.pop()
-        for g in G.gen_codes:
-            u = w ^ G.conj(g, w)
-            if B.add(u):
-                queue.append(u)
-    return B
+    Commutators have zero vector part, and the pure-polynomial codes form
+    an elementary abelian subgroup whose product is XOR, so the span of
+    the generator commutators, closed under w -> w + g w g^-1 = [w, g],
+    is the normal closure of those commutators: [G,G]."""
+    if G._derived is None:
+        B = F2Basis()
+        queue = []
+        for s, gi in enumerate(G.gen_codes):
+            for gj in G.gen_codes[s + 1:]:
+                w = G.commutator(gi, gj)
+                if B.add(w):
+                    queue.append(w)
+        while queue:
+            w = queue.pop()
+            for g in G.gen_codes:
+                u = w ^ G.conj(g, w)
+                if B.add(u):
+                    queue.append(u)
+        G._derived = B
+    return G._derived
+
+
+def check_generator_axioms(G: ExpansionGroup) -> dict[str, bool]:
+    """The expansion axioms from the generators alone, without enumerating.
+
+    Write P for the ambient product of the factors, Q for its codes with
+    zero vector part, N = len(G.gen_codes) and W for _commutator_span(G).
+    The report is all True exactly when these hold:
+
+    (a) every phi bit is the t_empty bit of a factor (axiom1);
+    (b) N = shape.N and phi(g_x) = e_x for every x (axiom1);
+    (c) g_x^2 = 1 for every x (axiom4);
+    (d) every vector of W has zero vector part (axiom2, axiom3);
+    (e) g_first(s) g_b has zero vector part for every block s and every
+        b in s (tilde_condition).
+
+    Proof that (a)-(e) give axioms 1-4 and the tilde condition.  In a
+    factor, (a1, v1)(a2, v2) = (a1 + v1.a2, v1 + v2), and e_j sends t_B
+    to t_B + t_(B+j), which never reaches t_empty; so the t_empty bit of
+    a product is the sum of the t_empty bits, and by (a) phi is a
+    homomorphism on all of P.  With (b) this is axiom 1, and phi maps G
+    onto F2^N.  Q is closed under the product, which is XOR there, so Q
+    is elementary abelian.  By (d) W lies in Q, so W is a subgroup;
+    each vector added to W is a commutator of G ([gi, gj], or [w, g] =
+    w + g w g^-1 for w in W), so W lies in [G,G]; conjugation is
+    additive on Q, so W is closed under conjugation by every generator,
+    hence normal.  Modulo W the
+    generators commute and, by (c), square to 1, so G/W is elementary
+    abelian of order at most 2^N: [G,G] lies in W, and W = [G,G].  phi
+    kills [G,G] and G/[G,G] has at most 2^N elements, all mapped onto
+    F2^N, so ker phi = [G,G] = W: elementary abelian (axiom 2), equal to
+    [G,G] (axiom 3), and |G| = 2^(N + dim W).  (c) is axiom 4.  The
+    tilde set is phi^-1 of the sums of e_a + e_b over same-block pairs,
+    so it is generated by W and the products h_(s,b) = g_first(s) g_b;
+    by (e) these lie in Q, so the tilde set is a subgroup of Q, hence
+    elementary abelian.
+
+    (d) holds for every product the factor rule computes, since vector
+    parts add; it is checked because the rest of the proof reads W as a
+    subgroup of Q.  The conditions are sufficient, not necessary: a
+    False entry names the condition that failed, and the enumerated
+    check_expansion_axioms then decides the axioms.
+    """
+    gens, shape, vec = G.gen_codes, G.shape, G.vec_field_mask
+    t_empty = {c.poly_off for c in G.comps}
+    marked = len(gens) == shape.N and all(
+        G.phi(g) == 1 << x for x, g in enumerate(gens))
+    tilde = marked and not any(G.mul(gens[shape.first(shape.block(x))], g) & vec
+                               for x, g in enumerate(gens))
+    derived = not any(w & vec for w in _commutator_span(G).basis())
+    return {
+        "axiom1": marked and all(pos in t_empty for pos in G.phi_bits),
+        "axiom2": derived,
+        "axiom3": derived,
+        "axiom4": all(G.mul(g, g) == G.identity for g in gens),
+        "tilde_condition": tilde,
+    }
 
 
 def check_expansion_axioms(G: ExpansionGroup) -> dict[str, bool]:
@@ -513,10 +598,18 @@ def descending_central_series(G: ExpansionGroup) -> list[list[int]]:
     """Bases of [G,G], [G,[G,G]], ... down to the first trivial term.
 
     Terms below [G,G] are additive subspaces of ker(phi) in code coordinates,
-    so each comes back as an XOR basis."""
+    so each comes back as an XOR basis.  The axioms are read from the
+    stored report, else from check_generator_axioms; if that is not all
+    True, the enumerated check_expansion_axioms decides."""
     if not isinstance(G, ExpansionGroup):
-        raise TypeError("series requires an enumerated product-model group")
-    report = G._report if G._report is not None else check_expansion_axioms(G)
+        raise TypeError("series requires a product-model group")
+    report = G._report
+    if report is None:
+        report = check_generator_axioms(G)
+        if all(report.values()):
+            G._report = report
+        else:
+            report = check_expansion_axioms(G)
     if not all(report.values()):
         raise ValueError("expansion axioms do not hold")
     if G._series is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -113,6 +114,34 @@ def test_reconstruct_refuses_before_enumerating(capsys, monkeypatch):
     assert code == 1 and rep["passed"] is False
     assert rep["results"]["error"] == \
         "predicted order 2^54 exceeds the enumeration ceiling 2^22"
+
+
+# sha256 of each report's sorted-key JSON results, first 16 hex digits,
+# recorded when reconstruction still enumerated every group it touched
+RECONSTRUCT_DIGESTS = {
+    ("4,3", 2): "d519c594bdf586f7", ("4,3", 3): "53a33adada390f30",
+    ("6,1", 2): "814edb9a69e8c53d", ("3,3", 2): "6d8a307101eaeb31",
+    ("1,1", 2): "f5c476be04c2d1fa", ("1,1", 3): "3c9a1676ed028902",
+    ("2,1", 2): "7d0a17ae7170f78a", ("2,1", 3): "61a2f8b43ed9450f",
+    ("2,2", 2): "494b5c5f786f89ce", ("2,2", 3): "bdadf326a4c6b01a",
+    ("1,1,1", 2): "67a14851590abaad", ("1,1,1", 3): "69e47cf978ec612e",
+    ("2,1,1", 2): "d18e2264765c3b38", ("2,1,1", 3): "f289e80ce1dc8b3a",
+    ("2,2,1", 2): "9b2b7cecbcc01758", ("1,1,1,1", 2): "6675263bda14999d",
+    ("1,1,1,1", 3): "c866a6b4119c5da0",
+}
+
+
+def test_reconstruct_never_enumerates(capsys, monkeypatch):
+    def no_enumeration(self, gens):
+        raise AssertionError(f"enumerated {self.shape.k}")
+
+    monkeypatch.setattr(expmaps, "_CONTEXTS", {})
+    monkeypatch.setattr(groups.ExpansionGroup, "_close", no_enumeration)
+    for (shape, j), digest in RECONSTRUCT_DIGESTS.items():
+        code, rep = run_json(capsys, "reconstruct", "--shape", shape, "--j", str(j))
+        assert code == 0, (shape, j, rep["results"])
+        text = json.dumps(rep["results"], sort_keys=True).encode()
+        assert hashlib.sha256(text).hexdigest()[:16] == digest, (shape, j)
 
 
 def _raising(source, target):

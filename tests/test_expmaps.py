@@ -32,7 +32,7 @@ from genusforge.expmaps import (
     theta,
     _context,
 )
-from genusforge.f2 import F2Basis, rank, spans_equal
+from genusforge.f2 import F2Basis, rank, rref, spans_equal
 from genusforge.groups import ResourceLimitError
 from genusforge.tensors import BlockShape
 from oracles import (coboundary_rows, normal_closure, reconstruct_report_cochain_first,
@@ -55,7 +55,9 @@ def char_span(shape: BlockShape) -> F2Basis:
 
 
 def span_coords(maps) -> list[int]:
-    return F2Basis([p.coords for p in maps]).basis()
+    """The reduced echelon basis of the maps' span: equal lists mean equal
+    spans, whatever order the maps came in."""
+    return sorted(rref(p.coords for p in maps).values())
 
 
 def test_basis_dims_frozen():
@@ -171,7 +173,7 @@ def test_inflate_round_trip_and_invariance():
     tab = lifted.values
     ncl = normal_closure(G, [G.gen_codes[x] for x in shape.members(0)])
     for w in ncl:
-        for g in list(G.iter_codes())[:32]:
+        for g in G.codes[:32].tolist():
             gw = G.mul(g, w)
             assert (tab >> ctx.pos_of(gw)) & 1 == (tab >> ctx.pos_of(g)) & 1
     narrow = corner_operator(S21, 1, phi_label(S21, (0, 1), 2))
@@ -304,9 +306,9 @@ def test_is_cocycle_fails_on_one_flipped_bit():
 def test_expansion_map_every_family_verifies(k, monkeypatch):
     # pointer blocks of several coordinates: the base is chi_x alone
     shape = BlockShape(k)
-    # one product table for the shape, read by every family's verify
-    M = _context(shape).mul_table()
-    monkeypatch.setattr(expmaps._Context, "mul_table", lambda self: M)
+    # every family's verify reads the context's one product table, which
+    # goes with these contexts when the test ends
+    monkeypatch.setattr(expmaps, "_CONTEXTS", {})
     families = 0
     for size in range(1, shape.n + 1):
         for A in combinations(range(shape.n), size):

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from genusforge import groups
@@ -11,6 +14,7 @@ from genusforge.f2 import spans_equal
 from genusforge.groups import (ExpansionGroup, ResourceLimitError,
                                augmentation_power_span, build_universal,
                                build_universal_general, check_expansion_axioms,
+                               check_generator_axioms,
                                descending_central_series, grade_dims,
                                nilpotency_class, unique_epimorphism,
                                universal_order_exponent)
@@ -45,7 +49,7 @@ def test_factor_product_frozen():
 
 def test_squares_land_in_poly_part():
     G = single_factor(3, 0)
-    for code in G.iter_codes():
+    for code in G.codes.tolist():
         sq = G.mul(code, code)
         assert fields(G, sq)[1] == 0
         if fields(G, code)[1] == 0:
@@ -208,7 +212,7 @@ def test_augmentation_powers_equal_series():
 
 def test_exponent_four_and_generator_identities():
     G = build_universal(3)
-    for code in G.iter_codes():
+    for code in G.codes.tolist():
         sq = G.mul(code, code)
         assert G.mul(sq, sq) == 0
     for a in G.gen_codes:
@@ -258,9 +262,9 @@ def test_phi_and_membership():
     G = build_universal_general(BlockShape((2, 1)))
     for x, g in enumerate(G.gen_codes):
         assert G.phi(g) == 1 << x
-        assert g in G
-    assert G.contains(0)
-    assert not G.contains(int(G.codes[-1]) + 1)
+        assert groups._member(G.codes, g)
+    assert groups._member(G.codes, 0)
+    assert not groups._member(G.codes, int(G.codes[-1]) + 1)
 
 
 def test_group_dump_format():
@@ -331,7 +335,7 @@ def test_close_np_ceiling_trips_partway(monkeypatch):
     steps.clear()
     monkeypatch.setattr(groups, "ENUM_CEILING", G.order // 8)
     with pytest.raises(ResourceLimitError) as e:
-        G.with_generators(G.gen_codes)
+        G.with_generators(G.gen_codes).codes
     assert 0 < len(steps) < full
     assert str(G.order // 8) in str(e.value)
 
@@ -347,7 +351,7 @@ def test_axiom1_array_branch_can_fail():
     assert isinstance(mut.codes, np.ndarray)
     assert [mut.phi(g) for g in mut.gen_codes] == [1, 2]
     assert any(mut.phi(mut.mul(u, g)) != mut.phi(u) ^ mut.phi(g)
-               for u in mut.iter_codes() for g in mut.gen_codes)
+               for u in mut.codes.tolist() for g in mut.gen_codes)
     assert check_expansion_axioms(mut)["axiom1"] is False
     assert check_expansion_axioms(G)["axiom1"] is True
 
@@ -367,3 +371,102 @@ def test_series_reuses_stored_report(monkeypatch):
         mut._report = dict(rep, **{key: False})
         with pytest.raises(ValueError):
             descending_central_series(mut)
+
+
+# -- presentation against enumeration --
+
+CONJ_SHAPES = [(1, 1), (2, 1), (1, 1, 1), (2, 1, 1), (2, 2, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CONJ_SHAPES), st.data())
+def test_conj_matches_products(k, data):
+    # g anywhere in the ambient product, w pure polynomial or not
+    G = build_universal_general(BlockShape(k))
+    g = data.draw(st.integers(0, (1 << G.width) - 1))
+    w = data.draw(st.integers(0, (1 << G.width) - 1))
+    pure = w & ~G.vec_field_mask
+    for u in (pure, w):
+        assert G.conj(g, u) == G.mul(G.mul(g, u), G.inv(g))
+    assert G._codes is None
+
+
+# every composition whose universal group has at most 2^17 elements; four
+# blocks already give 2^21
+SMALL_SHAPES = [k for n in (1, 2, 3) for k in product(range(1, 18), repeat=n)
+                if universal_order_exponent(BlockShape(k)) <= 17]
+
+
+def test_presentation_matches_enumeration_on_small_shapes():
+    assert len(SMALL_SHAPES) == 63
+    for k in SMALL_SHAPES:
+        shape = BlockShape(k)
+        G = build_universal_general(shape)
+        rep = check_generator_axioms(G)
+        series = descending_central_series(G)
+        assert G.order == 1 << universal_order_exponent(shape), k
+        assert G._codes is None, k
+        # a group rebuilt from the same generators, without the predicted
+        # order, gets its order from the presentation too
+        H = G.with_generators(G.gen_codes)
+        assert H.order == G.order and H._codes is None, k
+        assert check_expansion_axioms(H) == rep, k
+        assert len(H.codes) == G.order, k
+        assert descending_central_series(H) == series, k
+
+
+def _mutants():
+    """(group, the report key its broken condition sits under)."""
+    U3 = build_universal(3)
+    g0, g1, g2 = U3.gen_codes
+    P = build_universal_general(BlockShape((1, 1)))
+    c0, c1 = P.comps
+    # phi reads a t_s bit, which the action moves: condition (a)
+    moved = ExpansionGroup(P.shape, P.comps, [P.gen_codes[0] | (2 << c0.poly_off),
+                                              P.gen_codes[1]],
+                           [c0.poly_off + 1, c1.poly_off])
+    T = build_universal_general(BlockShape((2, 1)))
+    h0, h1, h2 = T.gen_codes
+    # phi(g_0) = e_1: condition (b)
+    swapped = T.with_generators([h1, h0, h2])
+    # g_0 g_1 keeps g_1's vector bits away from block 0: condition (e)
+    Q = build_universal_general(BlockShape((2, 2)))
+    far = sum(c.vec_mask << c.vec_off for c in Q.comps if Q.shape.block(c.i) == 1)
+    split = Q.with_generators([Q.gen_codes[0], Q.gen_codes[1] & ~far]
+                              + Q.gen_codes[2:])
+    return [
+        (moved, "axiom1"),
+        (swapped, "axiom1"),
+        (U3.with_generators([]), "axiom1"),
+        # g_0 [g_1, g_2] is no involution: condition (c)
+        (U3.with_generators([U3.mul(g0, U3.commutator(g1, g2)), g1, g2]), "axiom4"),
+        (split, "tilde_condition"),
+        # phi reads vector bits, a homomorphism that (a) does not cover
+        (single_factor(3, 1), "axiom1"),
+    ]
+
+
+def test_failed_generator_check_falls_back_to_enumeration():
+    for M, key in _mutants():
+        rep = check_generator_axioms(M)
+        assert rep[key] is False, key
+        twin = M.with_generators(M.gen_codes)
+        want = check_expansion_axioms(twin)
+        assert M.order == len(M.codes) == len(twin.codes), key
+        if all(want.values()):
+            assert descending_central_series(M) == descending_central_series(twin)
+        else:
+            with pytest.raises(ValueError):
+                descending_central_series(M)
+        assert M._report == want, key
+
+
+def test_generator_check_reads_vector_parts_of_the_span(monkeypatch):
+    # a product rule whose commutators leave the pure-polynomial codes
+    # breaks the proof; condition (d) sees it and the order is counted
+    G = build_universal(2)
+    stray = 1 << G.comps[0].vec_off
+    real = G.commutator
+    monkeypatch.setattr(G, "commutator", lambda a, b: real(a, b) ^ stray)
+    assert check_generator_axioms(G)["axiom2"] is False
+    assert G.order == len(G.codes) == 8
