@@ -26,12 +26,12 @@ chi_S(s) phi_(B+S)(t), certifies both the cornered tables of
 cocycle_view and the pointed family of an ExpansionMap.
 
 A row of theta depends only on the block characters at its element, so
-theta keeps one row per block-character pattern and shares it.  The
-coboundary test solve_cochain propagates values down the group's cached
-Cayley spanning tree, one numpy step per tree layer, then checks every
-Cayley edge at once; groups with order^2 <= 2^20 also get a closing
-check of the coboundary of the table, through M, against every row of
-theta.
+theta keeps one row per block-character pattern and shares it.
+solve_cochain propagates values breadth-first from the identity along
+theta's generator columns, one numpy step per generator per layer, and
+checks every Cayley edge at once; when order^2 <= 2^20 the coboundary of
+its table, through M, must also equal theta.  Value tables and M stop at
+TABLE_CEILING elements, where M takes 256 MiB.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ __all__ = [
     "reconstruct_report",
 ]
 
-TABLE_CEILING = 1 << 16
+TABLE_CEILING = 1 << 13
 
 
 def _pack(bits: np.ndarray):
@@ -298,9 +298,6 @@ class ThetaCocycle:
         self.shape = shape
         self.rows = rows
 
-    def bit(self, p: int, q: int) -> int:
-        return (self.rows[p] >> q) & 1
-
     @classmethod
     def from_function(cls, shape: BlockShape, fn) -> "ThetaCocycle":
         codes = [int(c) for c in _context(shape).group.codes]
@@ -312,9 +309,10 @@ class ThetaCocycle:
             rows.append(row)
         return cls(shape, rows)
 
-    def is_cocycle(self, samples: int = 4096, seed: int = 0) -> bool:
+    def is_cocycle(self) -> bool:
         """theta(st, u) + theta(s, tu) + theta(t, u) + theta(s, t) = 0 on
-        every u, for all pairs (s, t) up to order 256 and sampled above."""
+        every u, for all pairs (s, t) up to order 256 and 4096 seeded
+        pairs above."""
         ctx = _context(self.shape)
         order = ctx.order
         M = ctx.mul_table()
@@ -322,9 +320,7 @@ class ThetaCocycle:
         if order <= 256:
             ps, qs = np.divmod(np.arange(order * order), order)
         else:
-            rng = np.random.default_rng(seed)
-            ps = rng.integers(0, order, samples)
-            qs = rng.integers(0, order, samples)
+            ps, qs = np.random.default_rng(0).integers(0, order, (2, 4096))
         for lo in range(0, len(ps), 256):
             p, q = ps[lo:lo + 256], qs[lo:lo + 256]
             acc = R[M[p, q]] ^ R[p[:, None], M[q]] ^ R[q] ^ R[p, q][:, None]
@@ -663,29 +659,36 @@ def solve_cochain(G: ExpansionGroup, th: ThetaCocycle):
     generators; None when th is no coboundary.
 
     Each Cayley edge p -> p*g forces val(p*g) = val(p) + th(p, g).  The
-    values are propagated from the identity down the group's cached
-    spanning tree, one numpy step per tree layer, then every Cayley edge
-    is checked at once and the generators must read 0.  Any conflict
-    means th is not a coboundary under this seeding, hence not one at
-    all.  When order^2 <= 2^20 a closing check compares the coboundary
-    of the table with every row of th.
+    values are propagated breadth-first from the identity, one numpy step
+    per generator per layer; then every edge is checked at once and the
+    generators must read 0.  Any conflict means th is not a coboundary.
+    When order^2 <= 2^20 the coboundary of the table must equal th.
     """
     order = G.order
     if len(th.rows) != order:
         raise ValueError("table size differs from the group order")
-    gen_pos, perms, tree = G.cayley_tree()
-    rows = th.rows
-    # col[g, p] = th(p, g), the generator columns of th, read once per
-    # distinct row object (theta shares one row per block-character pattern)
-    ids = np.fromiter(map(id, rows), dtype=np.uint64, count=order)
-    _, first, pick = np.unique(ids, return_index=True, return_inverse=True)
-    distinct = [rows[p] for p in first.tolist()]
-    col = np.array([[1 if r & m else 0 for r in distinct]
-                    for m in [1 << int(gp) for gp in gen_pos]],
-                   dtype=np.uint8).reshape(len(gen_pos), len(distinct))[:, pick]
+    codes, rows = G.codes, th.rows
+    gen_pos = np.searchsorted(codes, np.array(G.gen_codes, dtype=np.uint64))
+    perms = np.array([np.searchsorted(codes, G.right_mul_array(codes, g))
+                      for g in G.gen_codes], dtype=np.intp).reshape(-1, order)
+    # col[g, p] = th(p, g), the generator columns of th
+    col = np.array([[1 if r & m else 0 for r in rows]
+                    for m in [1 << gp for gp in gen_pos.tolist()]],
+                   dtype=np.uint8).reshape(-1, order)
     val = np.zeros(order, dtype=np.uint8)
-    for kids, parents, gens in tree:
-        val[kids] = val[parents] ^ col[gens, parents]
+    seen = np.zeros(order, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        layer = [frontier[:0]]
+        for perm, c in zip(perms, col):
+            kids = perm[frontier]
+            fresh = ~seen[kids]
+            kids, parents = kids[fresh], frontier[fresh]
+            seen[kids] = True
+            val[kids] = val[parents] ^ c[parents]
+            layer.append(kids)
+        frontier = np.concatenate(layer)
     if val[gen_pos].any() or (val[perms] != val ^ col).any():
         return None
     if order * order <= 1 << 20:

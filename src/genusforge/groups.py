@@ -141,7 +141,6 @@ class ExpansionGroup:
         self._derived: F2Basis | None = None
         self._report: dict | None = None
         self._series: list[list[int]] | None = None
-        self._cayley = None
 
     @property
     def codes(self) -> np.ndarray:
@@ -247,56 +246,16 @@ class ExpansionGroup:
     def right_mul_array(self, codes: np.ndarray, gc: int) -> np.ndarray:
         return self._step(codes, self._gen_table(gc))
 
-    def cayley_tree(self):
-        """Generator positions, right-multiplication permutations and a
-        spanning tree of the Cayley graph, built once per group.
-
-        perms[g, p] is the position of codes[p] * gen_codes[g].  The tree
-        is breadth-first from the identity, one (children, parents,
-        generators) triple of arrays per layer, with codes[child] =
-        codes[parent] * gen_codes[generator].  Indices are int32.
-        """
-        if self._cayley is None:
-            codes = self.codes
-            order, ngens = len(codes), len(self.gen_codes)
-            gen_pos = np.searchsorted(
-                codes, np.array(self.gen_codes, dtype=np.uint64)).astype(np.int32)
-            perms = np.empty((ngens, order), dtype=np.int32)
-            for gi, g in enumerate(self.gen_codes):
-                perms[gi] = np.searchsorted(codes, self.right_mul_array(codes, g))
-            seen = np.zeros(order, dtype=bool)
-            seen[0] = True
-            frontier = np.zeros(1, dtype=np.int32)
-            tree = []
-            while True:
-                kids = perms[:, frontier].ravel()
-                fresh = ~seen[kids]
-                # the first edge into each new child joins the tree; edge
-                # g * len(frontier) + j leaves frontier[j] by generator g
-                kids, first = np.unique(kids[fresh], return_index=True)
-                if not kids.size:
-                    break
-                seen[kids] = True
-                edges = np.flatnonzero(fresh)[first]
-                tree.append((kids, frontier[edges % frontier.size],
-                             (edges // frontier.size).astype(np.int32)))
-                frontier = kids
-            self._cayley = (gen_pos, perms, tuple(tree))
-        return self._cayley
-
     def mul_table(self) -> np.ndarray:
         """M[p, q], the position of codes[p] * codes[q], as int32; not cached.
 
-        Column 0 is the identity's; each tree edge codes[kid] =
-        codes[parent] * g gives M[:, kid] = perms[g, M[:, parent]], one
-        numpy step per tree layer.
+        Column q is right multiplication by codes[q], located by
+        searchsorted in the sorted codes.
         """
-        _, perms, tree = self.cayley_tree()
-        order = len(self.codes)
-        M = np.empty((order, order), dtype=np.int32)
-        M[:, 0] = np.arange(order)
-        for kids, parents, gens in tree:
-            M[:, kids] = perms[gens, M[:, parents]]
+        codes = self.codes
+        M = np.empty((len(codes), len(codes)), dtype=np.int32)
+        for q, c in enumerate(codes.tolist()):
+            M[:, q] = np.searchsorted(codes, self.right_mul_array(codes, c))
         return M
 
     def phi_bit_array(self, codes: np.ndarray, x: int) -> np.ndarray:
@@ -492,14 +451,20 @@ def _commutator_span(G: ExpansionGroup) -> F2Basis:
                 w = G.commutator(gi, gj)
                 if B.add(w):
                     queue.append(w)
-        while queue:
-            w = queue.pop()
-            for g in G.gen_codes:
-                u = w ^ G.conj(g, w)
-                if B.add(u):
-                    queue.append(u)
-        G._derived = B
+        G._derived = _conj_close(G, B, queue)
     return G._derived
+
+
+def _conj_close(G: ExpansionGroup, B: F2Basis, queue: list[int]) -> F2Basis:
+    """Close the span B under w -> w + g w g^-1 for every generator g,
+    popping from queue the vectors whose images are still to be added."""
+    while queue:
+        w = queue.pop()
+        for g in G.gen_codes:
+            u = w ^ G.conj(g, w)
+            if B.add(u):
+                queue.append(u)
+    return B
 
 
 def check_generator_axioms(G: ExpansionGroup) -> dict[str, bool]:
@@ -615,16 +580,6 @@ def descending_central_series(G: ExpansionGroup) -> list[list[int]]:
     if G._series is not None:
         return [list(b) for b in G._series]
 
-    def saturate(B: F2Basis) -> F2Basis:
-        queue = list(B.basis())
-        while queue:
-            w = queue.pop()
-            for g in G.gen_codes:
-                u = w ^ G.conj(g, w)
-                if B.add(u):
-                    queue.append(u)
-        return B
-
     series = []
     cur = _commutator_span(G)
     while True:
@@ -635,7 +590,7 @@ def descending_central_series(G: ExpansionGroup) -> list[list[int]]:
         for w in cur.basis():
             for g in G.gen_codes:
                 nxt.add(w ^ G.conj(g, w))
-        cur = saturate(nxt)
+        cur = _conj_close(G, nxt, nxt.basis())
         if len(series) > 64:
             raise RuntimeError("series failed to terminate")
     G._series = [list(b) for b in series]

@@ -529,6 +529,27 @@ def solve_cochain_bfs(G, th):
     return table
 
 
+def solve_cochain_exhaustive(G, th):
+    """Value table with coboundary th, vanishing at the identity and the
+    generators, found by trying every such table; None when none has.
+
+    The table is unique when it exists: two of them differ by a
+    homomorphism to F2 that kills the generators.  Orders up to 8 only.
+    """
+    order = G.order
+    if order > 8:
+        raise ValueError("exhaustive search is for orders up to 8")
+    codes = [int(c) for c in G.codes]
+    fixed = {0} | {codes.index(g) for g in G.gen_codes}
+    free = [p for p in range(order) if p not in fixed]
+    want = list(th.rows)
+    for pick in product((0, 1), repeat=len(free)):
+        table = sum(b << p for b, p in zip(pick, free))
+        if coboundary_rows(G, table) == want:
+            return table
+    return None
+
+
 # ---------------------------------------------------------------------------
 # layer reconstruction with the coboundary test ahead of realization
 

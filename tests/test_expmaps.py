@@ -36,7 +36,7 @@ from genusforge.f2 import F2Basis, rank, rref, spans_equal
 from genusforge.groups import ResourceLimitError
 from genusforge.tensors import BlockShape
 from oracles import (coboundary_rows, normal_closure, reconstruct_report_cochain_first,
-                     solve_cochain_bfs)
+                     solve_cochain_bfs, solve_cochain_exhaustive)
 
 S11 = BlockShape((1, 1))
 S21 = BlockShape((2, 1))
@@ -445,6 +445,35 @@ def test_solve_cochain_matches_bfs_oracle(shape, kind, data):
         assert got is None
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((BlockShape((1,)), BlockShape((2,)), BlockShape((3,)), S11)),
+       st.sampled_from(("coboundary", "flipped bit", "random rows")),
+       st.data())
+def test_solve_cochain_matches_exhaustive_oracle(shape, kind, data):
+    ctx = _context(shape)
+    G = ctx.group
+    order = G.order
+    assert order <= 8
+    phi = PhiMap(shape, data.draw(st.integers(0, (1 << len(ctx.labels)) - 1)))
+    rows = list(coboundary(phi).rows)
+    if kind == "flipped bit":
+        p, q = data.draw(st.integers(0, order - 1)), data.draw(st.integers(0, order - 1))
+        if (p, q) == (0, 0):
+            q = order - 1
+        rows[p] ^= 1 << q
+    elif kind == "random rows":
+        rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1)))
+        rows = [rng.getrandbits(order) for _ in range(order)]
+        rows[0] &= ~1
+    th = ThetaCocycle(shape, rows)
+    got = solve_cochain(G, th)
+    assert got == solve_cochain_exhaustive(G, th) == solve_cochain_bfs(G, th)
+    if kind == "coboundary":
+        assert got is not None
+    elif kind == "flipped bit":
+        assert got is None
+
+
 def test_solve_cochain_past_closing_check_reads_generator_columns():
     shape = BlockShape((3, 3))
     ctx = _context(shape)
@@ -621,6 +650,17 @@ def test_value_tables_refuse_past_table_ceiling(monkeypatch):
     with pytest.raises(ResourceLimitError, match=want.replace("^", r"\^")):
         ctx.table(("chi", 0))
     with pytest.raises(ResourceLimitError, match=want.replace("^", r"\^")):
+        ctx.mul_table()
+
+
+def test_value_tables_refuse_where_the_product_table_outgrows_memory(monkeypatch):
+    # at order 2^15 the int32 product table would take 4 GiB
+    monkeypatch.setattr(expmaps, "_CONTEXTS", {})
+    ctx = _context(BlockShape((4, 4)))
+    want = r"predicted order 2\^15 exceeds the table ceiling 2\^13"
+    with pytest.raises(ResourceLimitError, match=want):
+        ctx.table(("chi", 0))
+    with pytest.raises(ResourceLimitError, match=want):
         ctx.mul_table()
 
 

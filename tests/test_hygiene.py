@@ -1,15 +1,20 @@
 """Source hygiene with the standard library alone: every name a module
-exports resolves, and no package module imports a name it never uses."""
+exports resolves, no package module imports a name it never uses, and
+every dotted name README.md quotes exists in the package."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "genusforge"
 MODULES = sorted(PACKAGE.glob("*.py"))
+README = PACKAGE.parent.parent / "README.md"
+DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
 
 
 def _tree(path: Path) -> ast.Module:
@@ -79,7 +84,34 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: imported but never used {unused}"
 
 
+def _unresolved(text: str) -> list[str]:
+    """Dotted names in backticks whose head is no package module or
+    top-level name, or whose tail fails attribute lookup."""
+    modules = {"genusforge": importlib.import_module("genusforge")}
+    for path in MODULES:
+        if path.stem != "__init__":
+            modules[path.stem] = importlib.import_module(f"genusforge.{path.stem}")
+    out = []
+    for name in DOTTED.findall(text):
+        head, *tail = name.split(".")
+        obj = modules.get(head)
+        if obj is None:
+            obj = next((getattr(m, head) for m in modules.values()
+                        if hasattr(m, head)), None)
+        for part in tail:
+            obj = getattr(obj, part, None)
+        if obj is None:
+            out.append(name)
+    return out
+
+
+def test_readme_names_resolve():
+    assert not _unresolved(README.read_text())
+
+
 def test_checks_can_fail():
     tree = ast.parse("from os import path, sep\n__all__ = ['gone']\nprint(sep)\n")
     assert set(_exports(tree)) - _defined(tree) == {"gone"}
     assert [n for n in _imported(tree) if n not in _used(tree)] == ["path"]
+    text = "reads `ExpansionGroup.mul_table()` and `ExpansionGroup.cayley_tree()`"
+    assert _unresolved(text) == ["ExpansionGroup.cayley_tree"]
