@@ -662,7 +662,9 @@ def solve_cochain(G: ExpansionGroup, th: ThetaCocycle):
     values are propagated breadth-first from the identity, one numpy step
     per generator per layer; then every edge is checked at once and the
     generators must read 0.  Any conflict means th is not a coboundary.
-    When order^2 <= 2^20 the coboundary of the table must equal th.
+    When order^2 <= 2^20 the coboundary of the table must equal th; that
+    check reads the product table cached with th's shape context when
+    G is that context's group.
     """
     order = G.order
     if len(th.rows) != order:
@@ -694,7 +696,9 @@ def solve_cochain(G: ExpansionGroup, th: ThetaCocycle):
     if order * order <= 1 << 20:
         if max(rows) >> order:
             return None  # bits past the order are in no coboundary row
-        d = val[G.mul_table()] ^ val[:, None] ^ val[None, :]
+        ctx = _CONTEXTS.get(th.shape.k)
+        M = ctx.mul_table() if ctx is not None and ctx.group is G else G.mul_table()
+        d = val[M] ^ val[:, None] ^ val[None, :]
         if (d != _unpack(rows, order)).any():
             return None
     return _pack(val)

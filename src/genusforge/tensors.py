@@ -13,11 +13,12 @@ from functools import lru_cache
 from math import comb
 from typing import Iterable
 
-from .f2 import F2Basis, bits_of, kernel_basis, parity, spans_equal
+from .f2 import F2Basis, bits_of, kernel_basis, parity, rank
 
 __all__ = [
     "BlockShape",
     "MultiTensor",
+    "mask_of",
     "inj_tuples",
     "inj_index",
     "governing_tensor",
@@ -339,62 +340,68 @@ def P_reassemble(comps: dict[int, MultiTensor]) -> MultiTensor:
     return t
 
 
+# (kind, label path, sorted column indices whose values sum to zero)
+Row = tuple[str, tuple, tuple[int, ...]]
+
+
 @lru_cache(maxsize=None)
-def cons_rows(support: int, arity: int) -> tuple[tuple[str, tuple, int], ...]:
+def cons_rows(support: int, arity: int) -> tuple[Row, ...]:
     """Labeled constraint rows cutting the consistent maps out of tilde-Multi.
 
+    Each row is (kind, path, cols): cols are the sorted column indices
+    over inj_tuples(support, arity) whose values must sum to zero.
     Arity 2 imposes Symmetry, arity 3 lifts it through every slot-zero
     component and adds one Hall-Witt row per 3-subset, higher arities lift
     the previous stage and add Commutativity of the first two slots.
     """
-    idx = inj_index(support, arity)
     members = tuple(bits_of(support))
-    rows: list[tuple[str, tuple, int]] = []
+    if arity > len(members):
+        return ()  # no injective tuples, so no columns and no rows
+    idx = inj_index(support, arity)
+    rows: list[Row] = []
     if arity >= 3:
         for j in members:
             sub = support & ~(1 << j)
-            sub_tuples = inj_tuples(sub, arity - 1)
-            for kind, path, bits in cons_rows(sub, arity - 1):
-                lifted = 0
-                for p in bits_of(bits):
-                    lifted |= 1 << idx[(j,) + sub_tuples[p]]
-                rows.append((kind, (j,) + path, lifted))
+            # tuples starting with j are one lexicographic run whose tails
+            # are inj_tuples(sub, arity - 1) in order, so a lift is a shift
+            shift = idx[(j,) + inj_tuples(sub, arity - 1)[0]].__add__
+            rows.extend((kind, (j,) + path, tuple(map(shift, cols)))
+                        for kind, path, cols in cons_rows(sub, arity - 1))
     if arity == 2:
         for a, b in itertools.combinations(members, 2):
-            rows.append(("sym", (a, b), 1 << idx[(a, b)] | 1 << idx[(b, a)]))
+            rows.append(("sym", (a, b), (idx[(a, b)], idx[(b, a)])))
     elif arity == 3:
         for a, b, c in itertools.combinations(members, 3):
-            bits = 1 << idx[(a, b, c)] | 1 << idx[(c, a, b)] | 1 << idx[(b, c, a)]
-            rows.append(("hw", (a, b, c), bits))
+            cols = sorted((idx[(a, b, c)], idx[(c, a, b)], idx[(b, c, a)]))
+            rows.append(("hw", (a, b, c), tuple(cols)))
     elif arity >= 4:
         for a, b in itertools.combinations(members, 2):
             rest = support & ~(1 << a) & ~(1 << b)
             for tail in inj_tuples(rest, arity - 2):
-                bits = 1 << idx[(a, b) + tail] | 1 << idx[(b, a) + tail]
-                rows.append(("comm", (a, b) + tail, bits))
+                rows.append(("comm", (a, b) + tail,
+                             (idx[(a, b) + tail], idx[(b, a) + tail])))
     return tuple(rows)
 
 
-def tilde_rows(shape: BlockShape,
-               arity: int) -> tuple[tuple[str, tuple, int], ...]:
+def tilde_rows(shape: BlockShape, arity: int) -> tuple[Row, ...]:
     """Extra vanishing rows for the block-refined constraint space.
 
-    Three families: a kernel vector of the block-sum projection in any of
-    the first arity-2 slots, kernel vectors in both of the last two slots,
-    and basis tuples meeting one block twice.
+    Rows have the (kind, path, cols) form of cons_rows.  Three families:
+    a kernel vector of the block-sum projection in any of the first
+    arity-2 slots, kernel vectors in both of the last two slots, and
+    basis tuples meeting one block twice.
     """
     support = shape.full_mask()
     idx = inj_index(support, arity)
     kernel = shape.ker_pi_basis()
-    rows: list[tuple[str, tuple, int]] = []
+    rows: list[Row] = []
 
     def row(kind: str, path: tuple, tuples: Iterable[tuple[int, ...]]) -> None:
-        bits = 0
-        for t in tuples:
-            if len(set(t)) == len(t):
-                bits ^= 1 << idx[t]
-        if bits:
-            rows.append((kind, path, bits))
+        # a row's tuples are distinct, so the sum of their indicators has
+        # every injective one as a column; idx holds exactly those
+        cols = sorted(c for c in map(idx.get, tuples) if c is not None)
+        if cols:
+            rows.append((kind, path, tuple(cols)))
 
     for h in range(arity - 2):
         for a, b in kernel:
@@ -412,7 +419,7 @@ def tilde_rows(shape: BlockShape,
     for pos, tup in enumerate(inj_tuples(support, arity)):
         blocks = [shape.block(j) for j in tup]
         if len(set(blocks)) < arity:
-            rows.append(("block-pair", tup, 1 << pos))
+            rows.append(("block-pair", tup, (pos,)))
 
     return tuple(rows)
 
@@ -425,13 +432,11 @@ def _support_of(n: int, B: Iterable[int] | int | None) -> int:
     return mask_of(B)
 
 
-def _solution_basis(support: int, arity: int,
-                    rows: Iterable[int], N: int) -> list[MultiTensor]:
+def _solution_basis(support: int, arity: int, rows: Iterable[Row],
+                    N: int) -> list[MultiTensor]:
     cols = len(inj_tuples(support, arity))
-    return [
-        MultiTensor(N, arity, support, v)
-        for v in kernel_basis(list(rows), cols)
-    ]
+    masks = [mask_of(c) for _, _, c in rows]
+    return [MultiTensor(N, arity, support, v) for v in kernel_basis(masks, cols)]
 
 
 def cons_space(n: int, B: Iterable[int] | int | None,
@@ -440,8 +445,7 @@ def cons_space(n: int, B: Iterable[int] | int | None,
     if i < 1:
         raise ValueError("arity must be positive")
     support = _support_of(n, B)
-    rows = [bits for _, _, bits in cons_rows(support, i)]
-    return _solution_basis(support, i, rows, n)
+    return _solution_basis(support, i, cons_rows(support, i), n)
 
 
 def cons_space_general(shape: BlockShape, i: int) -> list[MultiTensor]:
@@ -449,8 +453,7 @@ def cons_space_general(shape: BlockShape, i: int) -> list[MultiTensor]:
     if i < 1:
         raise ValueError("arity must be positive")
     support = shape.full_mask()
-    rows = [bits for _, _, bits in cons_rows(support, i)]
-    rows += [bits for _, _, bits in tilde_rows(shape, i)]
+    rows = cons_rows(support, i) + tilde_rows(shape, i)
     return _solution_basis(support, i, rows, shape.N)
 
 
@@ -479,16 +482,97 @@ def gov_space_general(shape: BlockShape, i: int) -> list[MultiTensor]:
     return [MultiTensor(shape.N, i, support, v) for v in basis.basis()]
 
 
+def _class_dim(rows: Iterable[tuple[int, ...]], cols: int) -> int:
+    """Dimension of {x : x sums to zero over every row} on cols columns.
+
+    A one-column row forces its column to zero and a two-column row
+    forces two columns equal, so union-find over those rows leaves
+    classes of columns sharing one value, some of them forced to zero.
+    Only the wider rows are projected onto the free classes and ranked.
+    """
+    parent = list(range(cols))
+    zero = bytearray(cols)
+
+    def find(c: int) -> int:
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    wide = []
+    for r in rows:
+        if len(r) == 1:
+            zero[find(r[0])] = 1
+        elif len(r) == 2:
+            a, b = find(r[0]), find(r[1])
+            if a != b:
+                parent[b] = a
+                zero[a] |= zero[b]
+        else:
+            wide.append(r)
+    free: dict[int, int] = {}
+    for c in range(cols):
+        root = find(c)
+        if not zero[root] and root not in free:
+            free[root] = len(free)
+    projected = []
+    for r in wide:
+        m = 0
+        for c in r:
+            root = find(c)
+            if not zero[root]:
+                m ^= 1 << free[root]
+        projected.append(m)
+    return len(free) - rank(projected)
+
+
+def _annihilates(rows: Iterable[tuple[int, ...]], vecs: Iterable[int]) -> bool:
+    """Whether every row sums to zero on every vector.
+
+    Bit k of a column's mask is that column's entry in vector k, so the
+    XOR of the masks over a row's columns is the row's value on every
+    vector at once.
+    """
+    colmask: dict[int, int] = {}
+    for k, v in enumerate(vecs):
+        digits = bin(v)[:1:-1]  # digits[c] is bit c
+        c = digits.find("1")
+        while c >= 0:
+            colmask[c] = colmask.get(c, 0) | 1 << k
+            c = digits.find("1", c + 1)
+    for r in rows:
+        acc = 0
+        for c in r:
+            acc ^= colmask.get(c, 0)
+        if acc:
+            return False
+    return True
+
+
 def gov_equals_cons_check(arg: int | BlockShape, i: int) -> dict:
-    """Compare the governing span with the constraint kernel as subspaces."""
+    """Compare the governing span with the constraint kernel as subspaces.
+
+    dim cons comes from _class_dim on the sparse rows.  The spans are
+    equal exactly when every row annihilates every governing vector, so
+    gov lies inside cons, and the two dimensions agree.  No kernel basis
+    is built.
+    """
+    if i < 1:
+        raise ValueError("arity must be positive")
     if isinstance(arg, BlockShape):
         gov = gov_space_general(arg, i)
-        cons = cons_space_general(arg, i)
+        support = arg.full_mask()
+        rows = cons_rows(support, i) + tilde_rows(arg, i)
     else:
         gov = gov_space(arg, None, i)
-        cons = cons_space(arg, None, i)
-    equal = spans_equal([t.bits for t in gov], [t.bits for t in cons])
-    return {"dim_gov": len(gov), "dim_cons": len(cons), "equal": equal}
+        support = _support_of(arg, None)
+        rows = cons_rows(support, i)
+    cols = [c for _, _, c in rows]
+    dim_cons = _class_dim(cols, len(inj_tuples(support, i)))
+    equal = dim_cons == len(gov) and _annihilates(cols, [t.bits for t in gov])
+    return {"dim_gov": len(gov), "dim_cons": dim_cons, "equal": equal}
 
 
 def cons_dim_formula(b: int, i: int) -> int:

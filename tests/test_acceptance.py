@@ -57,6 +57,7 @@ from genusforge.tensors import (
     cons_rows,
     gov_equals_cons_check,
     inj_tuples,
+    mask_of,
 )
 from oracles import jacobi_by_euler
 
@@ -96,9 +97,9 @@ def verdict(capsys, label: str, budget: float):
 
 def test_criterion_01_tensor_dimensions(capsys):
     # constraint kernel = governing span, dimension (i-1)*C(n,i) for i >= 2
-    # and n characters at arity 1, across every support size up to 6
+    # and n characters at arity 1, across every support size up to 7
     with verdict(capsys, "criterion 01 tensor dimensions", 120):
-        for n in range(1, 7):
+        for n in range(1, 8):
             for i in range(1, n + 1):
                 rep = gov_equals_cons_check(n, i)
                 assert rep["equal"]
@@ -110,7 +111,8 @@ def test_criterion_01_tensor_dimensions(capsys):
 
 
 def test_criterion_02_block_tensor_dimensions(capsys):
-    shapes = ((1, 1), (2, 1), (2, 2), (1, 1, 1), (2, 1, 1), (3, 2), (2, 2, 2))
+    shapes = ((1, 1), (2, 1), (2, 2), (1, 1, 1), (2, 1, 1), (3, 2), (2, 2, 2),
+              (2, 2, 1, 1), (2, 2, 1, 1, 1))
     with verdict(capsys, "criterion 02 block tensor dimensions", 120):
         for k in shapes:
             sh = BlockShape(k)
@@ -242,12 +244,12 @@ def test_criterion_09_mutation_sensitivity(capsys):
         support = (1 << 4) - 1
         rows = cons_rows(support, 3)
         cols = len(inj_tuples(support, 3))
-        base = len(kernel_basis([bits for _, _, bits in rows], cols=cols))
+        base = len(kernel_basis([mask_of(c) for _, _, c in rows], cols=cols))
         assert base == 8
         hw = [t for t, row in enumerate(rows) if row[0] == "hw"]
         assert len(hw) == 4
         for t in hw:
-            kept = [bits for s, (_, _, bits) in enumerate(rows) if s != t]
+            kept = [mask_of(c) for s, (_, _, c) in enumerate(rows) if s != t]
             assert len(kernel_basis(kept, cols=cols)) > base
 
         # a non-involution generator breaks the involution axiom

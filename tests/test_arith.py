@@ -17,6 +17,9 @@ from genusforge.arith import (
     search_consistent,
     validate_acceptable,
 )
+from genusforge.groups import universal_order_exponent
+from genusforge.lie import governing_algebra_general
+from genusforge.tensors import BlockShape, gov_equals_cons_check
 from oracles import is_prime_naive, jacobi_by_euler, search_consistent_scan
 
 
@@ -114,6 +117,21 @@ def test_maximality_grades_sum():
             total, grades = maximality_bound(n, w)
             assert len(grades) == n
             assert sum(grades) == total
+
+
+@pytest.mark.parametrize("k", [(1, 1), (2, 1), (2, 2, 1), (3, 1, 1), (2, 1, 1, 1),
+                               (2, 2, 1, 1), (1,) * 5])
+def test_maximality_bound_is_the_universal_algebra(k):
+    # grades j >= 2 are the universal Lie algebra's, read both from the
+    # constraint kernel and from the algebra; grade 1 drops the n block
+    # characters, and with them the bound plus n is the group's exponent
+    shape = BlockShape(k)
+    total, grades = maximality_bound(shape.n, k)
+    dims = governing_algebra_general(shape).dims
+    assert grades[0] == shape.N - shape.n
+    for j in range(2, shape.n + 1):
+        assert grades[j - 1] == gov_equals_cons_check(shape, j)["dim_cons"] == dims[j - 1]
+    assert total + shape.n == universal_order_exponent(shape)
 
 
 def test_decide_maximal_small():

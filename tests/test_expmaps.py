@@ -401,6 +401,25 @@ def test_solve_cochain_obstruction():
         solve_cochain(G, ThetaCocycle(S11, [0] * 8))
 
 
+def test_solve_cochain_reads_the_cached_product_table(monkeypatch):
+    monkeypatch.setattr(expmaps, "_CONTEXTS", {})
+    G = _context(S111).group
+    assert G.order == 256
+    builds = []
+    real = type(G).mul_table
+
+    def counted(self):
+        builds.append(self)
+        return real(self)
+
+    monkeypatch.setattr(type(G), "mul_table", counted)
+    phi = PhiMap(S111, random.Random(5).getrandbits(len(_context(S111).labels)))
+    th = theta(S111, _corner_vector(S111, phi))
+    first = solve_cochain(G, th)
+    assert first is not None and solve_cochain(G, th) == first
+    assert builds == [G]
+
+
 def _corner_vector(shape: BlockShape, phi: PhiMap) -> CommVector:
     return CommVector(shape, [corner_operator(shape, i, phi) for i in range(shape.n)])
 

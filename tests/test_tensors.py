@@ -7,12 +7,14 @@ import itertools
 import pytest
 
 import oracles
-from genusforge.f2 import rank, spans_equal
+from genusforge import tensors
+from genusforge.f2 import F2Basis, rank, spans_equal
 from genusforge.tensors import (
     BlockShape,
     MultiTensor,
     P_decompose,
     P_reassemble,
+    _class_dim,
     cons_dim_formula,
     cons_dim_formula_general,
     cons_rows,
@@ -24,6 +26,7 @@ from genusforge.tensors import (
     governing_tensor,
     governing_tensor_general,
     inj_tuples,
+    tilde_rows,
 )
 
 
@@ -276,6 +279,80 @@ def test_hall_witt_rows_labeled():
     kinds = {kind for kind, _, _ in rows}
     assert kinds == {"sym", "hw"}
     assert sum(1 for kind, _, _ in rows if kind == "hw") == 4
+
+
+# criterion 02's shapes plus two with more blocks
+CLASS_ROUTE_SHAPES = ((1, 1), (2, 1), (2, 2), (1, 1, 1), (2, 1, 1), (3, 2),
+                      (2, 2, 2), (2, 2, 1, 1), (3, 1, 1, 1, 1))
+
+
+def _kernel_route(gov, cons) -> dict:
+    return {"dim_gov": len(gov), "dim_cons": len(cons),
+            "equal": spans_equal([t.bits for t in gov], [t.bits for t in cons])}
+
+
+def test_class_route_matches_kernel_basis():
+    # gov_equals_cons_check ranks on column classes; cons_space* still
+    # builds the full kernel basis, so the two routes must agree
+    for n in range(1, 7):
+        for i in range(1, n + 1):
+            want = _kernel_route(gov_space(n, None, i), cons_space(n, None, i))
+            assert gov_equals_cons_check(n, i) == want, (n, i)
+    for k in CLASS_ROUTE_SHAPES:
+        shape = BlockShape(k)
+        for i in range(1, shape.n + 1):
+            want = _kernel_route(gov_space_general(shape, i),
+                                 cons_space_general(shape, i))
+            assert gov_equals_cons_check(shape, i) == want, (k, i)
+
+
+def test_class_route_builds_no_kernel_basis(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel basis built")
+
+    monkeypatch.setattr(tensors, "kernel_basis", refuse)
+    assert gov_equals_cons_check(5, 3)["equal"]
+    assert gov_equals_cons_check(BlockShape((2, 2, 1)), 3)["equal"]
+
+
+@pytest.mark.parametrize("arg, i", [(4, 3), (BlockShape((2, 1, 1)), 3)])
+def test_class_route_sees_a_governing_vector_leave_cons(monkeypatch, arg, i):
+    plain = not isinstance(arg, BlockShape)
+    gov = gov_space(arg, None, i) if plain else gov_space_general(arg, i)
+    cons = cons_space(arg, None, i) if plain else cons_space_general(arg, i)
+    inside = F2Basis(t.bits for t in cons)
+    g = gov[0]
+    flips = [c for c in range(len(inj_tuples(g.support, i)))
+             if g.bits ^ 1 << c not in inside]
+    assert flips
+    for c in flips:
+        bad = [MultiTensor(g.N, i, g.support, g.bits ^ 1 << c)] + gov[1:]
+        monkeypatch.setattr(tensors, "gov_space" if plain else "gov_space_general",
+                            lambda *args: bad)
+        report = gov_equals_cons_check(arg, i)
+        assert report == {"dim_gov": len(gov), "dim_cons": len(cons),
+                          "equal": False}, c
+
+
+def test_class_route_opens_when_a_hall_witt_row_is_dropped():
+    support = (1 << 4) - 1
+    rows = cons_rows(support, 3)
+    cols = len(inj_tuples(support, 3))
+    assert _class_dim([c for _, _, c in rows], cols) == 8
+    hw = [t for t, row in enumerate(rows) if row[0] == "hw"]
+    assert len(hw) == 4
+    for t in hw:
+        kept = [c for s, (_, _, c) in enumerate(rows) if s != t]
+        assert _class_dim(kept, cols) > 8
+
+
+def test_rows_are_sorted_column_tuples():
+    shape = BlockShape((2, 2, 1))
+    support = shape.full_mask()
+    for i in range(1, shape.n + 1):
+        cols = len(inj_tuples(support, i))
+        for _, _, c in cons_rows(support, i) + tilde_rows(shape, i):
+            assert c and list(c) == sorted(set(c)) and c[-1] < cols
 
 
 def test_text_round_trip():
