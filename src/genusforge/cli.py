@@ -16,9 +16,10 @@ from .expmaps import (CommVector, ThetaCocycle, build_phi_basis, coboundary,
                       cocycle_view, corner_operator, lcomm_check, phi_layer,
                       reconstruct_report, solve_cochain, theta, _context)
 from .f2 import rank, spans_equal
-from .groups import (ResourceLimitError, augmentation_power_span,
+from .groups import (ENUM_CEILING, ResourceLimitError, augmentation_power_span,
                      build_universal, build_universal_general,
-                     check_expansion_axioms, descending_central_series,
+                     check_expansion_axioms, check_generator_axioms,
+                     descending_central_series, grade_dims,
                      universal_order_exponent)
 from .lie import (check_lie_axioms, governing_algebra,
                   governing_algebra_general, lie_epimorphism, lie_from_group)
@@ -56,6 +57,20 @@ def _shape_arg(args) -> BlockShape:
     if getattr(args, "n", None):
         return BlockShape((1,) * args.n)
     raise ValueError("give either --n or --shape")
+
+
+def _presentation_cap(shape: BlockShape) -> None:
+    """Refuse a shape past both the enumeration ceiling and SIZE_CAP.
+
+    Past that ceiling the group is read from its presentation alone, and
+    the series and the layers grow about threefold per block: (1,)*8
+    takes a fraction of a second for universal and about 3 s for
+    reconstruct, (1,)*9 about 18 s for reconstruct --j 2.
+    """
+    if shape.N > SIZE_CAP and \
+            universal_order_exponent(shape) > ENUM_CEILING.bit_length() - 1:
+        raise ValueError(f"total support size capped at {SIZE_CAP} past the "
+                         f"enumeration ceiling")
 
 
 def _finish(command: str, params: dict, results: dict, passed: bool,
@@ -103,16 +118,25 @@ def cmd_universal(args) -> RunReport:
     params = {"n": args.n, "shape": args.shape, "enumerate": args.enumerate}
     try:
         shape = _shape_arg(args)
+        _presentation_cap(shape)
         exp = universal_order_exponent(shape)
         results = {"exponent": exp, "predicted_order": 2 ** exp}
-        ok = True
+        G = build_universal_general(shape)
         if args.enumerate:
-            G = build_universal_general(shape)
             axioms = check_expansion_axioms(G)
             # the enumerated count checks the presentation's order
             results["order"] = len(G.codes)
             results["axioms"] = {k: bool(v) for k, v in axioms.items()}
             ok = len(G.codes) == G.order == 2 ** exp and all(axioms.values())
+        else:
+            # the generator check proves the axioms and |G| = 2^(N + dim[G,G]),
+            # and the grade dimensions sum to N + dim[G,G]
+            axioms = check_generator_axioms(G)
+            results["generator_axioms"] = axioms
+            ok = all(axioms.values())
+            if ok:
+                results["grade_dims"] = list(grade_dims(G))
+                ok = sum(results["grade_dims"]) == exp
         return _finish("universal", params, results, ok, t0)
     except (ValueError, ResourceLimitError) as err:
         return _failed("universal", params, err, t0)
@@ -273,8 +297,7 @@ def cmd_reconstruct(args) -> RunReport:
     params = {"shape": args.shape, "j": args.j}
     try:
         shape = _parse_shape(args.shape)
-        # the group's own guard refuses an oversized shape before any
-        # corner layer is built
+        _presentation_cap(shape)
         width = len(_context(shape).labels)
         corners = [phi_layer(shape.drop(i), args.j - 1)
                    for i in range(shape.n)]

@@ -31,14 +31,13 @@ solve_cochain propagates values breadth-first from the identity along
 theta's generator columns, one numpy step per generator per layer, and
 checks every Cayley edge at once; when order^2 <= 2^20 the coboundary of
 its table, through M, must also equal theta.  Value tables and M stop at
-TABLE_CEILING elements, where M takes 256 MiB.
+TABLE_CEILING elements, where M takes 256 MiB.  numpy is imported only
+inside the functions that build or read these arrays.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-
-import numpy as np
 
 from .f2 import F2Basis, bits_of, kernel_basis, rank, spans_equal
 from .groups import ExpansionGroup, ResourceLimitError, build_universal_general, \
@@ -73,6 +72,7 @@ TABLE_CEILING = 1 << 13
 def _pack(bits: np.ndarray):
     """A 0/1 array as one int (1-D) or one int per row (2-D), bit q from
     column q."""
+    import numpy as np
     packed = np.packbits(bits, axis=-1, bitorder="little")
     if bits.ndim == 1:
         return int.from_bytes(packed.tobytes(), "little")
@@ -82,6 +82,7 @@ def _pack(bits: np.ndarray):
 def _unpack(tabs, order: int) -> np.ndarray:
     """Inverse of _pack: one int gives a 1-D uint8 array, a sequence of
     ints a 2-D one."""
+    import numpy as np
     nbytes = (order + 7) // 8
     if isinstance(tabs, int):
         buf, shape = tabs.to_bytes(nbytes, "little"), (nbytes,)
@@ -139,6 +140,7 @@ class _Context:
     # -- whole tables --
 
     def pos_of(self, code: int) -> int:
+        import numpy as np
         codes = self.group.codes
         p = int(np.searchsorted(codes, np.uint64(code)))
         if p >= len(codes) or int(codes[p]) != code:
@@ -156,6 +158,7 @@ class _Context:
         return self._mul
 
     def table(self, label) -> int:
+        import numpy as np
         tab = self._tables.get(label)
         if tab is None:
             self._guard()
@@ -313,6 +316,7 @@ class ThetaCocycle:
         """theta(st, u) + theta(s, tu) + theta(t, u) + theta(s, t) = 0 on
         every u, for all pairs (s, t) up to order 256 and 4096 seeded
         pairs above."""
+        import numpy as np
         ctx = _context(self.shape)
         order = ctx.order
         M = ctx.mul_table()
@@ -382,6 +386,7 @@ def _recursion_holds(vals: np.ndarray, chis: np.ndarray, M: np.ndarray) -> bool:
     the group's product table.  chi_S(s) depends only on the pattern of
     block characters at s, so the sum is built once per pattern.
     """
+    import numpy as np
     masks = np.arange(len(vals))
     pattern = np.zeros(len(M), dtype=np.intp)
     for b, chi in enumerate(chis):
@@ -628,6 +633,7 @@ def theta(shape: BlockShape, v: CommVector) -> ThetaCocycle:
     with the same pattern are one shared int: about 2^n * order bits in
     place of order^2.
     """
+    import numpy as np
     if v.shape != shape:
         raise ValueError("vector lives on a different shape")
     if not v.is_commuting():
@@ -666,6 +672,7 @@ def solve_cochain(G: ExpansionGroup, th: ThetaCocycle):
     check reads the product table cached with th's shape context when
     G is that context's group.
     """
+    import numpy as np
     order = G.order
     if len(th.rows) != order:
         raise ValueError("table size differs from the group order")

@@ -15,8 +15,6 @@ from functools import lru_cache
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .f2 import F2Basis, bits_of
 from .tensors import BlockShape
 
@@ -112,10 +110,12 @@ class ExpansionGroup:
     Codes concatenate per-factor fields [poly | vec]. The group is its
     presentation: generators and the product on codes. The order, the
     axiom report and the central series come from generator arithmetic
-    (check_generator_axioms); codes, the sorted array of every element,
-    is enumerated on its first read, by a value table, to_text or the
-    enumerated check_expansion_axioms. The element ceiling and the
-    code-width limit are checked in __init__, before anything is built.
+    (check_generator_axioms) on Python ints, with no size limit. codes,
+    the sorted uint64 array of every element, is enumerated on its first
+    read, by a value table, mul_table, to_text or the enumerated
+    check_expansion_axioms; that read checks the element ceiling and the
+    code-width limit first, since the array is all they protect. numpy
+    is imported only inside the functions that build or read the array.
     phi reads one code bit per coordinate of [N].
     """
 
@@ -132,10 +132,6 @@ class ExpansionGroup:
         self.vec_field_mask = 0
         for c in comps:
             self.vec_field_mask |= c.vec_mask << c.vec_off
-        if expected_order is not None and expected_order > ENUM_CEILING:
-            raise ResourceLimitError(expected_order)
-        if self.width > CODE_WIDTH_LIMIT:
-            raise ResourceLimitError(width=self.width)
         self._codes: np.ndarray | None = None
         self._order: int | None = None
         self._derived: F2Basis | None = None
@@ -144,8 +140,14 @@ class ExpansionGroup:
 
     @property
     def codes(self) -> np.ndarray:
-        """Every element as a sorted uint64 array, enumerated on first read."""
+        """Every element as a sorted uint64 array, enumerated on first read
+        unless the predicted order passes the element ceiling or the codes
+        are too wide for uint64."""
         if self._codes is None:
+            if self.expected_order is not None and self.expected_order > ENUM_CEILING:
+                raise ResourceLimitError(self.expected_order)
+            if self.width > CODE_WIDTH_LIMIT:
+                raise ResourceLimitError(width=self.width)
             self._codes = self._close(self.gen_codes)
         return self._codes
 
@@ -221,6 +223,7 @@ class ExpansionGroup:
     # -- vectorized code arithmetic --
 
     def _gen_table(self, gc: int):
+        import numpy as np
         const = 0
         parts = []
         for c in self.comps:
@@ -236,6 +239,7 @@ class ExpansionGroup:
 
     @staticmethod
     def _step(codes: np.ndarray, table) -> np.ndarray:
+        import numpy as np
         const, parts = table
         out = codes ^ const
         for off, mask, tab in parts:
@@ -252,6 +256,7 @@ class ExpansionGroup:
         Column q is right multiplication by codes[q], located by
         searchsorted in the sorted codes.
         """
+        import numpy as np
         codes = self.codes
         M = np.empty((len(codes), len(codes)), dtype=np.int32)
         for q, c in enumerate(codes.tolist()):
@@ -259,6 +264,7 @@ class ExpansionGroup:
         return M
 
     def phi_bit_array(self, codes: np.ndarray, x: int) -> np.ndarray:
+        import numpy as np
         return ((codes >> np.uint64(self.phi_bits[x])) & np.uint64(1)).astype(np.uint8)
 
     # -- closure --
@@ -266,6 +272,7 @@ class ExpansionGroup:
     def _close(self, gen_codes: list[int]) -> np.ndarray:
         """Breadth-first closure as a sorted array, deduplicated by sorting:
         no hashing, so its cost is a few sorts per layer."""
+        import numpy as np
         tables = [self._gen_table(g) for g in gen_codes]
         seen = np.zeros(1, dtype=np.uint64)
         frontier = seen
@@ -375,12 +382,14 @@ def unique_epimorphism(source, target) -> dict[int, int] | None:
 
 def _member(codes: np.ndarray, code: int) -> bool:
     """Whether code occurs in the sorted array codes."""
+    import numpy as np
     i = int(np.searchsorted(codes, np.uint64(code)))
     return i < len(codes) and int(codes[i]) == code
 
 
 def _xor_closed_sorted(codes: np.ndarray) -> bool:
     """Is a sorted array of distinct codes closed under XOR?"""
+    import numpy as np
     size = int(codes.size)
     if size & (size - 1):
         return False
@@ -402,6 +411,7 @@ def _xor_closed_sorted(codes: np.ndarray) -> bool:
 def _is_elementary_abelian(G: ExpansionGroup, codes: np.ndarray) -> bool:
     """Exact check that a sorted array of codes is an elementary abelian
     subgroup."""
+    import numpy as np
     if not np.any(codes & np.uint64(G.vec_field_mask)):
         return _xor_closed_sorted(codes)
     items = [int(c) for c in codes]
@@ -420,6 +430,7 @@ def _is_elementary_abelian(G: ExpansionGroup, codes: np.ndarray) -> bool:
 
 def _phi_zero_sets(G: ExpansionGroup) -> tuple[np.ndarray, np.ndarray]:
     """Codes with phi = 0 and codes with pi(phi) = 0, both sorted."""
+    import numpy as np
     shape = G.shape
     codes = G.codes
     bits = [G.phi_bit_array(codes, x) for x in range(shape.N)]
@@ -530,6 +541,7 @@ def check_expansion_axioms(G: ExpansionGroup) -> dict[str, bool]:
 
     The group keeps the report, which descending_central_series reads
     instead of checking again."""
+    import numpy as np
     report = {}
     report["axiom1"] = all(G.phi(g) == 1 << x for x, g in enumerate(G.gen_codes))
     if report["axiom1"]:

@@ -138,8 +138,11 @@ def test_criterion_03_universal_group_orders(capsys):
                 exp = universal_order_exponent(sh)
                 assert exp == total * 2 ** (sh.n - 1) - 2 ** sh.n + sh.n + 1
                 if 1 << exp > ENUM_CEILING:
+                    # the presentation gives the order; enumeration is refused
+                    G = build_universal_general(sh)
+                    assert G.order == 1 << exp
                     with pytest.raises(ResourceLimitError) as err:
-                        build_universal_general(sh)
+                        G.codes
                     assert err.value.predicted_order == 1 << exp
                 elif k == (1, 1, 1, 1):
                     assert universal4().order == 1 << exp

@@ -4,14 +4,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from genusforge import cli, expmaps, groups
 from genusforge.cli import RunReport, build_parser, main
-from genusforge.lie import lie_epimorphism
+from genusforge.groups import descending_central_series, universal_order_exponent
+from genusforge.lie import governing_algebra_general, lie_epimorphism
+from genusforge.tensors import BlockShape
+
+AXIOMS = ("axiom1", "axiom2", "axiom3", "axiom4", "tilde_condition")
 
 
 def run(capsys, *argv):
@@ -62,7 +68,9 @@ def test_universal_formula_and_enumeration(capsys):
     assert all(rep["results"]["axioms"].values())
     code, rep = run_json(capsys, "universal", "--shape", "2,2")
     assert code == 0
-    assert rep["results"] == {"exponent": 7, "predicted_order": 128}
+    assert rep["results"] == {"exponent": 7, "predicted_order": 128,
+                              "generator_axioms": dict.fromkeys(AXIOMS, True),
+                              "grade_dims": [4, 3]}
     code, rep = run_json(capsys, "universal", "--n", "1")
     assert rep["results"]["predicted_order"] == 2
 
@@ -104,16 +112,73 @@ def test_reconstruct_past_table_ceiling(capsys, monkeypatch):
     assert res["layer_report"]["dim"] == res["direct_dim"] == 21
 
 
-def test_reconstruct_refuses_before_enumerating(capsys, monkeypatch):
-    def no_enumeration(self, gens):
-        raise AssertionError(f"enumerated {self.shape.k} before refusing")
+def _no_enumeration(self, gens):
+    raise AssertionError(f"enumerated {self.shape.k}")
 
-    monkeypatch.setattr(expmaps, "_CONTEXTS", {})
-    monkeypatch.setattr(groups.ExpansionGroup, "_close", no_enumeration)
-    code, rep = run_json(capsys, "reconstruct", "--shape", "1,1,1,1,1", "--j", "2")
+
+def test_universal_enumerate_refuses_before_enumerating(capsys, monkeypatch):
+    monkeypatch.setattr(groups.ExpansionGroup, "_close", _no_enumeration)
+    code, rep = run_json(capsys, "universal", "--shape", "1,1,1,1,1", "--enumerate")
     assert code == 1 and rep["passed"] is False
     assert rep["results"]["error"] == \
         "predicted order 2^54 exceeds the enumeration ceiling 2^22"
+
+
+@pytest.mark.parametrize("shape, j, dim", [("1,1,1,1,1", 3, 61), ("2,1,1,1,1", 4, 91)])
+def test_reconstruct_past_the_enumeration_ceiling(capsys, monkeypatch, shape, j, dim):
+    # orders 2^54 and 2^70: the series and the labels come from the
+    # presentation, so no group is enumerated
+    monkeypatch.setattr(expmaps, "_CONTEXTS", {})
+    monkeypatch.setattr(groups.ExpansionGroup, "_close", _no_enumeration)
+    code, rep = run_json(capsys, "reconstruct", "--shape", shape, "--j", str(j))
+    assert code == 0 and rep["passed"] is True
+    res = rep["results"]
+    assert res["equal"] is True
+    assert res["layer_report"]["dim"] == res["direct_dim"] == dim
+
+
+@pytest.mark.parametrize("k", [(1, 1, 1, 1, 1), (2, 1, 1, 1)])
+def test_universal_reports_the_presentation(capsys, monkeypatch, k):
+    monkeypatch.setattr(groups.ExpansionGroup, "_close", _no_enumeration)
+    code, rep = run_json(capsys, "universal", "--shape", ",".join(map(str, k)))
+    assert code == 0 and rep["passed"] is True
+    res = rep["results"]
+    shape = BlockShape(k)
+    assert res["generator_axioms"] == dict.fromkeys(AXIOMS, True)
+    assert tuple(res["grade_dims"]) == governing_algebra_general(shape).dims
+    derived = len(descending_central_series(groups.build_universal_general(shape))[0])
+    assert res["grade_dims"][0] == shape.N
+    assert sum(res["grade_dims"][1:]) == derived
+    assert shape.N + derived == universal_order_exponent(shape) == res["exponent"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("universal", "--n", "9"), ("universal", "--n", "100"),
+    ("universal", "--shape", "5,5,1", "--enumerate"),
+    ("reconstruct", "--shape", "1,1,1,1,1,1,1,1,1", "--j", "2"),
+])
+def test_size_cap_past_the_enumeration_ceiling(capsys, argv):
+    code, rep = run_json(capsys, *argv)
+    assert code == 1 and rep["results"] == {
+        "error": "total support size capped at 8 past the enumeration ceiling"}
+
+
+def test_size_cap_spares_shapes_under_the_enumeration_ceiling(capsys, monkeypatch):
+    # (6,5) and (11,) have order 2^21 and 2^11, under the element ceiling
+    monkeypatch.setattr(expmaps, "_CONTEXTS", {})
+    code, rep = run_json(capsys, "reconstruct", "--shape", "6,5", "--j", "2")
+    assert code == 0 and rep["results"]["equal"] is True
+    code, rep = run_json(capsys, "universal", "--shape", "11")
+    assert code == 0 and rep["results"]["grade_dims"] == [11]
+
+
+def test_universal_reports_a_failed_generator_check(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "check_generator_axioms",
+                        lambda G: dict.fromkeys(AXIOMS, True) | {"axiom4": False})
+    code, rep = run_json(capsys, "universal", "--shape", "2,1")
+    assert code == 1 and rep["passed"] is False
+    assert rep["results"]["generator_axioms"]["axiom4"] is False
+    assert "grade_dims" not in rep["results"]
 
 
 # sha256 of each report's sorted-key JSON results, first 16 hex digits,
@@ -132,11 +197,8 @@ RECONSTRUCT_DIGESTS = {
 
 
 def test_reconstruct_never_enumerates(capsys, monkeypatch):
-    def no_enumeration(self, gens):
-        raise AssertionError(f"enumerated {self.shape.k}")
-
     monkeypatch.setattr(expmaps, "_CONTEXTS", {})
-    monkeypatch.setattr(groups.ExpansionGroup, "_close", no_enumeration)
+    monkeypatch.setattr(groups.ExpansionGroup, "_close", _no_enumeration)
     for (shape, j), digest in RECONSTRUCT_DIGESTS.items():
         code, rep = run_json(capsys, "reconstruct", "--shape", shape, "--j", str(j))
         assert code == 0, (shape, j, rep["results"])
@@ -222,3 +284,41 @@ def test_console_script_runs():
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["results"]["order"] == 8
+
+
+# commands that run on the presentation, the exact layer and the arithmetic
+PRESENTATION_COMMANDS = [
+    ["dims", "--n", "5"],
+    ["arith", "search", "--k", "1,1,1,1,1", "--budget", "200"],
+    ["reconstruct", "--shape", "2,1,1", "--j", "2"],
+    ["universal", "--shape", "1,1,1,1"],
+    ["verify", "tensors"],
+]
+
+# runs in a fresh interpreter: whether numpy is loaded after the import
+# and after each command, and each command's report
+NUMPY_PROBE = """
+import contextlib, io, json, sys
+import genusforge.cli
+loaded, reports = ["numpy" in sys.modules], []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        genusforge.cli.main(["--json", *argv])
+    reports.append(json.loads(out.getvalue()))
+    loaded.append("numpy" in sys.modules)
+print(json.dumps({"loaded": loaded, "reports": reports}))
+"""
+
+
+def test_numpy_stays_off_the_start_up_path():
+    src = Path(cli.__file__).resolve().parent.parent
+    argvs = PRESENTATION_COMMANDS + [["universal", "--shape", "1,1", "--enumerate"]]
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, json.dumps(argvs)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    assert out["loaded"] == [False] * (1 + len(PRESENTATION_COMMANDS)) + [True]
+    assert all(rep["passed"] for rep in out["reports"])
+    assert out["reports"][-1]["results"] == {
+        "exponent": 3, "predicted_order": 8, "order": 8,
+        "axioms": dict.fromkeys(AXIOMS, True)}

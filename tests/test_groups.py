@@ -128,11 +128,16 @@ def test_universal_agrees_with_general_shape():
 
 
 def test_resource_limit_reports_predicted_order():
+    # the group is its presentation at any size; only codes is refused
+    G = build_universal_general(BlockShape((2, 1, 1, 1)))
+    assert G.order == 1 << 29
     with pytest.raises(ResourceLimitError) as e:
-        build_universal_general(BlockShape((2, 1, 1, 1)))
+        G.codes
     assert e.value.predicted_order == 1 << 29
+    G = build_universal(5)
+    assert G.order == 1 << 54
     with pytest.raises(ResourceLimitError) as e:
-        build_universal(5)
+        G.codes
     assert e.value.predicted_order == 1 << 54
     assert "2^22" in str(e.value)
 
@@ -144,16 +149,18 @@ def test_code_width_limit_refused_before_enumeration(monkeypatch):
     shape = BlockShape((1,))
     # factor widths 2^m + m: 37 + 20 + 6 = 63, and one more bit is too many
     specs = [(0, tuple(range(5))), (0, tuple(range(4))), (0, (0, 1))]
-    assert ExpansionGroup(shape, groups._layout(specs), [1], [0]).order == 2
+    assert len(ExpansionGroup(shape, groups._layout(specs), [1], [0]).codes) == 2
     monkeypatch.setattr(ExpansionGroup, "_close", refuse)
+    wide = ExpansionGroup(shape, groups._layout(specs + [(0, ())]), [1], [0])
+    assert wide.width == 64 and wide.order == 2
     with pytest.raises(ResourceLimitError) as e:
-        ExpansionGroup(shape, groups._layout(specs + [(0, ())]), [1], [0])
+        wide.codes
     assert e.value.width == 64
     assert "code-width limit of 63 bits" in str(e.value)
     # with the element ceiling out of the way, (1,1,1,1,1) is still too wide
     monkeypatch.setattr(groups, "ENUM_CEILING", 1 << 60)
     with pytest.raises(ResourceLimitError) as e:
-        build_universal(5)
+        build_universal(5).codes
     assert e.value.width == 100 and e.value.predicted_order is None
 
 

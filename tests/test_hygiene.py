@@ -1,6 +1,7 @@
 """Source hygiene with the standard library alone: every name a module
-exports resolves, no package module imports a name it never uses, and
-every dotted name README.md quotes exists in the package."""
+exports resolves, no package module imports a name it never uses, numpy
+is imported only inside the functions that use it, and every dotted name
+README.md quotes exists in the package."""
 
 from __future__ import annotations
 
@@ -84,6 +85,56 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name}: imported but never used {unused}"
 
 
+FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _scope(node: ast.AST) -> list[ast.AST]:
+    """Nodes of a module's or a function's own scope: nested functions are
+    listed but not entered, and annotations, which are never evaluated
+    under `from __future__ import annotations`, are skipped."""
+    out, stack = [], list(node.body)
+    while stack:
+        child = stack.pop()
+        out.append(child)
+        if isinstance(child, FUNCS):
+            continue
+        for field, value in ast.iter_fields(child):
+            if field != "annotation":
+                items = value if isinstance(value, list) else [value]
+                stack.extend(v for v in items if isinstance(v, ast.AST))
+    return out
+
+
+def _numpy_misuse(tree: ast.Module) -> list[str]:
+    """Module-level numpy imports, and the functions that read np with no
+    `import numpy as np` of their own or in an enclosing function, by line."""
+    out = []
+
+    def visit(node, name: str, bound: bool) -> None:
+        nodes = _scope(node)
+        bound = bound or any(isinstance(n, ast.Import) and any(
+            a.name == "numpy" and a.asname == "np" for a in n.names) for n in nodes)
+        if not bound and any(isinstance(n, ast.Name) and n.id == "np"
+                             and isinstance(n.ctx, ast.Load) for n in nodes):
+            out.append((getattr(node, "lineno", 0), f"{name} reads np unbound"))
+        for n in nodes:
+            if isinstance(n, FUNCS):
+                visit(n, n.name, bound)
+
+    for n in _scope(tree):
+        if isinstance(n, ast.Import) and any(a.name.split(".")[0] == "numpy" for a in n.names) \
+                or isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "numpy":
+            out.append((n.lineno, "module-level numpy import"))
+    visit(tree, "<module>", False)
+    return [f"line {line}: {text}" for line, text in sorted(out)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_numpy_imported_only_where_used(path):
+    misuse = _numpy_misuse(_tree(path))
+    assert not misuse, f"{path.name}: {misuse}"
+
+
 def _unresolved(text: str) -> list[str]:
     """Dotted names in backticks whose head is no package module or
     top-level name, or whose tail fails attribute lookup."""
@@ -115,3 +166,17 @@ def test_checks_can_fail():
     assert [n for n in _imported(tree) if n not in _used(tree)] == ["path"]
     text = "reads `ExpansionGroup.mul_table()` and `ExpansionGroup.cayley_tree()`"
     assert _unresolved(text) == ["ExpansionGroup.cayley_tree"]
+    tree = ast.parse("import os\nif os.sep:\n    from numpy import zeros\nZ = np.uint64(0)\n")
+    assert _numpy_misuse(tree) == ["line 0: <module> reads np unbound",
+                                   "line 3: module-level numpy import"]
+    tree = ast.parse(
+        "def bare(a: np.ndarray) -> np.ndarray:\n    return np.zeros(1)\n"
+        "def annotated(a: np.ndarray) -> np.ndarray:\n    x: np.ndarray = a\n    return x\n"
+        "class C:\n"
+        "    def own(self):\n        import numpy as np\n        return np.ones(1)\n"
+        "    def outer(self):\n        import numpy as np\n"
+        "        def inner():\n            return np.ones(1)\n        return inner\n"
+        "    def lost(self):\n        def inner():\n            import numpy as np\n"
+        "        return np.ones(1)\n")
+    assert _numpy_misuse(tree) == ["line 1: bare reads np unbound",
+                                   "line 15: lost reads np unbound"]
