@@ -63,14 +63,14 @@ def _presentation_cap(shape: BlockShape) -> None:
     """Refuse a shape past both the enumeration ceiling and SIZE_CAP.
 
     Past that ceiling the group is read from its presentation alone, and
-    the series and the layers grow about threefold per block: (1,)*8
+    the series and the layers grow three- to sixfold per block: (1,)*8
     takes a fraction of a second for universal and about 3 s for
     reconstruct, (1,)*9 about 18 s for reconstruct --j 2.
     """
     if shape.N > SIZE_CAP and \
             universal_order_exponent(shape) > ENUM_CEILING.bit_length() - 1:
         raise ValueError(f"total support size capped at {SIZE_CAP} past the "
-                         f"enumeration ceiling")
+                         "enumeration ceiling")
 
 
 def _finish(command: str, params: dict, results: dict, passed: bool,
