@@ -271,10 +271,10 @@ def _verify_expmaps(checks: list, max_n: int, seed: int) -> None:
 def cmd_verify(args) -> RunReport:
     t0 = time.perf_counter()
     params = {"suite": args.suite, "max_n": args.max_n, "n": args.n,
-              "smoke": args.smoke, "seed": args.seed}
+              "seed": args.seed}
     checks: list[dict] = []
     try:
-        tensor_cap = args.max_n or (4 if args.smoke else 5)
+        tensor_cap = args.max_n or 5
         exp_cap = args.n or 3
         if args.suite in ("tensors", "all"):
             _verify_tensors(checks, tensor_cap)
@@ -412,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["tensors", "groups", "lie", "expmaps", "all"])
     v.add_argument("--max-n", dest="max_n", type=int)
     v.add_argument("--n", type=int)
-    v.add_argument("--smoke", action="store_true")
     v.set_defaults(fn=cmd_verify)
 
     r = sub.add_parser("reconstruct", help="rebuild a layer from corners")

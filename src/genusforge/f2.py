@@ -51,43 +51,20 @@ def bits_of(x: int) -> Iterator[int]:
 
 def rank(m: Iterable[int]) -> int:
     """GF(2) row rank of an iterable of row masks."""
-    piv: dict[int, int] = {}
-    mask = 0
-    for v in m:
-        v = _strip(v, piv, mask)
-        if v:
-            p = low_bit(v)
-            piv[p] = v
-            mask |= 1 << p
-    return len(piv)
-
-
-def _strip(v: int, piv: dict[int, int], mask: int) -> int:
-    # clear every pivot bit of v; the lowest one present strictly increases
-    while True:
-        hit = v & mask
-        if not hit:
-            return v
-        v ^= piv[low_bit(hit)]
+    return len(F2Basis(m))
 
 
 def rref(m: Iterable[int]) -> dict[int, int]:
     """Reduced row echelon form as a map pivot column -> row mask.
 
-    Keys appear in the order their pivots were found.  Forward
+    Keys appear in the order their pivots were found.  F2Basis's forward
     elimination leaves each row free of the pivots found before it; one
     back-substitution, highest pivot first, then clears the later ones
     using rows that are already reduced, so a single pass over each row's
     higher pivot bits suffices.
     """
-    piv: dict[int, int] = {}
-    mask = 0
-    for v in m:
-        v = _strip(v, piv, mask)
-        if v:
-            p = low_bit(v)
-            piv[p] = v
-            mask |= 1 << p
+    echelon = F2Basis(m)
+    piv, mask = echelon.rows, echelon.mask
     for p in sorted(piv, reverse=True):
         v = piv[p]
         hit = v & mask & ~((2 << p) - 1)

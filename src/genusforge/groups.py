@@ -388,7 +388,19 @@ def _member(codes: np.ndarray, code: int) -> bool:
 
 
 def _xor_closed_sorted(codes: np.ndarray) -> bool:
-    """Is a sorted array of distinct codes closed under XOR?"""
+    """Is a sorted array of distinct codes closed under XOR?
+
+    A closed set is a subspace V of some dimension r, so it has 2^r
+    codes, 0 among them.  Take V's reduced echelon basis b_1 < ... < b_r
+    by highest bit h_1 < ... < h_r, each h_k set in b_k alone.  The XOR
+    v_S of the b_k with k in S has bit h_k exactly when k is in S, and
+    v_S ^ v_S' = v_(S^S') has its highest bit at h_max(S^S'), so v_S < v_S'
+    exactly when max(S^S') lies in S'.  Sorted V therefore lists v_S at
+    position sum over k in S of 2^(k-1): codes[2^t] is b_(t+1), and the
+    span of codes[1], codes[2], ..., codes[2^(r-1)] is all of codes.
+    Conversely span lists the XOR of every subset of those candidates,
+    so if it equals codes then codes is a span, hence closed.
+    """
     import numpy as np
     size = int(codes.size)
     if size & (size - 1):
@@ -399,13 +411,7 @@ def _xor_closed_sorted(codes: np.ndarray) -> bool:
     span = np.array([0], dtype=np.uint64)
     for t in range(r):
         span = np.sort(np.concatenate([span, span ^ codes[1 << t]]))
-    if bool(np.array_equal(span, codes)):
-        return True
-    # candidate basis was dependent; settle it exactly
-    basis = F2Basis()
-    for c in codes:
-        basis.add(int(c))
-    return size == 1 << len(basis)
+    return bool(np.array_equal(span, codes))
 
 
 def _is_elementary_abelian(G: ExpansionGroup, codes: np.ndarray) -> bool:

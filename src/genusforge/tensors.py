@@ -253,23 +253,10 @@ class MultiTensor:
 def governing_tensor(n: int, A: Iterable[int], x: int) -> MultiTensor:
     """Sum over bijections [i] -> A pinning x to one of the last two slots.
 
-    At arity 1 this degenerates to the character of x.
+    The all-blocks-of-size-one case of governing_tensor_general; at arity
+    1 it degenerates to the character of x.
     """
-    A = tuple(sorted(set(A)))
-    if x not in A:
-        raise ValueError("x must lie in A")
-    if A and not 0 <= A[0] <= A[-1] < n:
-        raise ValueError("A leaves the ambient index range")
-    i = len(A)
-    t = MultiTensor(n, i, mask_of(A))
-    if i == 1:
-        t.bits = 1
-        return t
-    idx = inj_index(t.support, i)
-    for perm in itertools.permutations(A):
-        if perm[-1] == x or perm[-2] == x:
-            t.bits |= 1 << idx[perm]
-    return t
+    return governing_tensor_general(BlockShape((1,) * n), A, x, (x,))
 
 
 def governing_tensor_general(shape: BlockShape, A: Iterable[int], x: int,
@@ -278,6 +265,8 @@ def governing_tensor_general(shape: BlockShape, A: Iterable[int], x: int,
 
     A collects block indices, x is the distinguished block, and T is a
     nonempty subset of the members of block x replacing its character.
+    Each choice of one member per block of A, the T member last, is put
+    in every order that leaves the T member in one of the last two slots.
     """
     A = tuple(sorted(set(A)))
     if x not in A:
@@ -293,18 +282,15 @@ def governing_tensor_general(shape: BlockShape, A: Iterable[int], x: int,
     pools = [shape.members(s) for s in A if s != x]
     pools.append(T)
     support = mask_of(j for pool in pools for j in pool)
-    t = MultiTensor(shape.N, i, support)
     idx = inj_index(support, i)
-    if i == 1:
-        for j in T:
-            t.bits |= 1 << idx[(j,)]
-        return t
-    last = len(pools) - 1
-    for perm in itertools.permutations(range(len(pools))):
-        if perm[-1] == last or perm[-2] == last:
-            for combo in itertools.product(*(pools[s] for s in perm)):
-                t.bits |= 1 << idx[combo]
-    return t
+    bits = 0
+    for choice in itertools.product(*pools):
+        last = choice[-1]
+        for perm in itertools.permutations(choice):
+            # at arity 1 the first test already holds
+            if perm[-1] == last or perm[-2] == last:
+                bits |= 1 << idx[perm]
+    return MultiTensor(shape.N, i, support, bits)
 
 
 def P_decompose(t: MultiTensor) -> dict[int, MultiTensor]:
@@ -340,53 +326,50 @@ def P_reassemble(comps: dict[int, MultiTensor]) -> MultiTensor:
     return t
 
 
-# (kind, label path, sorted column indices whose values sum to zero)
-Row = tuple[str, tuple, tuple[int, ...]]
-
-
 @lru_cache(maxsize=None)
-def cons_rows(support: int, arity: int) -> tuple[Row, ...]:
-    """Labeled constraint rows cutting the consistent maps out of tilde-Multi.
+def cons_rows(support: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """Constraint rows cutting the consistent maps out of tilde-Multi.
 
-    Each row is (kind, path, cols): cols are the sorted column indices
-    over inj_tuples(support, arity) whose values must sum to zero.
-    Arity 2 imposes Symmetry, arity 3 lifts it through every slot-zero
-    component and adds one Hall-Witt row per 3-subset, higher arities lift
-    the previous stage and add Commutativity of the first two slots.
+    Each row is the sorted tuple of column indices over
+    inj_tuples(support, arity) whose values must sum to zero.  Arity 2
+    imposes Symmetry, arity 3 lifts it through every slot-zero component
+    and adds one Hall-Witt row per 3-subset, higher arities lift the
+    previous stage and add Commutativity of the first two slots.  At
+    arity 3 the Hall-Witt rows are exactly the three-column rows: a
+    lifted Symmetry row has two columns.
     """
     members = tuple(bits_of(support))
     if arity > len(members):
         return ()  # no injective tuples, so no columns and no rows
     idx = inj_index(support, arity)
-    rows: list[Row] = []
+    rows: list[tuple[int, ...]] = []
     if arity >= 3:
         for j in members:
             sub = support & ~(1 << j)
             # tuples starting with j are one lexicographic run whose tails
             # are inj_tuples(sub, arity - 1) in order, so a lift is a shift
             shift = idx[(j,) + inj_tuples(sub, arity - 1)[0]].__add__
-            rows.extend((kind, (j,) + path, tuple(map(shift, cols)))
-                        for kind, path, cols in cons_rows(sub, arity - 1))
+            rows.extend(tuple(map(shift, cols))
+                        for cols in cons_rows(sub, arity - 1))
     if arity == 2:
         for a, b in itertools.combinations(members, 2):
-            rows.append(("sym", (a, b), (idx[(a, b)], idx[(b, a)])))
+            rows.append((idx[(a, b)], idx[(b, a)]))
     elif arity == 3:
         for a, b, c in itertools.combinations(members, 3):
-            cols = sorted((idx[(a, b, c)], idx[(c, a, b)], idx[(b, c, a)]))
-            rows.append(("hw", (a, b, c), tuple(cols)))
+            rows.append(tuple(sorted(
+                (idx[(a, b, c)], idx[(c, a, b)], idx[(b, c, a)]))))
     elif arity >= 4:
         for a, b in itertools.combinations(members, 2):
             rest = support & ~(1 << a) & ~(1 << b)
             for tail in inj_tuples(rest, arity - 2):
-                rows.append(("comm", (a, b) + tail,
-                             (idx[(a, b) + tail], idx[(b, a) + tail])))
+                rows.append((idx[(a, b) + tail], idx[(b, a) + tail]))
     return tuple(rows)
 
 
-def tilde_rows(shape: BlockShape, arity: int) -> tuple[Row, ...]:
+def tilde_rows(shape: BlockShape, arity: int) -> tuple[tuple[int, ...], ...]:
     """Extra vanishing rows for the block-refined constraint space.
 
-    Rows have the (kind, path, cols) form of cons_rows.  Three families:
+    Rows are sorted column tuples, as in cons_rows.  Three families:
     a kernel vector of the block-sum projection in any of the first
     arity-2 slots, kernel vectors in both of the last two slots, and
     basis tuples meeting one block twice.
@@ -394,32 +377,30 @@ def tilde_rows(shape: BlockShape, arity: int) -> tuple[Row, ...]:
     support = shape.full_mask()
     idx = inj_index(support, arity)
     kernel = shape.ker_pi_basis()
-    rows: list[Row] = []
+    rows: list[tuple[int, ...]] = []
 
-    def row(kind: str, path: tuple, tuples: Iterable[tuple[int, ...]]) -> None:
+    def row(tuples: Iterable[tuple[int, ...]]) -> None:
         # a row's tuples are distinct, so the sum of their indicators has
         # every injective one as a column; idx holds exactly those
         cols = sorted(c for c in map(idx.get, tuples) if c is not None)
         if cols:
-            rows.append((kind, path, tuple(cols)))
+            rows.append(tuple(cols))
 
     for h in range(arity - 2):
         for a, b in kernel:
             for rest in inj_tuples(support, arity - 1):
-                row("ker-prefix", (h, a, b) + rest,
-                    (rest[:h] + (v,) + rest[h:] for v in (a, b)))
+                row(rest[:h] + (v,) + rest[h:] for v in (a, b))
 
     if arity >= 2:
         for a, b in kernel:
             for c, d in kernel:
                 for rest in inj_tuples(support, arity - 2):
-                    row("ker-pair", (a, b, c, d) + rest,
-                        (rest + (p, q) for p in (a, b) for q in (c, d)))
+                    row(rest + (p, q) for p in (a, b) for q in (c, d))
 
     for pos, tup in enumerate(inj_tuples(support, arity)):
         blocks = [shape.block(j) for j in tup]
         if len(set(blocks)) < arity:
-            rows.append(("block-pair", tup, (pos,)))
+            rows.append((pos,))
 
     return tuple(rows)
 
@@ -432,10 +413,10 @@ def _support_of(n: int, B: Iterable[int] | int | None) -> int:
     return mask_of(B)
 
 
-def _solution_basis(support: int, arity: int, rows: Iterable[Row],
+def _solution_basis(support: int, arity: int, rows: Iterable[tuple[int, ...]],
                     N: int) -> list[MultiTensor]:
     cols = len(inj_tuples(support, arity))
-    masks = [mask_of(c) for _, _, c in rows]
+    masks = [mask_of(c) for c in rows]
     return [MultiTensor(N, arity, support, v) for v in kernel_basis(masks, cols)]
 
 
@@ -569,9 +550,8 @@ def gov_equals_cons_check(arg: int | BlockShape, i: int) -> dict:
         gov = gov_space(arg, None, i)
         support = _support_of(arg, None)
         rows = cons_rows(support, i)
-    cols = [c for _, _, c in rows]
-    dim_cons = _class_dim(cols, len(inj_tuples(support, i)))
-    equal = dim_cons == len(gov) and _annihilates(cols, [t.bits for t in gov])
+    dim_cons = _class_dim(rows, len(inj_tuples(support, i)))
+    equal = dim_cons == len(gov) and _annihilates(rows, [t.bits for t in gov])
     return {"dim_gov": len(gov), "dim_cons": dim_cons, "equal": equal}
 
 

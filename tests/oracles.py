@@ -18,7 +18,7 @@ from genusforge.arith import AcceptableVector, _primes_1mod4, jacobi
 from genusforge.expmaps import (TABLE_CEILING, CommVector, PhiMap, _context,
                                 _drop_index, corner_operator, phi_one_basis,
                                 realize_commuting_vector, solve_cochain, theta)
-from genusforge.f2 import F2Basis, _strip, bits_of, kernel_basis, low_bit, rank
+from genusforge.f2 import F2Basis, bits_of, kernel_basis, low_bit, rank
 from genusforge.groups import ResourceLimitError, _clear_masks, universal_order_exponent
 from genusforge.lie import GradedLie
 from genusforge.tensors import BlockShape
@@ -642,7 +642,8 @@ def rref_incremental(m) -> dict[int, int]:
     piv: dict[int, int] = {}
     mask = 0
     for v in m:
-        v = _strip(v, piv, mask)
+        while v & mask:
+            v ^= piv[low_bit(v & mask)]
         if v:
             p = low_bit(v)
             for q, w in piv.items():

@@ -77,7 +77,7 @@ def test_universal_formula_and_enumeration(capsys):
 
 def test_verify_suites(capsys):
     for suite in ("tensors", "groups", "lie", "expmaps"):
-        code, rep = run_json(capsys, "verify", suite, "--smoke")
+        code, rep = run_json(capsys, "verify", suite, "--max-n", "4")
         assert code == 0, suite
         checks = rep["results"]["checks"]
         assert checks and all(c["passed"] for c in checks)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import numpy as np
@@ -361,6 +362,36 @@ def test_axiom1_array_branch_can_fail():
                for u in mut.codes.tolist() for g in mut.gen_codes)
     assert check_expansion_axioms(mut)["axiom1"] is False
     assert check_expansion_axioms(G)["axiom1"] is True
+
+
+def _span(vecs) -> set[int]:
+    out = {0}
+    for v in vecs:
+        out |= {s ^ v for s in out}
+    return out
+
+
+def _codes(values) -> np.ndarray:
+    return np.array(sorted(values), dtype=np.uint64)
+
+
+def test_xor_closed_sorted_decides_subspaces():
+    rng = random.Random(5)
+    for _ in range(300):
+        # small coordinates make dependent spanning vectors common
+        bits = rng.choice((6, 40))
+        V = _span(rng.getrandbits(bits) for _ in range(rng.randint(0, 6)))
+        assert groups._xor_closed_sorted(_codes(V))
+        if len(V) < 4:
+            continue
+        # swap one nonzero member for an outsider: 2^r codes, 0 among
+        # them, and no longer closed
+        e = rng.choice(sorted(V - {0}))
+        w = next(v for v in iter(lambda: rng.getrandbits(bits + 1), None)
+                 if v not in V)
+        opened = (V - {e}) | {w}
+        assert any(a ^ b not in opened for a in opened for b in opened)
+        assert not groups._xor_closed_sorted(_codes(opened))
 
 
 def test_series_reuses_stored_report(monkeypatch):

@@ -105,14 +105,6 @@ def test_governing_matches_formula_oracle():
                     )
 
 
-def test_governing_general_blocks_of_one_reduce():
-    shape = BlockShape([1, 1, 1])
-    for A in itertools.combinations(range(3), 2):
-        for x in A:
-            general = governing_tensor_general(shape, A, x, (x,))
-            assert general == governing_tensor(3, A, x)
-
-
 def test_governing_general_frozen_values():
     shape = BlockShape([2, 1])
     t = governing_tensor_general(shape, (0, 1), 0, (0,))
@@ -131,15 +123,23 @@ def test_governing_general_rejects_bad_T():
 
 
 def test_governing_general_matches_oracle():
-    shape = BlockShape([2, 2])
-    tuples = oracles.injective_tuples(range(4), 2)
-    for x in (0, 1):
-        for T in [(shape.first(x),), shape.members(x)]:
-            t = governing_tensor_general(shape, (0, 1), x, T)
-            full = t.embed(shape.full_mask())
-            for tup in tuples:
-                expect = oracles.gov_general_value(shape, (0, 1), x, T, tup)
-                assert full.eval(tup) == expect
+    # every arity, pointer block and nonempty T; from arity 3 on this
+    # tells "one of the last two slots" from "the last slot"
+    for k in [(2, 2), (2, 1, 1), (3, 2, 1), (2, 2, 1, 1)]:
+        shape = BlockShape(k)
+        for i in range(1, shape.n + 1):
+            tuples = oracles.injective_tuples(range(shape.N), i)
+            for A in itertools.combinations(range(shape.n), i):
+                for x in A:
+                    mem = shape.members(x)
+                    for r in range(1, len(mem) + 1):
+                        for T in itertools.combinations(mem, r):
+                            t = governing_tensor_general(shape, A, x, T)
+                            full = t.embed(shape.full_mask())
+                            for tup in tuples:
+                                want = oracles.gov_general_value(
+                                    shape, A, x, T, tup)
+                                assert full.eval(tup) == want, (k, A, x, T, tup)
 
 
 def test_unique_relation_per_subset():
@@ -274,11 +274,12 @@ def test_canonical_rewriting_reproduces_basis():
         assert rank(value_rows) == len(space)
 
 
-def test_hall_witt_rows_labeled():
+def test_hall_witt_rows_are_the_three_column_rows():
+    # one Hall-Witt row per 3-subset of 4; every other row is a lifted
+    # Symmetry row
     rows = cons_rows((1 << 4) - 1, 3)
-    kinds = {kind for kind, _, _ in rows}
-    assert kinds == {"sym", "hw"}
-    assert sum(1 for kind, _, _ in rows if kind == "hw") == 4
+    assert sum(1 for c in rows if len(c) == 3) == 4
+    assert all(len(c) == 2 for c in rows if len(c) != 3)
 
 
 # criterion 02's shapes plus two with more blocks
@@ -338,11 +339,11 @@ def test_class_route_opens_when_a_hall_witt_row_is_dropped():
     support = (1 << 4) - 1
     rows = cons_rows(support, 3)
     cols = len(inj_tuples(support, 3))
-    assert _class_dim([c for _, _, c in rows], cols) == 8
-    hw = [t for t, row in enumerate(rows) if row[0] == "hw"]
+    assert _class_dim(rows, cols) == 8
+    hw = [t for t, c in enumerate(rows) if len(c) == 3]
     assert len(hw) == 4
     for t in hw:
-        kept = [c for s, (_, _, c) in enumerate(rows) if s != t]
+        kept = [c for s, c in enumerate(rows) if s != t]
         assert _class_dim(kept, cols) > 8
 
 
@@ -351,7 +352,7 @@ def test_rows_are_sorted_column_tuples():
     support = shape.full_mask()
     for i in range(1, shape.n + 1):
         cols = len(inj_tuples(support, i))
-        for _, _, c in cons_rows(support, i) + tilde_rows(shape, i):
+        for c in cons_rows(support, i) + tilde_rows(shape, i):
             assert c and list(c) == sorted(set(c)) and c[-1] < cols
 
 
