@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import combinations, product
 
 from . import arith
@@ -40,7 +39,7 @@ class RunReport:
     schema: str = SCHEMA
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(vars(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -219,10 +218,11 @@ def _verify_lie(checks: list) -> None:
                all(check_lie_axioms(L).values()))
 
 
-def _verify_expmaps(checks: list, max_n: int, seed: int) -> None:
-    shapes = [BlockShape(k) for k in ((1, 1), (2, 1), (1, 1, 1))
-              if len(k) <= max_n]
-    for shape in shapes:
+def _verify_expmaps(checks: list, max_n: int) -> None:
+    for k in ((1, 1), (2, 1), (1, 1, 1), (1, 1, 1, 1)):
+        if len(k) > max_n:
+            continue
+        shape = BlockShape(k)
         bad = 0
         for size in range(1, shape.n + 1):
             for A in combinations(range(shape.n), size):
@@ -233,6 +233,8 @@ def _verify_expmaps(checks: list, max_n: int, seed: int) -> None:
                             bad += left != right
         _check(checks, f"expmaps lcomm shape={list(shape.k)}", bad == 0,
                f"{bad} mismatches")
+        if shape.n == 4:
+            continue  # value tables at order 2^21 would pass the table ceiling
         good = True
         for p in build_phi_basis(shape):
             v = CommVector(shape, [corner_operator(shape, i, p)
@@ -252,38 +254,21 @@ def _verify_expmaps(checks: list, max_n: int, seed: int) -> None:
         lambda a, b: (ctx.group.phi(a) & 1) & (ctx.group.phi(b) & 1))
     _check(checks, "expmaps obstruction detected",
            solve_cochain(ctx.group, th) is None)
-    if max_n >= 4:
-        shape = BlockShape((1, 1, 1, 1))
-        ctx = _context(shape)
-        rng = random.Random(seed)
-        bad = 0
-        for _ in range(2000):
-            size = rng.randint(1, 4)
-            A = tuple(sorted(rng.sample(range(4), size)))
-            x = rng.choice(A)
-            tup = tuple(rng.randrange(4) for _ in range(size))
-            left, right = lcomm_check(shape, A, x, tup)
-            bad += left != right
-        _check(checks, "expmaps lcomm n=4 sampled", bad == 0,
-               f"{bad} mismatches")
 
 
 def cmd_verify(args) -> RunReport:
     t0 = time.perf_counter()
-    params = {"suite": args.suite, "max_n": args.max_n, "n": args.n,
-              "seed": args.seed}
+    params = {"suite": args.suite, "max_n": args.max_n}
     checks: list[dict] = []
     try:
-        tensor_cap = args.max_n or 5
-        exp_cap = args.n or 3
         if args.suite in ("tensors", "all"):
-            _verify_tensors(checks, tensor_cap)
+            _verify_tensors(checks, args.max_n)
         if args.suite in ("groups", "all"):
             _verify_groups(checks)
         if args.suite in ("lie", "all"):
             _verify_lie(checks)
         if args.suite in ("expmaps", "all"):
-            _verify_expmaps(checks, exp_cap, args.seed)
+            _verify_expmaps(checks, args.max_n)
         passed = all(c["passed"] for c in checks) and bool(checks)
         return _finish("verify", params, {"checks": checks}, passed, t0)
     except (ValueError, ResourceLimitError) as err:
@@ -391,8 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="governing tensors, universal expansion groups, "
                     "expansion maps, and the arithmetic layer")
     ap.add_argument("--json", action="store_true", help="emit a JSON report")
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for sampled sub-suites")
     sub = ap.add_subparsers(dest="command", required=True)
 
     d = sub.add_parser("dims", help="governing/constraint dimension table")
@@ -410,8 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a module invariant suite")
     v.add_argument("suite",
                    choices=["tensors", "groups", "lie", "expmaps", "all"])
-    v.add_argument("--max-n", dest="max_n", type=int)
-    v.add_argument("--n", type=int)
+    v.add_argument("--max-n", dest="max_n", type=int, default=5,
+                   help="largest n for the tensor and expmaps checks")
     v.set_defaults(fn=cmd_verify)
 
     r = sub.add_parser("reconstruct", help="rebuild a layer from corners")

@@ -18,20 +18,22 @@ reconstruct_report), so no vector is obstructed and theta and
 solve_cochain are not called there.
 
 Whole-table identities read one product table, the group's mul_table
-M[p, q] = position of codes[p] * codes[q], built once per shape and kept
-in the shape's context.  coboundary and the 2-cocycle identity gather
+M[p, q] = position of codes[p] * codes[q], built once and kept on the
+group.  coboundary and the 2-cocycle identity gather
 uint8 value arrays through M, and one recursion check, phi_B(st) =
 phi_B(s) + phi_B(t) + the sum over nonempty S disjoint from B of
 chi_S(s) phi_(B+S)(t), certifies both the cornered tables of
 cocycle_view and the pointed family of an ExpansionMap.
 
-A row of theta depends only on the block characters at its element, so
-theta keeps one row per block-character pattern and shares it.
+The block character of block s is the PhiMap whose coordinates are the
+members of s, since the first N labels are the characters.  A row of
+theta depends only on the block characters at its element, so theta
+keeps one row per block-character pattern and shares it.
 solve_cochain propagates values breadth-first from the identity along
 theta's generator columns, one numpy step per generator per layer, and
 checks every Cayley edge at once; when order^2 <= 2^20 the coboundary of
 its table, through M, must also equal theta.  Value tables and M stop at
-TABLE_CEILING elements, where M takes 256 MiB.  numpy is imported only
+groups.TABLE_CEILING elements, where M takes 256 MiB.  numpy is imported only
 inside the functions that build or read these arrays.
 """
 
@@ -39,6 +41,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from . import groups
 from .f2 import F2Basis, bits_of, kernel_basis, rank, spans_equal
 from .groups import ExpansionGroup, ResourceLimitError, build_universal_general, \
     descending_central_series
@@ -66,9 +69,6 @@ __all__ = [
     "reconstruct_report",
 ]
 
-TABLE_CEILING = 1 << 13
-
-
 def _pack(bits: np.ndarray):
     """A 0/1 array as one int (1-D) or one int per row (2-D), bit q from
     column q."""
@@ -94,16 +94,17 @@ def _unpack(tabs, order: int) -> np.ndarray:
 
 
 class _Context:
-    """Universal group of a shape plus its Phi bookkeeping.
+    """Universal group of a shape plus its label bookkeeping: the labels,
+    their code bits, the per-label value tables and the corner matrices.
 
-    Labels, corner matrices and the series come from the group's
-    presentation; the group is enumerated only when a value table, the
-    product table or pos_of is asked for.  The product table is built
-    once and kept with the context, so _CONTEXTS.clear() frees it.
+    Labels and corner matrices come from the shape; the group is
+    enumerated only when a value table or pos_of is asked for.  The
+    group keeps its own product table and series, so _CONTEXTS.clear()
+    frees those with the context.
     """
 
     __slots__ = ("shape", "group", "labels", "index", "bitpos",
-                 "_tables", "_mul", "_series", "_blockchi", "_corners")
+                 "_tables", "_corners")
 
     def __init__(self, shape: BlockShape):
         self.shape = shape
@@ -125,9 +126,6 @@ class _Context:
             self.bitpos[lab] = comp.poly_off + sum(
                 1 << comp.pos[s] for s in A if s != shape.block(lab[-1]))
         self._tables = {}
-        self._mul = None
-        self._series = None
-        self._blockchi = None
         self._corners = {}
 
     @property
@@ -147,47 +145,16 @@ class _Context:
             raise ValueError("code outside the enumerated group")
         return p
 
-    def _guard(self):
-        if self.order > TABLE_CEILING:
-            raise ResourceLimitError(self.order, TABLE_CEILING, "table ceiling")
-
-    def mul_table(self) -> np.ndarray:
-        if self._mul is None:
-            self._guard()
-            self._mul = self.group.mul_table()
-        return self._mul
-
     def table(self, label) -> int:
         import numpy as np
         tab = self._tables.get(label)
         if tab is None:
-            self._guard()
+            if self.order > groups.TABLE_CEILING:
+                raise ResourceLimitError(self.order, groups.TABLE_CEILING,
+                                         "table ceiling")
             shift = np.uint64(self.bitpos[label])
             tab = _pack(((self.group.codes >> shift) & np.uint64(1)).astype(np.uint8))
             self._tables[label] = tab
-        return tab
-
-    def series(self) -> list[list[int]]:
-        if self._series is None:
-            self._series = [list(b) for b in descending_central_series(self.group) if b]
-        return self._series
-
-    def block_char(self, s: int) -> int:
-        if self._blockchi is None:
-            self._blockchi = {}
-        tab = self._blockchi.get(s)
-        if tab is None:
-            tab = 0
-            for x in self.shape.members(s):
-                tab ^= self.table(("chi", x))
-            self._blockchi[s] = tab
-        return tab
-
-    def chi_set(self, B) -> int:
-        """Value table of the product of the block characters over B."""
-        tab = (1 << self.order) - 1
-        for s in B:
-            tab &= self.block_char(s)
         return tab
 
 
@@ -319,7 +286,7 @@ class ThetaCocycle:
         import numpy as np
         ctx = _context(self.shape)
         order = ctx.order
-        M = ctx.mul_table()
+        M = ctx.group.mul_table()
         R = _unpack(self.rows, order)
         if order <= 256:
             ps, qs = np.divmod(np.arange(order * order), order)
@@ -361,12 +328,7 @@ class ExpansionMap:
         so it is re-keyed by complement before the recursion check.
         """
         ctx = _context(self.group.shape)
-        chis = []
-        for mask in self.support:
-            tab = 0
-            for x in bits_of(mask):
-                tab ^= ctx.table(("chi", x))
-            chis.append(tab)
+        chis = [PhiMap(ctx.shape, mask).values for mask in self.support]
         if self.coords[()] != chis[self.pointer]:
             return False
         others = [t for t in range(len(self.support)) if t != self.pointer]
@@ -374,7 +336,7 @@ class ExpansionMap:
                 for C in range(1 << len(others))]
         return _recursion_holds(_unpack(vals, ctx.order),
                                 _unpack([chis[t] for t in others], ctx.order),
-                                ctx.mul_table())
+                                ctx.group.mul_table())
 
 
 def _recursion_holds(vals: np.ndarray, chis: np.ndarray, M: np.ndarray) -> bool:
@@ -551,15 +513,14 @@ def shuffling_check(shape: BlockShape, A) -> bool:
     """Summing the extractors over all pointers gives the block product."""
     A = tuple(sorted(set(A)))
     ctx = _context(shape)
-    total = 0
     if len(A) == 1:
-        for x in shape.members(A[0]):
-            total ^= ctx.table(("chi", x))
+        coords = shape.block_mask(A[0])
     else:
-        for i in A:
-            for x in shape.members(i):
-                total ^= ctx.table(("phi", A, x))
-    return total == ctx.chi_set(A)
+        coords = sum(1 << ctx.index[("phi", A, x)] for i in A for x in shape.members(i))
+    product = (1 << ctx.order) - 1
+    for s in A:
+        product &= PhiMap(shape, shape.block_mask(s)).values
+    return PhiMap(shape, coords).values == product
 
 
 def restriction_kernel_check(shape: BlockShape) -> dict:
@@ -569,8 +530,7 @@ def restriction_kernel_check(shape: BlockShape) -> dict:
     and its kernel should be exactly layer 1.
     """
     ctx = _context(shape)
-    series = ctx.series()
-    rows = [_label_row(ctx, w) for w in (series[0] if series else [])]
+    rows = [_label_row(ctx, w) for w in descending_central_series(ctx.group)[0]]
     image_dim = rank(rows)
     ker = kernel_basis(rows, cols=len(ctx.labels))
     return {
@@ -596,7 +556,7 @@ def coboundary(phi: PhiMap) -> ThetaCocycle:
     ctx = _context(phi.shape)
     val = _unpack(phi.values, ctx.order)
     return ThetaCocycle(phi.shape,
-                        _pack(val[ctx.mul_table()] ^ val[:, None] ^ val[None, :]))
+                        _pack(val[ctx.group.mul_table()] ^ val[:, None] ^ val[None, :]))
 
 
 def cocycle_view(phi: PhiMap) -> dict:
@@ -618,9 +578,9 @@ def cocycle_view(phi: PhiMap) -> dict:
     tables[tuple(range(shape.n))] = 0
     vals = [tables[tuple(s for s in range(shape.n) if (B >> s) & 1)]
             for B in range(1 << shape.n)]
-    chis = [ctx.block_char(s) for s in range(shape.n)]
+    chis = [PhiMap(shape, shape.block_mask(s)).values for s in range(shape.n)]
     certified = _recursion_holds(_unpack(vals, ctx.order), _unpack(chis, ctx.order),
-                                 ctx.mul_table())
+                                 ctx.group.mul_table())
     return {"tables": tables, "certified": certified}
 
 
@@ -656,7 +616,8 @@ def theta(shape: BlockShape, v: CommVector) -> ThetaCocycle:
         shared.append(row)
     pattern = np.zeros(order, dtype=np.int64)
     for s in range(shape.n):
-        pattern |= _unpack(ctx.block_char(s), order).astype(np.int64) << s
+        chi = PhiMap(shape, shape.block_mask(s)).values
+        pattern |= _unpack(chi, order).astype(np.int64) << s
     return ThetaCocycle(shape, [shared[m] for m in pattern.tolist()])
 
 
@@ -668,9 +629,8 @@ def solve_cochain(G: ExpansionGroup, th: ThetaCocycle):
     values are propagated breadth-first from the identity, one numpy step
     per generator per layer; then every edge is checked at once and the
     generators must read 0.  Any conflict means th is not a coboundary.
-    When order^2 <= 2^20 the coboundary of the table must equal th; that
-    check reads the product table cached with th's shape context when
-    G is that context's group.
+    When order^2 <= 2^20 the coboundary of the table must equal th,
+    through G's product table.
     """
     import numpy as np
     order = G.order
@@ -703,9 +663,7 @@ def solve_cochain(G: ExpansionGroup, th: ThetaCocycle):
     if order * order <= 1 << 20:
         if max(rows) >> order:
             return None  # bits past the order are in no coboundary row
-        ctx = _CONTEXTS.get(th.shape.k)
-        M = ctx.mul_table() if ctx is not None and ctx.group is G else G.mul_table()
-        d = val[M] ^ val[:, None] ^ val[None, :]
+        d = val[G.mul_table()] ^ val[:, None] ^ val[None, :]
         if (d != _unpack(rows, order)).any():
             return None
     return _pack(val)
@@ -739,9 +697,9 @@ def nil_deg(shape: BlockShape, phi: PhiMap) -> int:
     """Largest series depth the map still sees; 0 for the zero map."""
     if phi.coords == 0:
         return 0
-    ctx = _context(shape)
     deepest = 1
-    for m, basis in enumerate(ctx.series(), start=2):
+    series = descending_central_series(_context(shape).group)
+    for m, basis in enumerate(series, start=2):
         if any(phi.eval(w) for w in basis):
             deepest = m
     return deepest
@@ -755,7 +713,7 @@ def phi_layer(shape: BlockShape, j: int) -> list[PhiMap]:
     width = len(ctx.labels)
     if j == 0:
         return []
-    series = ctx.series()
+    series = descending_central_series(ctx.group)
     conds = [_label_row(ctx, w) for basis in series[j - 1:] for w in basis]
     if not conds:
         return [PhiMap(shape, 1 << p) for p in range(width)]

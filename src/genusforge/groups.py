@@ -19,6 +19,8 @@ from .f2 import F2Basis, bits_of
 from .tensors import BlockShape
 
 ENUM_CEILING = 1 << 22
+# product and value tables stop here, where the int32 product table takes 256 MiB
+TABLE_CEILING = 1 << 13
 # element codes live in uint64 arrays, with the top bit left spare
 CODE_WIDTH_LIMIT = 63
 
@@ -31,7 +33,7 @@ class ResourceLimitError(RuntimeError):
     """A computation was refused because it would pass a size ceiling.
 
     ceiling and limit name the ceiling that tripped: the element ceiling
-    of enumeration by default, the value-table ceiling for expansion maps.
+    of enumeration by default, TABLE_CEILING for product and value tables.
     width is set instead when element codes are too wide to store.
     """
 
@@ -114,8 +116,10 @@ class ExpansionGroup:
     the sorted uint64 array of every element, is enumerated on its first
     read, by a value table, mul_table, to_text or the enumerated
     check_expansion_axioms; that read checks the element ceiling and the
-    code-width limit first, since the array is all they protect. numpy
-    is imported only inside the functions that build or read the array.
+    code-width limit first, since the array is all they protect.
+    mul_table is built once and kept on the group, below TABLE_CEILING.
+    numpy is imported only inside the functions that build or read the
+    array.
     phi reads one code bit per coordinate of [N].
     """
 
@@ -137,6 +141,7 @@ class ExpansionGroup:
         self._derived: F2Basis | None = None
         self._report: dict | None = None
         self._series: list[list[int]] | None = None
+        self._mul: np.ndarray | None = None
 
     @property
     def codes(self) -> np.ndarray:
@@ -251,17 +256,24 @@ class ExpansionGroup:
         return self._step(codes, self._gen_table(gc))
 
     def mul_table(self) -> np.ndarray:
-        """M[p, q], the position of codes[p] * codes[q], as int32; not cached.
+        """M[p, q], the position of codes[p] * codes[q], as int32, built on
+        the first call and kept on the group.
 
-        Column q is right multiplication by codes[q], located by
-        searchsorted in the sorted codes.
+        An order past TABLE_CEILING is refused before the table is
+        allocated, and before the codes are enumerated whenever the order
+        comes from the presentation.  Column q is right multiplication by
+        codes[q], located by searchsorted in the sorted codes.
         """
-        import numpy as np
-        codes = self.codes
-        M = np.empty((len(codes), len(codes)), dtype=np.int32)
-        for q, c in enumerate(codes.tolist()):
-            M[:, q] = np.searchsorted(codes, self.right_mul_array(codes, c))
-        return M
+        if self._mul is None:
+            import numpy as np
+            if self.order > TABLE_CEILING:
+                raise ResourceLimitError(self.order, TABLE_CEILING, "table ceiling")
+            codes = self.codes
+            M = np.empty((len(codes), len(codes)), dtype=np.int32)
+            for q, c in enumerate(codes.tolist()):
+                M[:, q] = np.searchsorted(codes, self.right_mul_array(codes, c))
+            self._mul = M
+        return self._mul
 
     def phi_bit_array(self, codes: np.ndarray, x: int) -> np.ndarray:
         import numpy as np

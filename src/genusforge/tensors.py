@@ -266,7 +266,9 @@ def governing_tensor_general(shape: BlockShape, A: Iterable[int], x: int,
     A collects block indices, x is the distinguished block, and T is a
     nonempty subset of the members of block x replacing its character.
     Each choice of one member per block of A, the T member last, is put
-    in every order that leaves the T member in one of the last two slots.
+    in every order that leaves the T member in one of the last two slots:
+    each order head of the other members gives head + (last,) and, when
+    head is nonempty, head[:-1] + (last, head[-1]).
     """
     A = tuple(sorted(set(A)))
     if x not in A:
@@ -286,10 +288,10 @@ def governing_tensor_general(shape: BlockShape, A: Iterable[int], x: int,
     bits = 0
     for choice in itertools.product(*pools):
         last = choice[-1]
-        for perm in itertools.permutations(choice):
-            # at arity 1 the first test already holds
-            if perm[-1] == last or perm[-2] == last:
-                bits |= 1 << idx[perm]
+        for head in itertools.permutations(choice[:-1]):
+            bits |= 1 << idx[head + (last,)]
+            if head:
+                bits |= 1 << idx[head[:-1] + (last, head[-1])]
     return MultiTensor(shape.N, i, support, bits)
 
 

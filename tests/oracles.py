@@ -15,11 +15,12 @@ from math import comb
 import numpy as np
 
 from genusforge.arith import AcceptableVector, _primes_1mod4, jacobi
-from genusforge.expmaps import (TABLE_CEILING, CommVector, PhiMap, _context,
-                                _drop_index, corner_operator, phi_one_basis,
+from genusforge.expmaps import (CommVector, PhiMap, _context, _drop_index,
+                                corner_operator, phi_one_basis,
                                 realize_commuting_vector, solve_cochain, theta)
 from genusforge.f2 import F2Basis, bits_of, kernel_basis, low_bit, rank
-from genusforge.groups import ResourceLimitError, _clear_masks, universal_order_exponent
+from genusforge.groups import (TABLE_CEILING, ResourceLimitError, _clear_masks,
+                               universal_order_exponent)
 from genusforge.lie import GradedLie
 from genusforge.tensors import BlockShape
 
@@ -425,7 +426,7 @@ def lie_from_quotient(G: QuotientGroup) -> GradedLie:
         for gx in gens:
             if G.commutator(gx, r) != G.identity:
                 raise ValueError("series did not terminate at the top grade")
-    return GradedLie(G.shape, dims, tables, dict(reps))
+    return GradedLie(G.shape, dims, tables)
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_reconstruct_command(capsys):
 
 def test_reconstruct_past_table_ceiling(capsys, monkeypatch):
     # order 2^21: every commuting vector realizes in label space, so no
-    # value table is built and the 2^16 table ceiling never trips
+    # value table is built and the 2^13 table ceiling never trips
     monkeypatch.setattr(expmaps, "_CONTEXTS", {})
     code, rep = run_json(capsys, "reconstruct", "--shape", "1,1,1,1", "--j", "2")
     assert code == 0 and rep["passed"] is True

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genusforge import expmaps
+from genusforge import expmaps, groups
 from genusforge.expmaps import (
     CommVector,
     PhiMap,
@@ -352,7 +352,8 @@ def test_recursion_check_fails_on_one_flipped_table():
 
     vals = np.array([bits(tables[tuple(s for s in range(3) if (B >> s) & 1)])
                      for B in range(8)], dtype=np.uint8)
-    chis = np.array([bits(ctx.block_char(s)) for s in range(3)], dtype=np.uint8)
+    chis = np.array([bits(PhiMap(shape, shape.block_mask(s)).values) for s in range(3)],
+                    dtype=np.uint8)
     M = ctx.group.mul_table()
     assert expmaps._recursion_holds(vals, chis, M)
     for B in range(8):
@@ -405,19 +406,13 @@ def test_solve_cochain_reads_the_cached_product_table(monkeypatch):
     monkeypatch.setattr(expmaps, "_CONTEXTS", {})
     G = _context(S111).group
     assert G.order == 256
-    builds = []
-    real = type(G).mul_table
-
-    def counted(self):
-        builds.append(self)
-        return real(self)
-
-    monkeypatch.setattr(type(G), "mul_table", counted)
     phi = PhiMap(S111, random.Random(5).getrandbits(len(_context(S111).labels)))
     th = theta(S111, _corner_vector(S111, phi))
     first = solve_cochain(G, th)
+    M = G._mul
+    assert M is not None and M.shape == (256, 256)
     assert first is not None and solve_cochain(G, th) == first
-    assert builds == [G]
+    assert G._mul is M and G.mul_table() is M
 
 
 def _corner_vector(shape: BlockShape, phi: PhiMap) -> CommVector:
@@ -663,13 +658,13 @@ def test_reconstruct_validates_corners():
 
 def test_value_tables_refuse_past_table_ceiling(monkeypatch):
     monkeypatch.setattr(expmaps, "_CONTEXTS", {})
-    monkeypatch.setattr(expmaps, "TABLE_CEILING", 4)
+    monkeypatch.setattr(groups, "TABLE_CEILING", 4)
     ctx = _context(S11)
     want = "predicted order 2^3 exceeds the table ceiling 2^2"
     with pytest.raises(ResourceLimitError, match=want.replace("^", r"\^")):
         ctx.table(("chi", 0))
     with pytest.raises(ResourceLimitError, match=want.replace("^", r"\^")):
-        ctx.mul_table()
+        ctx.group.mul_table()
 
 
 def test_value_tables_refuse_where_the_product_table_outgrows_memory(monkeypatch):
@@ -680,7 +675,7 @@ def test_value_tables_refuse_where_the_product_table_outgrows_memory(monkeypatch
     with pytest.raises(ResourceLimitError, match=want):
         ctx.table(("chi", 0))
     with pytest.raises(ResourceLimitError, match=want):
-        ctx.mul_table()
+        ctx.group.mul_table()
 
 
 @pytest.mark.parametrize("k, j", [

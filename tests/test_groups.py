@@ -308,6 +308,18 @@ def test_empty_generating_set_is_trivial():
     assert T.mul_table().tolist() == [[0]]
 
 
+def test_mul_table_refuses_past_the_table_ceiling(monkeypatch):
+    # order 2^15, where the int32 table would take 4 GiB: the order comes
+    # from the presentation, so the guard answers before any enumeration
+    monkeypatch.setattr(ExpansionGroup, "_close",
+                        lambda self, gens: pytest.fail("enumerated"))
+    G = build_universal_general(BlockShape((4, 4)))
+    with pytest.raises(ResourceLimitError,
+                       match=r"predicted order 2\^15 exceeds the table ceiling 2\^13"):
+        G.mul_table()
+    assert G._codes is None and G._mul is None
+
+
 def test_mul_table_matches_left_multiplication():
     for k in [(1, 1), (2, 1), (2, 2), (1, 1, 1)]:
         G = build_universal_general(BlockShape(k))
