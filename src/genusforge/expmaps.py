@@ -510,16 +510,25 @@ def lcomm_check(shape: BlockShape, A, pointer_x: int, gens) -> tuple[int, int]:
 
 
 def shuffling_check(shape: BlockShape, A) -> bool:
-    """Summing the extractors over all pointers gives the block product."""
+    """Summing the extractors over all pointers gives the block product.
+
+    The product is built from the generator values phi(g) of each
+    element, not from label tables, so for one block A the check
+    compares the block character's label table with those values.
+    """
     A = tuple(sorted(set(A)))
     ctx = _context(shape)
     if len(A) == 1:
         coords = shape.block_mask(A[0])
     else:
         coords = sum(1 << ctx.index[("phi", A, x)] for i in A for x in shape.members(i))
-    product = (1 << ctx.order) - 1
-    for s in A:
-        product &= PhiMap(shape, shape.block_mask(s)).values
+    G = ctx.group
+    masks = [shape.block_mask(s) for s in A]
+    product = 0
+    for p, code in enumerate(G.codes.tolist()):
+        v = G.phi(code)
+        if all((v & m).bit_count() & 1 for m in masks):
+            product |= 1 << p
     return PhiMap(shape, coords).values == product
 
 

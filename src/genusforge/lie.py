@@ -229,37 +229,50 @@ def check_lie_axioms(L: GradedLie) -> dict:
     """Verify the defining conditions and the block conditions.
 
     axiom1: grade 1 is the phi target and the bracket is alternating,
-    symmetric, graded, and satisfies Jacobi on basis triples.  axiom2:
-    the kernel of psi is abelian; it holds by the representation, since
-    GradedLie.bracket returns 0 for two grades >= 2 and the kernel of psi
-    is the sum of those grades, so it is reported True without a loop
-    (tests/oracles.py keeps the loop).  axiom3: brackets against grade 1
-    span every higher grade.  axiom4: right-nested brackets of grade-1
-    entries do not see the order of the leading entries, and
-    [e_x, [e_x, -]] kills every grade.  Together these make a nested
-    bracket vanish on a repeated leading entry sigma of any grade-1
-    element: moved to the front, [sigma, [sigma, w]] splits into
-    [e_x, [e_x, w]] terms and pairs [e_x, [e_y, w]] + [e_y, [e_x, w]]
-    that cancel.  tilde1/tilde2 are the block refinements.
+    symmetric, graded, and satisfies Jacobi on basis triples.  Jacobi
+    runs over x < y only: it is checked after alternation and symmetry,
+    so the x = y term is [[e_x, e_x], c] = 0 and the y > x term is the
+    x < y one with its first two summands swapped.  axiom2: the kernel
+    of psi is abelian; it holds by the representation, since
+    GradedLie.bracket returns 0 for two grades >= 2 and the kernel of
+    psi is the sum of those grades, so it is reported True without a
+    loop (tests/oracles.py keeps the loop).  axiom3: brackets against
+    grade 1 span every higher grade.
 
-    Right-nested brackets are shared by suffix within the call.
+    axiom4: right-nested brackets of grade-1 entries do not see the
+    order of the leading entries, and [e_x, [e_x, -]] kills every grade.
+    Together these make a nested bracket vanish on a repeated leading
+    entry sigma of any grade-1 element: moved to the front,
+    [sigma, [sigma, w]] splits into [e_x, [e_x, w]] terms and pairs
+    [e_x, [e_y, w]] + [e_y, [e_x, w]] that cancel.  The order condition
+    is checked on spans, not tuples.  Let S_1 be the grade-1 basis and
+    S_{m+1} a basis of span{[e_x, s] : s in S_m}, which is the span of
+    the nested brackets of length m+1.  A swap of the entries in slots
+    j, j+1 of a nested bracket of length i, with j <= i-4, compares
+    P[e_x, [e_y, w]] with P[e_y, [e_x, w]] for w a nested bracket of
+    length i-j-2 >= 2 and P the bracketing by the first j entries.  The
+    j = 0 swaps, all lengths up to nclass+1, say exactly that
+    [e_x, [e_y, s]] = [e_y, [e_x, s]] for s in S_m, 2 <= m <= nclass-1,
+    by linearity in w, and only x < y needs checking; the j > 0 swaps
+    follow by applying the linear P to a j = 0 case.
+
+    tilde1/tilde2 are the block refinements.  tilde2 asks every nested
+    bracket of length 2..nclass+1 that meets a block twice to vanish.
+    Let W(S) be the span of the nested brackets whose entries come from
+    distinct blocks forming the set S: W({s}) is spanned by the e_y of
+    block s and W(S) by the [e_y, w] with block(y) = s in S and w in
+    W(S - {s}).  The condition checked is that [e_x, -] kills W(S) when
+    block(x) is in S, for |S| <= nclass.  Each such bracket is a nested
+    bracket meeting a block twice.  Conversely, a tuple meeting a block
+    twice has a shortest suffix doing so; that suffix is x followed by
+    entries of distinct blocks forming some S that holds block(x), so
+    its bracket vanishes, and the whole bracket, the leading entries
+    applied to it, vanishes too.
     """
     shape = L.shape
     N = shape.N
     nclass = L.nclass
     report = {}
-    memo: dict[tuple[int, ...], int] = {}
-
-    def nested(xs: tuple[int, ...]) -> int:
-        # bits of the grade-len(xs) bracket [e_xs[0], [e_xs[1], ...]]
-        v = memo.get(xs)
-        if v is None:
-            if len(xs) == 1:
-                v = 1 << xs[0]
-            else:
-                v = L.bracket_gen(xs[0], len(xs) - 1, nested(xs[1:]))
-            memo[xs] = v
-        return v
 
     ok = L.dims[0] == N
     for x in range(N):
@@ -271,17 +284,16 @@ def check_lie_axioms(L: GradedLie) -> dict:
                     L.bracket((1, 1 << y), (1, 1 << x))[1]:
                 ok = False
     if ok:
-        for x in range(N):
-            for y in range(N):
-                ab = L.bracket((1, 1 << x), (1, 1 << y))
-                for m in range(1, nclass + 1):
-                    for k in range(L.dims[m - 1]):
-                        c = (m, 1 << k)
-                        acc = L.bracket((1, 1 << x), L.bracket((1, 1 << y), c))[1]
-                        acc ^= L.bracket((1, 1 << y), L.bracket((1, 1 << x), c))[1]
-                        acc ^= L.bracket(ab, c)[1]
-                        if acc:
-                            ok = False
+        for x, y in combinations(range(N), 2):
+            ab = L.bracket((1, 1 << x), (1, 1 << y))
+            for m in range(1, nclass + 1):
+                for k in range(L.dims[m - 1]):
+                    c = (m, 1 << k)
+                    acc = L.bracket((1, 1 << x), L.bracket((1, 1 << y), c))[1]
+                    acc ^= L.bracket((1, 1 << y), L.bracket((1, 1 << x), c))[1]
+                    acc ^= L.bracket(ab, c)[1]
+                    if acc:
+                        ok = False
     report["axiom1"] = ok
     report["axiom2"] = True
 
@@ -297,14 +309,16 @@ def check_lie_axioms(L: GradedLie) -> dict:
     report["axiom3"] = ok
 
     ok = True
-    for i in range(4, nclass + 2):
-        for xs in product(range(N), repeat=i):
-            base = nested(xs)
-            for s in range(i - 3):
-                ys = list(xs)
-                ys[s], ys[s + 1] = ys[s + 1], ys[s]
-                if nested(tuple(ys)) != base:
-                    ok = False
+    span = [1 << x for x in range(N)]  # S_m, starting at m = 1
+    for m in range(1, nclass):
+        # up[x][j] = [e_x, s_j] for s_j in S_m, in grade m+1
+        up = [[L.bracket_gen(x, m, s) for s in span] for x in range(N)]
+        if m >= 2:
+            for x, y in combinations(range(N), 2):
+                for ys, xs in zip(up[y], up[x]):
+                    if L.bracket_gen(x, m + 1, ys) != L.bracket_gen(y, m + 1, xs):
+                        ok = False
+        span = F2Basis(v for row in up for v in row).basis()
     for x in range(N):
         for m in range(1, nclass + 1):
             for k in range(L.dims[m - 1]):
@@ -325,11 +339,26 @@ def check_lie_axioms(L: GradedLie) -> dict:
     report["tilde1"] = ok
 
     ok = True
-    for j in range(2, nclass + 2):
-        for xs in product(range(N), repeat=j):
-            blocks = [shape.block(x) for x in xs]
-            if len(set(blocks)) < j and nested(xs):
-                ok = False
+    # W[S] for block sets S (bitmasks) of the current size, as a basis
+    W = {1 << s: [1 << y for y in shape.members(s)] for s in range(shape.n)}
+    top = min(shape.n, nclass)
+    for size in range(1, top + 1):
+        for S, ws in W.items():
+            for s in bits_of(S):
+                for x in shape.members(s):
+                    if any(L.bracket_gen(x, size, w) for w in ws):
+                        ok = False
+        if size == top:
+            break
+        grown: dict[int, F2Basis] = {}
+        for S, ws in W.items():
+            for s in range(shape.n):
+                if not S >> s & 1:
+                    B = grown.setdefault(S | 1 << s, F2Basis())
+                    for y in shape.members(s):
+                        for w in ws:
+                            B.add(L.bracket_gen(y, size, w))
+        W = {S: B.basis() for S, B in grown.items()}
     report["tilde2"] = ok
     return report
 

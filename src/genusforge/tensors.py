@@ -260,7 +260,8 @@ def governing_tensor(n: int, A: Iterable[int], x: int) -> MultiTensor:
 
 
 def governing_tensor_general(shape: BlockShape, A: Iterable[int], x: int,
-                             T: Iterable[int]) -> MultiTensor:
+                             T: Iterable[int],
+                             support: int | None = None) -> MultiTensor:
     """Block-summed bijection sum with the T-character pinned at the end.
 
     A collects block indices, x is the distinguished block, and T is a
@@ -268,7 +269,8 @@ def governing_tensor_general(shape: BlockShape, A: Iterable[int], x: int,
     Each choice of one member per block of A, the T member last, is put
     in every order that leaves the T member in one of the last two slots:
     each order head of the other members gives head + (last,) and, when
-    head is nonempty, head[:-1] + (last, head[-1]).
+    head is nonempty, head[:-1] + (last, head[-1]).  The table is indexed
+    over support, by default the union of the chosen members' pools.
     """
     A = tuple(sorted(set(A)))
     if x not in A:
@@ -283,7 +285,11 @@ def governing_tensor_general(shape: BlockShape, A: Iterable[int], x: int,
     i = len(A)
     pools = [shape.members(s) for s in A if s != x]
     pools.append(T)
-    support = mask_of(j for pool in pools for j in pool)
+    pooled = mask_of(j for pool in pools for j in pool)
+    if support is None:
+        support = pooled
+    elif pooled & ~support:
+        raise ValueError("support must contain the pools")
     idx = inj_index(support, i)
     bits = 0
     for choice in itertools.product(*pools):
@@ -444,10 +450,11 @@ def gov_space(n: int, B: Iterable[int] | int | None,
               i: int) -> list[MultiTensor]:
     """Echelon basis of the span of governing tensors supported on B."""
     support = _support_of(n, B)
+    shape = BlockShape((1,) * n)
     basis = F2Basis()
     for A in itertools.combinations(tuple(bits_of(support)), i):
         for x in A:
-            basis.add(governing_tensor(n, A, x).embed(support).bits)
+            basis.add(governing_tensor_general(shape, A, x, (x,), support).bits)
     return [MultiTensor(n, i, support, v) for v in basis.basis()]
 
 
@@ -460,29 +467,96 @@ def gov_space_general(shape: BlockShape, i: int) -> list[MultiTensor]:
             mem = shape.members(x)
             for size in range(1, len(mem) + 1):
                 for T in itertools.combinations(mem, size):
-                    t = governing_tensor_general(shape, A, x, T)
-                    basis.add(t.embed(support).bits)
+                    basis.add(governing_tensor_general(
+                        shape, A, x, T, support).bits)
     return [MultiTensor(shape.N, i, support, v) for v in basis.basis()]
 
 
-def _class_dim(rows: Iterable[tuple[int, ...]], cols: int) -> int:
-    """Dimension of {x : x sums to zero over every row} on cols columns.
+def _block_classes(shape: BlockShape, i: int):
+    """Column classes and ker-pair rows equivalent to tilde_rows(shape, i).
+
+    Returns (root, zero, rows) over inj_tuples(full support, i): zero[c]
+    marks a column forced to zero, root[c] names the class of c, and
+    rows are the ker-pair rows that remain.  A vector satisfies every
+    tilde row exactly when it vanishes on the zero columns, is constant
+    on each class and satisfies these rows:
+
+    - The zero columns are the tuples meeting a block twice, the third
+      family.  A kernel row in one of the first i-2 slots, built on a
+      rest tuple, has two columns that differ in one slot by members
+      a, b of one block.  If only one of them is injective, the rest
+      holds a or b, so the injective one meets that block twice;
+      otherwise both columns meet a block twice or neither does.  So the first family forces
+      no new zero and, among tuples of distinct blocks, says exactly
+      that the value does not see which member of its block sits in a
+      head slot: the class of a column replaces each head member by
+      its block's first member.
+    - A row of kernel pairs (a, b) in block s and (c, d) in block t in
+      the last two slots, on a rest tuple, touches only zero columns
+      unless s != t and neither block occurs in the rest.  Then its
+      four columns are rest + (p, q) and, on the classes, it equals the
+      row on the rest's canonical form: first members of distinct
+      blocks.  Only those rows are emitted.
+
+    Only the columns of distinct blocks are visited, once each.
+    """
+    n = shape.n
+    support = shape.full_mask()
+    idx = inj_index(support, i)
+    cols = len(idx)
+    root = list(range(cols))
+    zero = bytearray(b"\x01") * cols
+    head = max(i - 2, 0)
+    first = [shape.first(s) for s in range(n)]
+    members = [shape.members(s) for s in range(n)]
+    for blocks in itertools.permutations(range(n), i):
+        canon = tuple(first[s] for s in blocks[:head])
+        heads = tuple(itertools.product(*(members[s] for s in blocks[:head])))
+        for tail in itertools.product(*(members[s] for s in blocks[head:])):
+            r = idx[canon + tail]
+            for h in heads:
+                c = idx[h + tail]
+                root[c] = r
+                zero[c] = 0
+    rows = []
+    if i >= 2:
+        for blocks in itertools.permutations(range(n), i - 2):
+            rest = tuple(first[s] for s in blocks)
+            paired = [s for s in range(n) if s not in blocks and shape.k[s] > 1]
+            for s, t in itertools.permutations(paired, 2):
+                a, c = first[s], first[t]
+                for b in members[s][1:]:
+                    for d in members[t][1:]:
+                        rows.append(tuple(sorted(idx[rest + (p, q)]
+                                                 for p in (a, b) for q in (c, d))))
+    return root, zero, tuple(rows)
+
+
+def _column_classes(rows: Iterable[tuple[int, ...]], cols: int,
+                    root: list[int] | None = None,
+                    zero: bytearray | None = None):
+    """Classes of columns that every solution of the rows holds equal.
 
     A one-column row forces its column to zero and a two-column row
     forces two columns equal, so union-find over those rows leaves
     classes of columns sharing one value, some of them forced to zero.
-    Only the wider rows are projected onto the free classes and ranked.
+    root and zero, as _block_classes gives them, start the union-find
+    from classes already known.  Returns (root, zero, wide): root[c] is
+    a column naming the class of c, zero[root[c]] whether that class is
+    forced to zero, and wide the rows of three or more columns.  A
+    vector solves the rows exactly when it is zero on the zero classes,
+    constant on each class and sums to zero over every wide row.
     """
-    parent = list(range(cols))
-    zero = bytearray(cols)
+    parent = list(range(cols)) if root is None else list(root)
+    zero = bytearray(cols) if zero is None else bytearray(zero)
 
     def find(c: int) -> int:
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
+        top = c
+        while parent[top] != top:
+            top = parent[top]
+        while parent[c] != top:
+            parent[c], c = top, parent[c]
+        return top
 
     wide = []
     for r in rows:
@@ -495,29 +569,39 @@ def _class_dim(rows: Iterable[tuple[int, ...]], cols: int) -> int:
                 zero[a] |= zero[b]
         else:
             wide.append(r)
+    return [find(c) for c in range(cols)], zero, wide
+
+
+def _class_dim(classes) -> int:
+    """Dimension of the solutions of the rows _column_classes folded.
+
+    Only the wide rows are projected onto the free classes and ranked.
+    """
+    root, zero, wide = classes
     free: dict[int, int] = {}
-    for c in range(cols):
-        root = find(c)
-        if not zero[root] and root not in free:
-            free[root] = len(free)
+    for r in root:
+        if not zero[r] and r not in free:
+            free[r] = len(free)
     projected = []
-    for r in wide:
+    for row in wide:
         m = 0
-        for c in r:
-            root = find(c)
-            if not zero[root]:
-                m ^= 1 << free[root]
+        for c in row:
+            r = root[c]
+            if not zero[r]:
+                m ^= 1 << free[r]
         projected.append(m)
     return len(free) - rank(projected)
 
 
-def _annihilates(rows: Iterable[tuple[int, ...]], vecs: Iterable[int]) -> bool:
-    """Whether every row sums to zero on every vector.
+def _annihilates(classes, vecs: Iterable[int]) -> bool:
+    """Whether every vector solves the rows _column_classes folded.
 
-    Bit k of a column's mask is that column's entry in vector k, so the
-    XOR of the masks over a row's columns is the row's value on every
-    vector at once.
+    Bit k of a column's mask is that column's entry in vector k, so a
+    column agrees with its class on every vector at once when the two
+    masks are equal, and the XOR of the masks over a wide row's columns
+    is the row's value on every vector at once.
     """
+    root, zero, wide = classes
     colmask: dict[int, int] = {}
     for k, v in enumerate(vecs):
         digits = bin(v)[:1:-1]  # digits[c] is bit c
@@ -525,9 +609,13 @@ def _annihilates(rows: Iterable[tuple[int, ...]], vecs: Iterable[int]) -> bool:
         while c >= 0:
             colmask[c] = colmask.get(c, 0) | 1 << k
             c = digits.find("1", c + 1)
-    for r in rows:
+    for c, r in enumerate(root):
+        m = colmask.get(c, 0)
+        if m and zero[r] or m != colmask.get(r, 0):
+            return False
+    for row in wide:
         acc = 0
-        for c in r:
+        for c in row:
             acc ^= colmask.get(c, 0)
         if acc:
             return False
@@ -537,23 +625,28 @@ def _annihilates(rows: Iterable[tuple[int, ...]], vecs: Iterable[int]) -> bool:
 def gov_equals_cons_check(arg: int | BlockShape, i: int) -> dict:
     """Compare the governing span with the constraint kernel as subspaces.
 
-    dim cons comes from _class_dim on the sparse rows.  The spans are
-    equal exactly when every row annihilates every governing vector, so
-    gov lies inside cons, and the two dimensions agree.  No kernel basis
-    is built.
+    dim cons comes from _class_dim on the classes of the sparse rows; on
+    a BlockShape the block conditions enter as the column classes and
+    ker-pair rows of _block_classes, not as tilde_rows.  The spans are
+    equal exactly when every governing vector solves every row, so gov
+    lies inside cons, and the two dimensions agree.  No kernel basis is
+    built.
     """
     if i < 1:
         raise ValueError("arity must be positive")
     if isinstance(arg, BlockShape):
         gov = gov_space_general(arg, i)
         support = arg.full_mask()
-        rows = cons_rows(support, i) + tilde_rows(arg, i)
+        root, zero, ker = _block_classes(arg, i)
+        rows = cons_rows(support, i) + ker
     else:
         gov = gov_space(arg, None, i)
         support = _support_of(arg, None)
+        root = zero = None
         rows = cons_rows(support, i)
-    dim_cons = _class_dim(rows, len(inj_tuples(support, i)))
-    equal = dim_cons == len(gov) and _annihilates(rows, [t.bits for t in gov])
+    classes = _column_classes(rows, len(inj_tuples(support, i)), root, zero)
+    dim_cons = _class_dim(classes)
+    equal = dim_cons == len(gov) and _annihilates(classes, [t.bits for t in gov])
     return {"dim_gov": len(gov), "dim_cons": dim_cons, "equal": equal}
 
 

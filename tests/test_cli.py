@@ -238,6 +238,31 @@ def test_verify_lie_epimorphism_check_can_fail(capsys, monkeypatch, fake, detail
     assert all(c["passed"] for c in checks if c not in epi)
 
 
+def test_verify_lie_checks_axioms_past_n4(capsys, monkeypatch):
+    code, rep = run_json(capsys, "verify", "lie")
+    assert code == 0
+    names = [c["name"] for c in rep["results"]["checks"]
+             if c["name"].startswith("lie axioms shape=")]
+    assert names == ["lie axioms shape=(2, 1)", "lie axioms shape=(2, 2)",
+                     "lie axioms shape=(1, 1, 1, 1, 1)",
+                     "lie axioms shape=(1, 1, 1, 1, 1, 1)",
+                     "lie axioms shape=(2, 1, 1, 1)",
+                     "lie axioms shape=(2, 1, 1, 1, 1)"]
+    real = cli.check_lie_axioms
+
+    def blind_to_one_shape(L):
+        report = real(L)
+        if L.shape.k == (2, 1, 1, 1, 1):
+            report["tilde2"] = False
+        return report
+
+    monkeypatch.setattr(cli, "check_lie_axioms", blind_to_one_shape)
+    code, rep = run_json(capsys, "verify", "lie")
+    assert code == 1
+    failed = [c["name"] for c in rep["results"]["checks"] if not c["passed"]]
+    assert failed == ["lie axioms shape=(2, 1, 1, 1, 1)"]
+
+
 def test_arith_commands(capsys):
     code, rep = run_json(capsys, "arith", "validate", "65", "29")
     assert code == 0

@@ -182,6 +182,8 @@ def test_inflate_round_trip_and_invariance():
 
 
 def test_shuffling_identities():
+    # the product side comes from the generator values, so a one-block A
+    # compares the character's label table with them
     assert shuffling_check(S11, (0,))
     assert shuffling_check(S11, (0, 1))
     assert shuffling_check(S21, (0, 1))
@@ -189,6 +191,14 @@ def test_shuffling_identities():
     for size in (1, 2, 3):
         for A in combinations(range(3), size):
             assert shuffling_check(S111, A)
+
+
+def test_shuffling_check_sees_a_wrong_character_table(monkeypatch):
+    ctx = _context(S11)
+    chi = ctx.table(("chi", 0))
+    monkeypatch.setitem(ctx._tables, ("chi", 0), chi ^ 1)
+    assert not shuffling_check(S11, (0,))
+    assert shuffling_check(S11, (1,))
 
 
 def test_restriction_kernel_reports():

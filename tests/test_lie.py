@@ -246,24 +246,37 @@ def test_tensor_pairing_perfect():
 
 
 def test_check_lie_axioms_matches_direct():
-    for k in ((1, 1, 1), (2, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1)):
+    for k in ((1, 1, 1), (2, 1, 1), (1, 1, 1, 1), (2, 1, 1, 1), (2, 2, 1),
+              (2, 2, 1, 1)):
         L = governing_algebra_general(BlockShape(k))
         assert check_lie_axioms(L) == check_lie_axioms_direct(L), k
     rng = random.Random(5)
     algebras = [governing_algebra_general(BlockShape(k))
-                for k in ((1, 1, 1), (2, 1), (2, 1, 1), (1, 1, 1, 1))]
-    failed = set()
-    for _ in range(100):
-        M = rng.choice(algebras)
+                for k in ((1, 1, 1), (2, 1), (2, 1, 1), (1, 1, 1, 1), (2, 2, 1))]
+    for flips, count in ((1, 100), (2, 60), (3, 60)):
+        failed = set()
+        for _ in range(count):
+            M = rng.choice(algebras)
+            tables = copy.deepcopy(M.tables)
+            for _ in range(flips):
+                m = rng.choice(sorted(tables))
+                row = tables[m][rng.randrange(M.shape.N)]
+                row[rng.randrange(len(row))] ^= 1 << rng.randrange(M.dims[m])
+            mutant = GradedLie(M.shape, M.dims, tables)
+            got = check_lie_axioms(mutant)
+            assert got == check_lie_axioms_direct(mutant), (flips, M.shape)
+            failed |= {key for key, good in got.items() if not good}
+        assert {"axiom1", "axiom4", "tilde1", "tilde2"} <= failed, flips
+    # a bracket table out of the top grade, which the models leave out, is
+    # read the same way by both checkers
+    for M in algebras:
         tables = copy.deepcopy(M.tables)
-        m = rng.choice(sorted(tables))
-        row = tables[m][rng.randrange(M.shape.N)]
-        row[rng.randrange(len(row))] ^= 1 << rng.randrange(M.dims[m])
+        tables[M.nclass] = [[rng.randrange(2) for _ in range(M.dims[-1])]
+                            for _ in range(M.shape.N)]
         mutant = GradedLie(M.shape, M.dims, tables)
         got = check_lie_axioms(mutant)
-        assert got == check_lie_axioms_direct(mutant)
-        failed |= {key for key, good in got.items() if not good}
-    assert {"axiom1", "axiom4", "tilde1", "tilde2"} <= failed
+        assert got == check_lie_axioms_direct(mutant), M.shape
+        assert not got["tilde2"], M.shape
 
 
 def test_axiom4_mutants_fail_both_checkers():
@@ -283,3 +296,32 @@ def test_axiom4_mutants_fail_both_checkers():
         mutant = GradedLie(M.shape, M.dims, tables)
         assert check_lie_axioms(mutant)["axiom4"] is False, (k, m, x, kk, bit)
         assert check_lie_axioms_direct(mutant)["axiom4"] is False, (k, m, x, kk, bit)
+    # one entry of a bracket table out of the top grade: [e_x, [e_x, -]]
+    # stays zero there, so only the swap into that grade sees it
+    for k in ((1, 1, 1), (1, 1, 1, 1)):
+        M = governing_algebra_general(BlockShape(k))
+        tables = copy.deepcopy(M.tables)
+        tables[M.nclass] = [[0] * M.dims[-1] for _ in range(M.shape.N)]
+        tables[M.nclass][0][0] = 1
+        mutant = GradedLie(M.shape, M.dims, tables)
+        assert check_lie_axioms(mutant)["axiom4"] is False, k
+        assert check_lie_axioms_direct(mutant)["axiom4"] is False, k
+
+
+def test_tilde2_mutants_fail_both_checkers():
+    # (shape, x, y, bit): bit flipped in [e_x, e_y] and [e_y, e_x], a
+    # nonzero bracket inside one block that keeps the bracket alternating,
+    # symmetric and Jacobi.  Only tilde2 sees it: on these shapes no
+    # one-bit flip of any table fails tilde2 alone.
+    flips = [((2, 1), 0, 1, 0), ((2, 2), 0, 1, 1), ((2, 2), 2, 3, 2),
+             ((3, 2), 3, 4, 0), ((2, 3), 0, 1, 3)]
+    for k, x, y, bit in flips:
+        M = governing_algebra_general(BlockShape(k))
+        tables = copy.deepcopy(M.tables)
+        tables[1][x][y] ^= 1 << bit
+        tables[1][y][x] ^= 1 << bit
+        mutant = GradedLie(M.shape, M.dims, tables)
+        for check in (check_lie_axioms, check_lie_axioms_direct):
+            rep = check(mutant)
+            assert [key for key, good in rep.items() if not good] == ["tilde2"], \
+                (check.__name__, k, x, y, bit)

@@ -8,13 +8,16 @@ import pytest
 
 import oracles
 from genusforge import tensors
-from genusforge.f2 import F2Basis, rank, spans_equal
+from genusforge.f2 import F2Basis, kernel_basis, rank, spans_equal
 from genusforge.tensors import (
     BlockShape,
     MultiTensor,
     P_decompose,
     P_reassemble,
+    _annihilates,
+    _block_classes,
     _class_dim,
+    _column_classes,
     cons_dim_formula,
     cons_dim_formula_general,
     cons_rows,
@@ -26,6 +29,7 @@ from genusforge.tensors import (
     governing_tensor,
     governing_tensor_general,
     inj_tuples,
+    mask_of,
     tilde_rows,
 )
 
@@ -335,16 +339,108 @@ def test_class_route_sees_a_governing_vector_leave_cons(monkeypatch, arg, i):
                           "equal": False}, c
 
 
+def _compositions(N: int):
+    if N == 0:
+        yield ()
+        return
+    for head in range(1, N + 1):
+        for rest in _compositions(N - head):
+            yield (head,) + rest
+
+
+def _tilde_route(shape: BlockShape, i: int) -> dict:
+    # the union-find and annihilation verdict over every explicit row
+    gov = gov_space_general(shape, i)
+    support = shape.full_mask()
+    classes = _column_classes(cons_rows(support, i) + tilde_rows(shape, i),
+                              len(inj_tuples(support, i)))
+    dim = _class_dim(classes)
+    return {"dim_gov": len(gov), "dim_cons": dim,
+            "equal": dim == len(gov) and _annihilates(classes, [t.bits for t in gov])}
+
+
+def test_block_classes_match_the_tilde_rows():
+    # 127 compositions, 448 (shape, arity) pairs
+    for N in range(1, 8):
+        for k in _compositions(N):
+            shape = BlockShape(k)
+            for i in range(1, shape.n + 1):
+                assert gov_equals_cons_check(shape, i) == _tilde_route(shape, i), (k, i)
+
+
+def test_block_route_builds_no_tilde_rows(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("tilde rows built")
+
+    monkeypatch.setattr(tensors, "tilde_rows", refuse)
+    for k in ((2, 2, 1), (3, 1, 1, 1, 1)):
+        shape = BlockShape(k)
+        for i in range(1, shape.n + 1):
+            report = gov_equals_cons_check(shape, i)
+            want = cons_dim_formula_general(shape, i)
+            assert report == {"dim_gov": want, "dim_cons": want, "equal": True}
+
+
+def _block_families(shape: BlockShape, i: int) -> dict:
+    """The tilde conditions by family, from their definitions: columns
+    meeting a block twice, each distinct-block column tied to the one with
+    first members in its head slots, and kernel pairs in the last two."""
+    support = shape.full_mask()
+    tuples = inj_tuples(support, i)
+    where = {t: c for c, t in enumerate(tuples)}
+    zero, split = [], []
+    for c, t in enumerate(tuples):
+        blocks = [shape.block(x) for x in t]
+        if len(set(blocks)) < i:
+            zero.append((c,))
+        else:
+            canon = tuple(shape.first(s) for s in blocks[:i - 2]) + t[max(i - 2, 0):]
+            if canon != t:
+                split.append((where[canon], c))
+    pairs = []
+    kernel = shape.ker_pi_basis()
+    for a, b in kernel:
+        for c, d in kernel:
+            for rest in inj_tuples(support, i - 2):
+                cols = [where.get(rest + (p, q)) for p in (a, b) for q in (c, d)]
+                if any(col is not None for col in cols):
+                    pairs.append(tuple(sorted(col for col in cols if col is not None)))
+    return {"zero column": zero, "split class": split, "ker-pair row": pairs}
+
+
+@pytest.mark.parametrize("family, k, i", [("zero column", (2, 2, 1), 3),
+                                          ("split class", (2, 2, 1), 3),
+                                          ("ker-pair row", (2, 2, 1), 2)])
+def test_block_route_sees_each_family_broken_alone(monkeypatch, family, k, i):
+    # a governing vector plus a vector that solves cons_rows and the other
+    # two families but not this one breaks this family alone
+    shape = BlockShape(k)
+    support = shape.full_mask()
+    families = _block_families(shape, i)
+    others = [r for name, rows in families.items() if name != family for r in rows]
+    solved = kernel_basis([mask_of(r) for r in cons_rows(support, i) + tuple(others)],
+                          len(inj_tuples(support, i)))
+    breaks = [v for v in solved
+              if any(sum(v >> c & 1 for c in r) & 1 for r in families[family])]
+    assert breaks
+    gov = gov_space_general(shape, i)
+    bad = [MultiTensor(shape.N, i, support, gov[0].bits ^ breaks[0])] + gov[1:]
+    monkeypatch.setattr(tensors, "gov_space_general", lambda *args: bad)
+    want = cons_dim_formula_general(shape, i)
+    assert gov_equals_cons_check(shape, i) == {"dim_gov": want, "dim_cons": want,
+                                               "equal": False}
+
+
 def test_class_route_opens_when_a_hall_witt_row_is_dropped():
     support = (1 << 4) - 1
     rows = cons_rows(support, 3)
     cols = len(inj_tuples(support, 3))
-    assert _class_dim(rows, cols) == 8
+    assert _class_dim(_column_classes(rows, cols)) == 8
     hw = [t for t, c in enumerate(rows) if len(c) == 3]
     assert len(hw) == 4
     for t in hw:
         kept = [c for s, c in enumerate(rows) if s != t]
-        assert _class_dim(kept, cols) > 8
+        assert _class_dim(_column_classes(kept, cols)) > 8
 
 
 def test_rows_are_sorted_column_tuples():
@@ -352,7 +448,8 @@ def test_rows_are_sorted_column_tuples():
     support = shape.full_mask()
     for i in range(1, shape.n + 1):
         cols = len(inj_tuples(support, i))
-        for c in cons_rows(support, i) + tilde_rows(shape, i):
+        for c in cons_rows(support, i) + tilde_rows(shape, i) + \
+                _block_classes(shape, i)[2]:
             assert c and list(c) == sorted(set(c)) and c[-1] < cols
 
 
