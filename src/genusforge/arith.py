@@ -12,10 +12,7 @@ from __future__ import annotations
 from math import comb, gcd, isqrt
 
 __all__ = [
-    "AcceptableVector",
     "FactorBudgetError",
-    "FACTOR_BUDGET",
-    "jacobi",
     "validate_acceptable",
     "is_strongly_consistent",
     "maximality_bound",

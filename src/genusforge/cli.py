@@ -20,10 +20,9 @@ from .groups import (ENUM_CEILING, ResourceLimitError, augmentation_power_span,
                      check_expansion_axioms, check_generator_axioms,
                      descending_central_series, grade_dims,
                      universal_order_exponent)
-from .lie import (check_lie_axioms, governing_algebra,
-                  governing_algebra_general, lie_epimorphism, lie_from_group)
-from .tensors import (BlockShape, cons_dim_formula, cons_dim_formula_general,
-                      gov_equals_cons_check)
+from .lie import (check_lie_axioms, governing_algebra_general, lie_epimorphism,
+                  lie_from_group)
+from .tensors import BlockShape, cons_dim_formula_general, gov_equals_cons_check
 
 SCHEMA = "genusforge-report/1"
 SIZE_CAP = 8
@@ -88,7 +87,6 @@ def cmd_dims(args) -> RunReport:
     t0 = time.perf_counter()
     params = {"n": args.n, "shape": args.shape, "i": args.i}
     try:
-        plain = args.shape is None
         shape = _shape_arg(args)
         if shape.N > SIZE_CAP:
             raise ValueError(f"total support size capped at {SIZE_CAP}")
@@ -96,9 +94,8 @@ def cmd_dims(args) -> RunReport:
         rows = []
         ok = True
         for i in span:
-            chk = gov_equals_cons_check(shape.n if plain else shape, i)
-            want = (cons_dim_formula(shape.n, i) if plain
-                    else cons_dim_formula_general(shape, i))
+            chk = gov_equals_cons_check(shape, i)
+            want = cons_dim_formula_general(shape, i)
             good = chk["equal"] and chk["dim_cons"] == want \
                 and chk["dim_gov"] == want
             rows.append({"i": i, "dim_gov": chk["dim_gov"],
@@ -149,9 +146,10 @@ def _check(checks: list, name: str, good: bool, detail: str = "") -> None:
 
 def _verify_tensors(checks: list, max_n: int) -> None:
     for n in range(1, max_n + 1):
+        shape = BlockShape((1,) * n)
         for i in range(1, n + 1):
-            chk = gov_equals_cons_check(n, i)
-            want = cons_dim_formula(n, i)
+            chk = gov_equals_cons_check(shape, i)
+            want = cons_dim_formula_general(shape, i)
             _check(checks, f"tensors n={n} i={i}",
                    chk["equal"] and chk["dim_cons"] == want,
                    f"dim {chk['dim_cons']} expected {want}")
@@ -204,7 +202,7 @@ def _epimorphism_problem(source, target) -> str:
 
 def _verify_lie(checks: list) -> None:
     for n in (2, 3):
-        L = governing_algebra(n)
+        L = governing_algebra_general(BlockShape((1,) * n))
         _check(checks, f"lie axioms n={n}",
                all(check_lie_axioms(L).values()))
         LG = lie_from_group(build_universal(n))

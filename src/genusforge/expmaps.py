@@ -19,11 +19,10 @@ solve_cochain are not called there.
 
 Whole-table identities read one product table, the group's mul_table
 M[p, q] = position of codes[p] * codes[q], built once and kept on the
-group.  coboundary and the 2-cocycle identity gather
-uint8 value arrays through M, and one recursion check, phi_B(st) =
-phi_B(s) + phi_B(t) + the sum over nonempty S disjoint from B of
-chi_S(s) phi_(B+S)(t), certifies both the cornered tables of
-cocycle_view and the pointed family of an ExpansionMap.
+group.  coboundary gathers uint8 value arrays through M, and one
+recursion check, phi_B(st) = phi_B(s) + phi_B(t) + the sum over
+nonempty S disjoint from B of chi_S(s) phi_(B+S)(t), certifies the
+cornered tables of cocycle_view.
 
 The block character of block s is the PhiMap whose coordinates are the
 members of s, since the first N labels are the characters.  A row of
@@ -42,32 +41,25 @@ from __future__ import annotations
 from itertools import combinations
 
 from . import groups
-from .f2 import F2Basis, bits_of, kernel_basis, rank, spans_equal
+from .f2 import F2Basis, bits_of, kernel_basis, rank
 from .groups import ExpansionGroup, ResourceLimitError, build_universal_general, \
     descending_central_series
 from .tensors import BlockShape, governing_tensor_general
 
 __all__ = [
-    "PhiMap",
     "CommVector",
     "ThetaCocycle",
-    "ExpansionMap",
     "build_phi_basis",
-    "phi_one_basis",
     "phi_layer",
     "lcomm_check",
     "corner_operator",
-    "inflate",
-    "shuffling_check",
-    "restriction_kernel_check",
     "cocycle_view",
     "coboundary",
     "theta",
     "solve_cochain",
-    "realize_commuting_vector",
-    "nil_deg",
     "reconstruct_report",
 ]
+
 
 def _pack(bits: np.ndarray):
     """A 0/1 array as one int (1-D) or one int per row (2-D), bit q from
@@ -172,16 +164,11 @@ def _context(shape: BlockShape) -> _Context:
 class PhiMap:
     """Function on the universal group, by basis coefficients."""
 
-    __slots__ = ("shape", "coords", "_nil")
+    __slots__ = ("shape", "coords")
 
     def __init__(self, shape: BlockShape, coords: int = 0):
         self.shape = shape
         self.coords = coords
-        self._nil = None
-
-    def labels(self) -> list:
-        ctx = _context(self.shape)
-        return [ctx.labels[p] for p in bits_of(self.coords)]
 
     def eval(self, code: int) -> int:
         ctx = _context(self.shape)
@@ -197,12 +184,6 @@ class PhiMap:
         for p in bits_of(self.coords):
             out ^= ctx.table(ctx.labels[p])
         return out
-
-    @property
-    def nil_deg(self) -> int:
-        if self._nil is None:
-            self._nil = nil_deg(self.shape, self)
-        return self._nil
 
     def is_zero(self) -> bool:
         return self.coords == 0
@@ -279,64 +260,8 @@ class ThetaCocycle:
             rows.append(row)
         return cls(shape, rows)
 
-    def is_cocycle(self) -> bool:
-        """theta(st, u) + theta(s, tu) + theta(t, u) + theta(s, t) = 0 on
-        every u, for all pairs (s, t) up to order 256 and 4096 seeded
-        pairs above."""
-        import numpy as np
-        ctx = _context(self.shape)
-        order = ctx.order
-        M = ctx.group.mul_table()
-        R = _unpack(self.rows, order)
-        if order <= 256:
-            ps, qs = np.divmod(np.arange(order * order), order)
-        else:
-            ps, qs = np.random.default_rng(0).integers(0, order, (2, 4096))
-        for lo in range(0, len(ps), 256):
-            p, q = ps[lo:lo + 256], qs[lo:lo + 256]
-            acc = R[M[p, q]] ^ R[p[:, None], M[q]] ^ R[q] ^ R[p, q][:, None]
-            if acc.any():
-                return False
-        return True
-
     def __repr__(self) -> str:
         return f"ThetaCocycle(shape={list(self.shape.k)}, order={len(self.rows)})"
-
-
-class ExpansionMap:
-    """A pointed family of coefficient tables phi_B on one group.
-
-    support lists the characters carried by the map, each as a mask of
-    coordinates: the whole block for a non-pointed position, the pointed
-    coordinate x alone at pointer.  coords assigns to every subset B of
-    the non-pointed support positions the value table of phi_B;
-    phi_empty is the pointed character chi_x itself.
-    """
-
-    __slots__ = ("group", "support", "pointer", "coords")
-
-    def __init__(self, group: ExpansionGroup, support, pointer: int, coords):
-        self.group = group
-        self.support = list(support)
-        self.pointer = pointer
-        self.coords = dict(coords)
-
-    def verify(self) -> bool:
-        """The pointed-base case plus the recursion on all pairs.
-
-        coords[B] is the corner table of the support positions outside B,
-        so it is re-keyed by complement before the recursion check.
-        """
-        ctx = _context(self.group.shape)
-        chis = [PhiMap(ctx.shape, mask).values for mask in self.support]
-        if self.coords[()] != chis[self.pointer]:
-            return False
-        others = [t for t in range(len(self.support)) if t != self.pointer]
-        vals = [self.coords[tuple(t for k, t in enumerate(others) if not (C >> k) & 1)]
-                for C in range(1 << len(others))]
-        return _recursion_holds(_unpack(vals, ctx.order),
-                                _unpack([chis[t] for t in others], ctx.order),
-                                ctx.group.mul_table())
 
 
 def _recursion_holds(vals: np.ndarray, chis: np.ndarray, M: np.ndarray) -> bool:
@@ -383,28 +308,6 @@ def phi_one_basis(shape: BlockShape) -> list[PhiMap]:
                     coords |= 1 << ctx.index[("phi", A, x)]
             out.append(PhiMap(shape, coords))
     return out
-
-
-def expansion_map(shape: BlockShape, A, x: int) -> ExpansionMap:
-    """The pointed family of one extractor: phi_B reads t_B monomials."""
-    A = tuple(sorted(set(A)))
-    ctx = _context(shape)
-    bx = shape.block(x)
-    if bx not in A:
-        raise ValueError("pointer block must lie in the support")
-    support = [shape.block_mask(s) for s in A]
-    pointer = A.index(bx)
-    support[pointer] = 1 << x
-    others = [t for t in range(len(A)) if t != pointer]
-    coords = {}
-    for r in range(len(others) + 1):
-        for B in combinations(others, r):
-            sub = tuple(sorted({bx} | {A[t] for t in B}))
-            if len(sub) == 1:
-                coords[B] = ctx.table(("chi", x))
-            else:
-                coords[B] = ctx.table(("phi", sub, x))
-    return ExpansionMap(ctx.group, support, pointer, coords)
 
 
 # -- cornering --
@@ -507,47 +410,6 @@ def lcomm_check(shape: BlockShape, A, pointer_x: int, gens) -> tuple[int, int]:
     left = ctx.eval_label(label, code)
     tensor = governing_tensor_general(shape, A, shape.block(pointer_x), (pointer_x,))
     return left, tensor.eval(gens)
-
-
-def shuffling_check(shape: BlockShape, A) -> bool:
-    """Summing the extractors over all pointers gives the block product.
-
-    The product is built from the generator values phi(g) of each
-    element, not from label tables, so for one block A the check
-    compares the block character's label table with those values.
-    """
-    A = tuple(sorted(set(A)))
-    ctx = _context(shape)
-    if len(A) == 1:
-        coords = shape.block_mask(A[0])
-    else:
-        coords = sum(1 << ctx.index[("phi", A, x)] for i in A for x in shape.members(i))
-    G = ctx.group
-    masks = [shape.block_mask(s) for s in A]
-    product = 0
-    for p, code in enumerate(G.codes.tolist()):
-        v = G.phi(code)
-        if all((v & m).bit_count() & 1 for m in masks):
-            product |= 1 << p
-    return PhiMap(shape, coords).values == product
-
-
-def restriction_kernel_check(shape: BlockShape) -> dict:
-    """Restrict the Phi space to the commutator subgroup and compare.
-
-    The restriction should hit the full dual of the commutator subgroup
-    and its kernel should be exactly layer 1.
-    """
-    ctx = _context(shape)
-    rows = [_label_row(ctx, w) for w in descending_central_series(ctx.group)[0]]
-    image_dim = rank(rows)
-    ker = kernel_basis(rows, cols=len(ctx.labels))
-    return {
-        "surjective": image_dim == len(rows),
-        "image_dim": image_dim,
-        "kernel_dim": len(ker),
-        "kernel_matches": spans_equal(ker, [p.coords for p in phi_one_basis(shape)]),
-    }
 
 
 def _label_row(ctx: _Context, w: int) -> int:
@@ -700,18 +562,6 @@ def realize_commuting_vector(shape: BlockShape, v: CommVector) -> PhiMap:
     if any(corner_operator(shape, i, lift) != phi for i, phi in enumerate(v.entries)):
         raise ValueError("vector is not commuting")
     return lift
-
-
-def nil_deg(shape: BlockShape, phi: PhiMap) -> int:
-    """Largest series depth the map still sees; 0 for the zero map."""
-    if phi.coords == 0:
-        return 0
-    deepest = 1
-    series = descending_central_series(_context(shape).group)
-    for m, basis in enumerate(series, start=2):
-        if any(phi.eval(w) for w in basis):
-            deepest = m
-    return deepest
 
 
 def phi_layer(shape: BlockShape, j: int) -> list[PhiMap]:

@@ -11,15 +11,10 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 __all__ = [
-    "low_bit",
     "parity",
-    "dot",
     "bits_of",
     "rank",
-    "rref",
     "kernel_basis",
-    "solve",
-    "in_span",
     "spans_equal",
     "F2Basis",
     "F2Solver",
@@ -34,11 +29,6 @@ def low_bit(x: int) -> int:
 def parity(x: int) -> int:
     """Bit parity of x."""
     return x.bit_count() & 1
-
-
-def dot(a: int, b: int) -> int:
-    """GF(2) inner product of two bitmask vectors."""
-    return (a & b).bit_count() & 1
 
 
 def bits_of(x: int) -> Iterator[int]:
@@ -105,11 +95,6 @@ def solve(m: Iterable[int], b: int, cols: int) -> int | None:
     for p, r in piv.items():
         x |= (r >> cols & 1) << p
     return x
-
-
-def in_span(vecs: Iterable[int], v: int) -> bool:
-    """Whether v lies in the GF(2) span of the given vectors."""
-    return F2Basis(vecs).reduce(v) == 0
 
 
 def spans_equal(a: Iterable[int], b: Iterable[int]) -> bool:

@@ -18,6 +18,21 @@ from typing import Iterable, Sequence
 from .f2 import F2Basis, bits_of
 from .tensors import BlockShape
 
+__all__ = [
+    "ENUM_CEILING",
+    "TABLE_CEILING",
+    "ResourceLimitError",
+    "ExpansionGroup",
+    "universal_order_exponent",
+    "build_universal",
+    "build_universal_general",
+    "check_generator_axioms",
+    "check_expansion_axioms",
+    "descending_central_series",
+    "grade_dims",
+    "augmentation_power_span",
+]
+
 ENUM_CEILING = 1 << 22
 # product and value tables stop here, where the int32 product table takes 256 MiB
 TABLE_CEILING = 1 << 13
@@ -114,7 +129,7 @@ class ExpansionGroup:
     axiom report and the central series come from generator arithmetic
     (check_generator_axioms) on Python ints, with no size limit. codes,
     the sorted uint64 array of every element, is enumerated on its first
-    read, by a value table, mul_table, to_text or the enumerated
+    read, by a value table, mul_table or the enumerated
     check_expansion_axioms; that read checks the element ceiling and the
     code-width limit first, since the array is all they protect.
     mul_table is built once and kept on the group, below TABLE_CEILING.
@@ -304,25 +319,6 @@ class ExpansionGroup:
             frontier = fresh
         return seen
 
-    # -- dump --
-
-    def to_text(self) -> str:
-        """One element per line as hex component fields, after a header."""
-        def enc(code: int) -> str:
-            parts = []
-            for c in self.comps:
-                field = ((code >> c.poly_off) & c.poly_mask) \
-                    | (((code >> c.vec_off) & c.vec_mask) << (1 << c.m))
-                parts.append(format(field, "x"))
-            return " ".join(parts)
-
-        lines = ["shape " + " ".join(str(v) for v in self.shape.k)]
-        for g in self.gen_codes:
-            lines.append("gen " + enc(g))
-        for c in self.codes:
-            lines.append(enc(int(c)))
-        return "\n".join(lines) + "\n"
-
     def __repr__(self) -> str:
         return (f"ExpansionGroup(shape={list(self.shape.k)}, "
                 f"order=2^{self.order.bit_length() - 1})")
@@ -363,31 +359,6 @@ def build_universal_general(shape: BlockShape) -> ExpansionGroup:
     phi_bits = [c.poly_off for c in comps]
     return ExpansionGroup(shape, comps, gen_codes, phi_bits,
                           expected_order=1 << universal_order_exponent(shape))
-
-
-# -- homomorphisms --
-
-def unique_epimorphism(source, target) -> dict[int, int] | None:
-    """Extend g_x -> g'_x multiplicatively; the full element map, or None."""
-    if source.shape != target.shape:
-        raise ValueError("shape mismatch")
-    table = {source.identity: target.identity}
-    frontier = [source.identity]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            fu = table[u]
-            for gs, gt in zip(source.gen_codes, target.gen_codes):
-                v = source.mul(u, gs)
-                w = target.mul(fu, gt)
-                prev = table.get(v)
-                if prev is None:
-                    table[v] = w
-                    nxt.append(v)
-                elif prev != w:
-                    return None
-        frontier = nxt
-    return table
 
 
 # -- axiom verification --
@@ -637,10 +608,6 @@ def grade_dims(G: ExpansionGroup) -> tuple[int, ...]:
     while dims and dims[-1] == 0:
         dims.pop()
     return tuple(dims)
-
-
-def nilpotency_class(G: ExpansionGroup) -> int:
-    return len(grade_dims(G))
 
 
 def augmentation_power_span(G: ExpansionGroup, i: int) -> list[int]:

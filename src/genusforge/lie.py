@@ -11,18 +11,15 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .f2 import F2Basis, F2Solver, bits_of, rank, solve
+from .f2 import F2Basis, F2Solver, bits_of, rank
 from .groups import ExpansionGroup, descending_central_series
-from .tensors import BlockShape, gov_space_general
+from .tensors import BlockShape
 
 __all__ = [
-    "GradedLie",
-    "governing_algebra",
     "governing_algebra_general",
     "lie_from_group",
     "check_lie_axioms",
     "lie_epimorphism",
-    "tensor_pairing",
 ]
 
 
@@ -43,15 +40,8 @@ class GradedLie:
         self.tables = tables
 
     @property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
-    @property
     def nclass(self) -> int:
         return len(self.dims)
-
-    def grade_dim(self, m: int) -> int:
-        return self.dims[m - 1] if 1 <= m <= len(self.dims) else 0
 
     def bracket_gen(self, x: int, m: int, bits: int) -> int:
         """[e_x, v] for homogeneous v in grade m, as grade m+1 bits."""
@@ -167,11 +157,6 @@ def governing_algebra_general(shape: BlockShape) -> GradedLie:
             tab.append(row)
         tables[m] = tab
     return GradedLie(shape, dims, tables)
-
-
-def governing_algebra(n: int) -> GradedLie:
-    """Universal graded Lie algebra on n marked involutions."""
-    return governing_algebra_general(BlockShape([1] * n))
 
 
 # -- Lie algebras of enumerated groups --
@@ -425,27 +410,3 @@ def lie_epimorphism(universal: GradedLie, target: GradedLie) -> dict[int, list[i
                     raise RuntimeError(
                         "classification violation: brackets disagree")
     return out
-
-
-def tensor_pairing(L: GradedLie, i: int) -> list[int] | None:
-    """Functionals on grade i matching each governing-span tensor.
-
-    Row k of the answer is the mask of a linear form whose value on the
-    class of any nested bracket equals the k-th tensor evaluated at the
-    same argument tuple; None when some tensor admits no such form.
-    The pairing is perfect when the masks have full rank.
-    """
-    shape = L.shape
-    d = L.grade_dim(i)
-    tuples = list(product(range(shape.N), repeat=i))
-    nest = [L.nested(xs)[1] for xs in tuples]
-    mats = []
-    for t in gov_space_general(shape, i):
-        rhs = 0
-        for r, xs in enumerate(tuples):
-            rhs |= t.eval(xs) << r
-        m = solve(nest, rhs, cols=max(d, 1))
-        if m is None:
-            return None
-        mats.append(m)
-    return mats

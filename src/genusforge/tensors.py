@@ -17,21 +17,9 @@ from .f2 import F2Basis, bits_of, kernel_basis, parity, rank
 
 __all__ = [
     "BlockShape",
-    "MultiTensor",
-    "mask_of",
-    "inj_tuples",
-    "inj_index",
-    "governing_tensor",
     "governing_tensor_general",
-    "P_decompose",
-    "P_reassemble",
-    "cons_rows",
-    "tilde_rows",
-    "cons_space",
-    "cons_space_general",
-    "gov_space",
-    "gov_space_general",
     "gov_equals_cons_check",
+    "cons_dim_formula_general",
 ]
 
 
@@ -156,19 +144,6 @@ class MultiTensor:
         pos = inj_index(self.support, self.arity).get(tup)
         return 0 if pos is None else self.bits >> pos & 1
 
-    def eval_vectors(self, vecs: Iterable[int]) -> int:
-        """Multilinear evaluation on bitmask vectors."""
-        vecs = list(vecs)
-        if len(vecs) != self.arity:
-            raise ValueError("tuple length differs from arity")
-        idx = inj_index(self.support, self.arity)
-        total = 0
-        for tup in itertools.product(*(tuple(bits_of(v)) for v in vecs)):
-            pos = idx.get(tup)
-            if pos is not None:
-                total ^= self.bits >> pos & 1
-        return total
-
     def nonzero(self) -> list[tuple[int, ...]]:
         tuples = inj_tuples(self.support, self.arity)
         return [tuples[p] for p in bits_of(self.bits)]
@@ -211,53 +186,6 @@ class MultiTensor:
             f"support=0b{self.support:b}, weight={self.bits.bit_count()})"
         )
 
-    def to_text(self) -> str:
-        """Serialize as a header line plus one line per nonzero tuple."""
-        mask = "".join(
-            "1" if self.support >> j & 1 else "0" for j in range(self.N)
-        )
-        lines = [f"{self.N} {self.arity} {mask}"]
-        for tup in self.nonzero():
-            lines.append(",".join(map(str, tup)) + "=1")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "MultiTensor":
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty tensor text")
-        head = lines[0].split()
-        if len(head) != 3:
-            raise ValueError("header must be 'N arity support-mask'")
-        N, arity = int(head[0]), int(head[1])
-        support = 0
-        for j, ch in enumerate(head[2]):
-            if ch == "1":
-                support |= 1 << j
-            elif ch != "0":
-                raise ValueError(f"bad mask bit {ch!r}")
-        t = cls(N, arity, support)
-        idx = inj_index(support, arity)
-        for ln in lines[1:]:
-            lhs, _, rhs = ln.partition("=")
-            tup = tuple(int(v) for v in lhs.split(","))
-            if tup not in idx:
-                raise ValueError(f"tuple {tup} not injective inside support")
-            if rhs == "1":
-                t.bits |= 1 << idx[tup]
-            elif rhs != "0":
-                raise ValueError(f"bad value {rhs!r}")
-        return t
-
-
-def governing_tensor(n: int, A: Iterable[int], x: int) -> MultiTensor:
-    """Sum over bijections [i] -> A pinning x to one of the last two slots.
-
-    The all-blocks-of-size-one case of governing_tensor_general; at arity
-    1 it degenerates to the character of x.
-    """
-    return governing_tensor_general(BlockShape((1,) * n), A, x, (x,))
-
 
 def governing_tensor_general(shape: BlockShape, A: Iterable[int], x: int,
                              T: Iterable[int],
@@ -270,7 +198,8 @@ def governing_tensor_general(shape: BlockShape, A: Iterable[int], x: int,
     in every order that leaves the T member in one of the last two slots:
     each order head of the other members gives head + (last,) and, when
     head is nonempty, head[:-1] + (last, head[-1]).  The table is indexed
-    over support, by default the union of the chosen members' pools.
+    over support, by default the union of the chosen members' pools.  The
+    plain tensor on n involutions is the shape (1,) * n with T = (x,).
     """
     A = tuple(sorted(set(A)))
     if x not in A:
@@ -299,39 +228,6 @@ def governing_tensor_general(shape: BlockShape, A: Iterable[int], x: int,
             if head:
                 bits |= 1 << idx[head[:-1] + (last, head[-1])]
     return MultiTensor(shape.N, i, support, bits)
-
-
-def P_decompose(t: MultiTensor) -> dict[int, MultiTensor]:
-    """Slot-zero components j -> b(e_j, -) over the support of t."""
-    if t.arity < 2:
-        raise ValueError("arity must be at least 2")
-    idx = inj_index(t.support, t.arity)
-    comps: dict[int, MultiTensor] = {}
-    for j in bits_of(t.support):
-        sub = t.support & ~(1 << j)
-        comp = MultiTensor(t.N, t.arity - 1, sub)
-        for p, tail in enumerate(inj_tuples(sub, t.arity - 1)):
-            if t.bits >> idx[(j,) + tail] & 1:
-                comp.bits |= 1 << p
-        comps[j] = comp
-    return comps
-
-
-def P_reassemble(comps: dict[int, MultiTensor]) -> MultiTensor:
-    """Rebuild a tensor from its slot-zero components."""
-    if not comps:
-        raise ValueError("nothing to reassemble")
-    support = mask_of(comps)
-    some = next(iter(comps.values()))
-    t = MultiTensor(some.N, some.arity + 1, support)
-    idx = inj_index(support, t.arity)
-    for j, comp in comps.items():
-        if comp.support != support & ~(1 << j) or comp.arity + 1 != t.arity:
-            raise ValueError("components disagree on shape")
-        for p, tail in enumerate(inj_tuples(comp.support, comp.arity)):
-            if comp.bits >> p & 1:
-                t.bits |= 1 << idx[(j,) + tail]
-    return t
 
 
 @lru_cache(maxsize=None)
@@ -498,10 +394,16 @@ def _block_classes(shape: BlockShape, i: int):
       row on the rest's canonical form: first members of distinct
       blocks.  Only those rows are emitted.
 
-    Only the columns of distinct blocks are visited, once each.
+    Only the columns of distinct blocks are visited, once each.  When
+    every block has size one, every column has distinct blocks and is its
+    own class, and no block has a kernel pair, so the identity classes
+    come back without the visit.
     """
     n = shape.n
     support = shape.full_mask()
+    if shape.N == n:
+        cols = len(inj_tuples(support, i))
+        return list(range(cols)), bytearray(cols), ()
     idx = inj_index(support, i)
     cols = len(idx)
     root = list(range(cols))
@@ -622,37 +524,24 @@ def _annihilates(classes, vecs: Iterable[int]) -> bool:
     return True
 
 
-def gov_equals_cons_check(arg: int | BlockShape, i: int) -> dict:
+def gov_equals_cons_check(shape: BlockShape, i: int) -> dict:
     """Compare the governing span with the constraint kernel as subspaces.
 
-    dim cons comes from _class_dim on the classes of the sparse rows; on
-    a BlockShape the block conditions enter as the column classes and
-    ker-pair rows of _block_classes, not as tilde_rows.  The spans are
-    equal exactly when every governing vector solves every row, so gov
-    lies inside cons, and the two dimensions agree.  No kernel basis is
-    built.
+    dim cons comes from _class_dim on the classes of the sparse rows; the
+    block conditions enter as the column classes and ker-pair rows of
+    _block_classes, not as tilde_rows.  The spans are equal exactly when
+    every governing vector solves every row, so gov lies inside cons, and
+    the two dimensions agree.  No kernel basis is built.
     """
     if i < 1:
         raise ValueError("arity must be positive")
-    if isinstance(arg, BlockShape):
-        gov = gov_space_general(arg, i)
-        support = arg.full_mask()
-        root, zero, ker = _block_classes(arg, i)
-        rows = cons_rows(support, i) + ker
-    else:
-        gov = gov_space(arg, None, i)
-        support = _support_of(arg, None)
-        root = zero = None
-        rows = cons_rows(support, i)
-    classes = _column_classes(rows, len(inj_tuples(support, i)), root, zero)
+    gov = gov_space_general(shape, i)
+    root, zero, ker = _block_classes(shape, i)
+    rows = cons_rows(shape.full_mask(), i) + ker
+    classes = _column_classes(rows, len(root), root, zero)
     dim_cons = _class_dim(classes)
     equal = dim_cons == len(gov) and _annihilates(classes, [t.bits for t in gov])
     return {"dim_gov": len(gov), "dim_cons": dim_cons, "equal": equal}
-
-
-def cons_dim_formula(b: int, i: int) -> int:
-    """Predicted dimension of the plain constraint space."""
-    return b if i == 1 else (i - 1) * comb(b, i)
 
 
 def cons_dim_formula_general(shape: BlockShape, i: int) -> int:

@@ -50,6 +50,16 @@ def test_dims_plain(capsys):
         {"i": 1, "dim_gov": 1, "dim_cons": 1, "formula": 1, "equal": True}]
 
 
+def test_dims_plain_is_the_all_ones_shape(capsys):
+    # --n k runs the shape route on (1,)*k; the rows must match --shape 1,...,1
+    for k in range(1, 8):
+        code_n, by_n = run_json(capsys, "dims", "--n", str(k))
+        code_s, by_shape = run_json(capsys, "dims", "--shape", ",".join(["1"] * k))
+        assert code_n == code_s == 0, k
+        assert by_n["results"]["rows"] == by_shape["results"]["rows"], k
+        assert len(by_n["results"]["rows"]) == k
+
+
 def test_dims_shape_and_caps(capsys):
     code, rep = run_json(capsys, "dims", "--shape", "2,1", "--i", "2")
     assert code == 0

@@ -1,7 +1,8 @@
 """Source hygiene with the standard library alone: every name a module
-exports resolves, no package module imports a name it never uses, numpy
-is imported only inside the functions that use it, and every dotted name
-README.md quotes exists in the package."""
+exports resolves, every module but cli and __init__ has an __all__ whose
+names cli.py or another package module uses, no package module imports a
+name it never uses, numpy is imported only inside the functions that use
+it, and every dotted name README.md quotes exists in the package."""
 
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "genusforge"
 MODULES = sorted(PACKAGE.glob("*.py"))
+# the front end and the package marker export nothing
+SURFACE = [p for p in MODULES if p.stem not in ("cli", "__init__")]
 README = PACKAGE.parent.parent / "README.md"
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
 
@@ -22,12 +25,13 @@ def _tree(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
 
 
-def _exports(tree: ast.Module) -> list[str]:
+def _exports(tree: ast.Module) -> list[str] | None:
+    """The module's __all__, or None when it defines none."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             return list(ast.literal_eval(node.value))
-    return []
+    return None
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -72,17 +76,49 @@ def _used(tree: ast.Module) -> set[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_exports_resolve(path):
     tree = _tree(path)
-    missing = sorted(set(_exports(tree)) - _defined(tree))
+    missing = sorted(set(_exports(tree) or ()) - _defined(tree))
     assert not missing, f"{path.name}: __all__ names undefined {missing}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = _tree(path)
-    used = _used(tree) | set(_exports(tree))
+    used = _used(tree) | set(_exports(tree) or ())
     unused = sorted((line, name) for name, line in _imported(tree).items()
                     if name not in used)
     assert not unused, f"{path.name}: imported but never used {unused}"
+
+
+def _references(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) for each name a module takes from a sibling package
+    module: `from .m import name`, or `m.name` after `from . import m`."""
+    out, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.update((node.module, a.name) for a in node.names)
+            else:
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            out.add((modules[node.value.id], node.attr))
+    return out
+
+
+def _uncalled_exports(stem: str, trees: dict[str, ast.Module]) -> list[str]:
+    """Names in the __all__ of module stem that no other module references."""
+    used = {name for other, tree in trees.items() if other != stem
+            for module, name in _references(tree) if module == stem}
+    return sorted(set(_exports(trees[stem]) or ()) - used)
+
+
+@pytest.mark.parametrize("path", SURFACE, ids=lambda p: p.name)
+def test_exports_have_package_callers(path):
+    trees = {p.stem: _tree(p) for p in MODULES}
+    assert _exports(trees[path.stem]) is not None, f"{path.name}: no __all__"
+    uncalled = _uncalled_exports(path.stem, trees)
+    assert not uncalled, f"{path.name}: exported, used by no other module {uncalled}"
 
 
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -164,6 +200,14 @@ def test_checks_can_fail():
     tree = ast.parse("from os import path, sep\n__all__ = ['gone']\nprint(sep)\n")
     assert set(_exports(tree)) - _defined(tree) == {"gone"}
     assert [n for n in _imported(tree) if n not in _used(tree)] == ["path"]
+    trees = {"cli": ast.parse("from . import f2\nfrom .lie import bracket\nf2.rank\n"),
+             "f2": ast.parse("__all__ = ['rank', 'planted']\n"),
+             "lie": ast.parse("from .f2 import planted\n__all__ = ['bracket']\n"),
+             "bare": ast.parse("x = 1\n")}
+    assert _uncalled_exports("f2", {k: trees[k] for k in ("cli", "f2")}) == ["planted"]
+    assert _uncalled_exports("f2", trees) == []
+    assert _uncalled_exports("lie", trees) == []
+    assert _exports(trees["bare"]) is None
     text = "reads `ExpansionGroup.mul_table()` and `ExpansionGroup.cayley_tree()`"
     assert _unresolved(text) == ["ExpansionGroup.cayley_tree"]
     tree = ast.parse("import os\nif os.sep:\n    from numpy import zeros\nZ = np.uint64(0)\n")

@@ -9,19 +9,22 @@ import pytest
 
 import oracles
 from genusforge.f2 import rank
-from genusforge.groups import (build_universal, build_universal_general,
-                               unique_epimorphism)
+from genusforge.groups import build_universal, build_universal_general
 from genusforge.lie import (
     GradedLie,
     check_lie_axioms,
-    governing_algebra,
     governing_algebra_general,
     lie_epimorphism,
     lie_from_group,
-    tensor_pairing,
 )
 from genusforge.tensors import BlockShape
 from oracles import check_lie_axioms_direct
+from statements import tensor_pairing, unique_epimorphism
+
+
+def plain(n: int) -> GradedLie:
+    """The universal algebra of the all-ones shape on n involutions."""
+    return governing_algebra_general(BlockShape((1,) * n))
 
 
 def total_formula(shape: BlockShape) -> int:
@@ -29,17 +32,17 @@ def total_formula(shape: BlockShape) -> int:
 
 
 def test_governing_dims_frozen():
-    assert governing_algebra(1).dims == (1,)
-    assert governing_algebra(2).dims == (2, 1)
-    assert governing_algebra(3).dims == (3, 3, 2)
-    assert governing_algebra(4).dims == (4, 6, 8, 3)
-    assert governing_algebra(4).total_dim == 21
+    assert plain(1).dims == (1,)
+    assert plain(2).dims == (2, 1)
+    assert plain(3).dims == (3, 3, 2)
+    assert plain(4).dims == (4, 6, 8, 3)
+    assert sum(plain(4).dims) == 21
     for k in ((2,), (2, 1), (2, 2), (3, 1), (1, 1, 1), (2, 2, 1), (3, 2)):
         sh = BlockShape(k)
         L = governing_algebra_general(sh)
-        assert L.total_dim == total_formula(sh)
-    assert governing_algebra_general(BlockShape((2, 2))).total_dim == 7
-    assert governing_algebra_general(BlockShape((3, 1))).total_dim == 7
+        assert sum(L.dims) == total_formula(sh)
+    assert sum(governing_algebra_general(BlockShape((2, 2))).dims) == 7
+    assert sum(governing_algebra_general(BlockShape((3, 1))).dims) == 7
 
 
 def test_single_block_is_abelian():
@@ -49,14 +52,17 @@ def test_single_block_is_abelian():
 
 
 def test_trivial_blocks_reduce_to_plain_model():
-    a = governing_algebra(3)
+    # the plain chain model on three involutions: [e_x, e_y] is the
+    # coordinate of the pair {x, y}, and grade 2 brackets into the two
+    # chain coordinates of {0, 1, 2}
     b = governing_algebra_general(BlockShape((1, 1, 1)))
-    assert a.dims == b.dims
-    assert a.tables == b.tables
+    assert b.dims == (3, 3, 2)
+    assert b.tables == {1: [[0, 1, 2], [1, 0, 4], [2, 4, 0]],
+                        2: [[0, 0, 2], [0, 3, 0], [1, 0, 0]]}
 
 
 def test_chain_bracket_examples():
-    L2 = governing_algebra(2)
+    L2 = plain(2)
     assert L2.bracket((1, 0b01), (1, 0b10)) == (2, 1)
     assert L2.bracket((1, 0b10), (1, 0b01)) == (2, 1)
 
@@ -65,7 +71,7 @@ def test_chain_bracket_examples():
     assert L21.bracket((1, 1 << 0), (1, 1 << 2)) == (2, 0b11)
     assert L21.bracket((1, 1 << 1), (1, 1 << 2)) == (2, 0b10)
 
-    L3 = governing_algebra(3)
+    L3 = plain(3)
     assert L3.nested((0, 1, 2)) == (3, 0b10)
     assert L3.nested((2, 0, 1)) == (3, 0b01)
     # char-2 Jacobi: [e1,[e0,e2]] = [e0,[e1,e2]] + [e2,[e0,e1]]
@@ -77,7 +83,7 @@ def test_chain_bracket_examples():
 
 
 def test_bracket_grade_bookkeeping():
-    L = governing_algebra(3)
+    L = plain(3)
     g2 = (2, 1)
     assert L.bracket(g2, g2) == (4, 0)
     assert L.nested((0, 1, 2, 0))[1] == 0
@@ -87,7 +93,7 @@ def test_bracket_grade_bookkeeping():
 
 def test_governing_axioms_hold():
     for n in (2, 3, 4):
-        rep = check_lie_axioms(governing_algebra(n))
+        rep = check_lie_axioms(plain(n))
         assert all(rep.values()), (n, rep)
     for k in ((2, 1), (2, 2), (3, 2), (2, 2, 1)):
         rep = check_lie_axioms(governing_algebra_general(BlockShape(k)))
@@ -96,7 +102,7 @@ def test_governing_axioms_hold():
 
 def test_nilpotency_class_bound():
     for n in (1, 2, 3, 4):
-        assert governing_algebra(n).nclass <= n + 1
+        assert plain(n).nclass <= n + 1
     for k in ((2, 1), (2, 2, 1)):
         sh = BlockShape(k)
         assert governing_algebra_general(sh).nclass <= sh.n + 1
@@ -106,9 +112,9 @@ def test_lie_from_group_matches_governing():
     for n in (2, 3):
         G = build_universal(n)
         L = lie_from_group(G)
-        M = governing_algebra(n)
+        M = plain(n)
         assert L.dims == M.dims
-        assert L.total_dim == G.order.bit_length() - 1
+        assert sum(L.dims) == G.order.bit_length() - 1
         assert all(check_lie_axioms(L).values())
         fwd = lie_epimorphism(M, L)
         back = lie_epimorphism(L, M)
@@ -124,7 +130,7 @@ def test_lie_from_group_general_shapes():
         L = lie_from_group(G)
         M = governing_algebra_general(sh)
         assert L.dims == M.dims
-        assert L.total_dim == G.order.bit_length() - 1
+        assert sum(L.dims) == G.order.bit_length() - 1
         assert all(check_lie_axioms(L).values())
         lie_epimorphism(M, L)
 
@@ -148,13 +154,13 @@ def test_quotient_group_lie_surjection():
     assert all(oracles.check_expansion_axioms_by_sets(Q).values())
     assert unique_epimorphism(G, Q) is not None
     LQ = oracles.lie_from_quotient(Q)
-    assert LQ.total_dim == Q.order.bit_length() - 1
+    assert sum(LQ.dims) == Q.order.bit_length() - 1
     assert all(check_lie_axioms(LQ).values())
-    M = governing_algebra(3)
+    M = plain(3)
     fwd = lie_epimorphism(M, LQ)
     for m in range(1, LQ.nclass + 1):
         assert rank(fwd[m]) == LQ.dims[m - 1]
-    assert M.total_dim - LQ.total_dim == 8 - LQ.total_dim > 0
+    assert sum(M.dims) - sum(LQ.dims) == 8 - sum(LQ.dims) > 0
 
 
 def test_quotient_lie_requires_axioms():
@@ -172,7 +178,7 @@ def test_corner_quotient_lie():
     G = build_universal(3)
     LQ = oracles.lie_from_quotient(oracles.corner(G, 2))
     assert LQ.dims == (2, 1)
-    fwd = lie_epimorphism(governing_algebra(2), LQ)
+    fwd = lie_epimorphism(plain(2), LQ)
     assert [rank(v) for v in fwd.values()] == [2, 1]
 
     for k in [(2, 1), (1, 1, 1), (2, 1, 1)]:
@@ -188,7 +194,7 @@ def test_corner_quotient_lie():
 
 
 def test_identity_epimorphism():
-    L = governing_algebra(3)
+    L = plain(3)
     out = lie_epimorphism(L, L)
     for m in range(1, L.nclass + 1):
         assert out[m] == [1 << k for k in range(L.dims[m - 1])]
@@ -196,8 +202,8 @@ def test_identity_epimorphism():
 
 def test_epimorphism_errors():
     with pytest.raises(ValueError):
-        lie_epimorphism(governing_algebra(2), governing_algebra(3))
-    src = governing_algebra(2)
+        lie_epimorphism(plain(2), plain(3))
+    src = plain(2)
     longer = GradedLie(src.shape, (2, 1, 1), dict(src.tables))
     with pytest.raises(RuntimeError, match="classification violation"):
         lie_epimorphism(src, longer)
@@ -210,7 +216,7 @@ def test_epimorphism_errors():
 
 
 def test_mutant_structure_constants_detected():
-    M = governing_algebra(3)
+    M = plain(3)
     skew = copy.deepcopy(M.tables)
     skew[1][0][1] ^= 1
     rep = check_lie_axioms(GradedLie(M.shape, M.dims, skew))
@@ -232,17 +238,17 @@ def test_mutant_structure_constants_detected():
 
 def test_tensor_pairing_perfect():
     for n in (2, 3):
-        L = governing_algebra(n)
+        L = plain(n)
         for i in range(2, n + 1):
             mats = tensor_pairing(L, i)
             assert mats is not None
-            assert len(mats) == L.grade_dim(i)
-            assert rank(mats) == L.grade_dim(i)
+            assert len(mats) == L.dims[i - 1]
+            assert rank(mats) == L.dims[i - 1]
     for k in ((2, 1), (2, 2)):
         sh = BlockShape(k)
         L = governing_algebra_general(sh)
         mats = tensor_pairing(L, 2)
-        assert mats is not None and rank(mats) == L.grade_dim(2)
+        assert mats is not None and rank(mats) == L.dims[1]
 
 
 def test_check_lie_axioms_matches_direct():

@@ -12,13 +12,10 @@ from genusforge.f2 import F2Basis, kernel_basis, rank, spans_equal
 from genusforge.tensors import (
     BlockShape,
     MultiTensor,
-    P_decompose,
-    P_reassemble,
     _annihilates,
     _block_classes,
     _class_dim,
     _column_classes,
-    cons_dim_formula,
     cons_dim_formula_general,
     cons_rows,
     cons_space,
@@ -26,12 +23,21 @@ from genusforge.tensors import (
     gov_equals_cons_check,
     gov_space,
     gov_space_general,
-    governing_tensor,
     governing_tensor_general,
     inj_tuples,
     mask_of,
     tilde_rows,
 )
+
+
+def plain(n: int) -> BlockShape:
+    """The all-ones shape: n blocks of one coordinate each."""
+    return BlockShape((1,) * n)
+
+
+def governing(n: int, A, x: int):
+    """The plain governing tensor on n involutions."""
+    return governing_tensor_general(plain(n), A, x, (x,))
 
 
 def test_block_shape_layout():
@@ -74,20 +80,20 @@ def test_eval_errors():
 
 
 def test_governing_tensor_pair():
-    t = governing_tensor(2, (0, 1), 0)
+    t = governing(2, (0, 1), 0)
     assert t.eval((0, 1)) == 1
     assert t.eval((1, 0)) == 1
 
 
 def test_governing_tensor_singleton():
-    t = governing_tensor(3, (0,), 0)
+    t = governing(3, (0,), 0)
     assert t.arity == 1
     assert t.eval((0,)) == 1
     assert t.eval((1,)) == 0
 
 
 def test_governing_tensor_triple_values():
-    t = governing_tensor(3, (0, 1, 2), 0)
+    t = governing(3, (0, 1, 2), 0)
     assert t.eval((0, 1, 2)) == 0
     assert t.eval((1, 0, 2)) == 1
     assert t.eval((2, 1, 0)) == 1
@@ -95,14 +101,14 @@ def test_governing_tensor_triple_values():
 
 def test_governing_tensor_rejects_outsider():
     with pytest.raises(ValueError):
-        governing_tensor(3, (0, 1), 2)
+        governing(3, (0, 1), 2)
 
 
 def test_governing_matches_formula_oracle():
     for n, i in [(3, 2), (4, 3), (4, 2)]:
         for A in itertools.combinations(range(n), i):
             for x in A:
-                t = governing_tensor(n, A, x)
+                t = governing(n, A, x)
                 for tup in oracles.injective_tuples(range(n), i):
                     assert t.embed((1 << n) - 1).eval(tup) == oracles.gov_value(
                         A, x, tup
@@ -150,36 +156,12 @@ def test_unique_relation_per_subset():
     n = 5
     for i in (2, 3, 4):
         for A in itertools.combinations(range(n), i):
-            tensors = [governing_tensor(n, A, x) for x in A]
+            tensors = [governing(n, A, x) for x in A]
             total = tensors[0]
             for t in tensors[1:]:
                 total = total ^ t
             assert total.is_zero()
             assert rank([t.bits for t in tensors]) == i - 1
-
-
-def test_P_decompose_of_governing():
-    n = 4
-    t = governing_tensor(n, (0, 1, 2), 0).embed((1 << n) - 1)
-    comps = P_decompose(t)
-    assert comps[3].is_zero()
-    assert comps[0].is_zero()
-    for j in (1, 2):
-        assert comps[j] == governing_tensor(n, {0, 1, 2} - {j}, 0)
-
-
-def test_P_round_trip():
-    t = governing_tensor(4, (0, 1, 2), 0)
-    assert P_reassemble(P_decompose(t)) == t
-    comps = P_decompose(t)
-    again = P_decompose(P_reassemble(comps))
-    for j, comp in comps.items():
-        assert again[j] == comp
-
-
-def test_P_rejects_arity_one():
-    with pytest.raises(ValueError):
-        P_decompose(governing_tensor(3, (1,), 1))
 
 
 def test_cons_dims_frozen():
@@ -192,19 +174,20 @@ def test_cons_dims_frozen():
 def test_cons_dim_formula_sweep():
     for n in range(1, 7):
         for i in range(1, n + 1):
-            assert len(cons_space(n, None, i)) == cons_dim_formula(n, i)
+            assert len(cons_space(n, None, i)) == cons_dim_formula_general(plain(n), i)
 
 
 def test_cons_on_proper_subset():
     B = (0, 2, 3, 5)
-    assert len(cons_space(6, B, 3)) == cons_dim_formula(4, 3)
+    assert len(cons_space(6, B, 3)) == cons_dim_formula_general(plain(4), 3)
 
 
 def test_gov_equals_cons_plain():
     for n, i in [(4, 3), (5, 2), (3, 3), (4, 4), (2, 2)]:
-        report = gov_equals_cons_check(n, i)
+        report = gov_equals_cons_check(plain(n), i)
         assert report["equal"]
-        assert report["dim_gov"] == report["dim_cons"] == cons_dim_formula(n, i)
+        assert report["dim_gov"] == report["dim_cons"] == \
+            cons_dim_formula_general(plain(n), i)
 
 
 def test_gov_dim_matches_naive_span():
@@ -213,7 +196,7 @@ def test_gov_dim_matches_naive_span():
 
 
 def test_gov_equals_cons_at_arity_one():
-    report = gov_equals_cons_check(3, 1)
+    report = gov_equals_cons_check(plain(3), 1)
     assert report == {"dim_gov": 3, "dim_cons": 3, "equal": True}
 
 
@@ -302,7 +285,7 @@ def test_class_route_matches_kernel_basis():
     for n in range(1, 7):
         for i in range(1, n + 1):
             want = _kernel_route(gov_space(n, None, i), cons_space(n, None, i))
-            assert gov_equals_cons_check(n, i) == want, (n, i)
+            assert gov_equals_cons_check(plain(n), i) == want, (n, i)
     for k in CLASS_ROUTE_SHAPES:
         shape = BlockShape(k)
         for i in range(1, shape.n + 1):
@@ -316,15 +299,16 @@ def test_class_route_builds_no_kernel_basis(monkeypatch):
         raise AssertionError("kernel basis built")
 
     monkeypatch.setattr(tensors, "kernel_basis", refuse)
-    assert gov_equals_cons_check(5, 3)["equal"]
+    assert gov_equals_cons_check(plain(5), 3)["equal"]
     assert gov_equals_cons_check(BlockShape((2, 2, 1)), 3)["equal"]
 
 
 @pytest.mark.parametrize("arg, i", [(4, 3), (BlockShape((2, 1, 1)), 3)])
 def test_class_route_sees_a_governing_vector_leave_cons(monkeypatch, arg, i):
-    plain = not isinstance(arg, BlockShape)
-    gov = gov_space(arg, None, i) if plain else gov_space_general(arg, i)
-    cons = cons_space(arg, None, i) if plain else cons_space_general(arg, i)
+    # an int n stands for the all-ones shape plain(n)
+    shape = plain(arg) if isinstance(arg, int) else arg
+    gov = gov_space_general(shape, i)
+    cons = cons_space_general(shape, i)
     inside = F2Basis(t.bits for t in cons)
     g = gov[0]
     flips = [c for c in range(len(inj_tuples(g.support, i)))
@@ -332,9 +316,8 @@ def test_class_route_sees_a_governing_vector_leave_cons(monkeypatch, arg, i):
     assert flips
     for c in flips:
         bad = [MultiTensor(g.N, i, g.support, g.bits ^ 1 << c)] + gov[1:]
-        monkeypatch.setattr(tensors, "gov_space" if plain else "gov_space_general",
-                            lambda *args: bad)
-        report = gov_equals_cons_check(arg, i)
+        monkeypatch.setattr(tensors, "gov_space_general", lambda *args: bad)
+        report = gov_equals_cons_check(shape, i)
         assert report == {"dim_gov": len(gov), "dim_cons": len(cons),
                           "equal": False}, c
 
@@ -451,28 +434,3 @@ def test_rows_are_sorted_column_tuples():
         for c in cons_rows(support, i) + tilde_rows(shape, i) + \
                 _block_classes(shape, i)[2]:
             assert c and list(c) == sorted(set(c)) and c[-1] < cols
-
-
-def test_text_round_trip():
-    t = governing_tensor(4, (0, 1, 3), 1)
-    back = MultiTensor.from_text(t.to_text())
-    assert back == t
-    assert back.support == t.support
-
-
-def test_text_rejects_garbage():
-    with pytest.raises(ValueError):
-        MultiTensor.from_text("")
-    with pytest.raises(ValueError):
-        MultiTensor.from_text("3 2 111\n0,0=1\n")
-    with pytest.raises(ValueError):
-        MultiTensor.from_text("3 2 1x1\n")
-
-
-def test_eval_vectors_is_multilinear():
-    t = governing_tensor(3, (0, 1, 2), 1)
-    a, b, c = 0b011, 0b101, 0b110
-    assert t.eval_vectors((a, b, c)) == (
-        t.eval_vectors((0b001, b, c)) ^ t.eval_vectors((0b010, b, c))
-    )
-    assert t.eval_vectors((1, 2, 4)) == t.eval((0, 1, 2))
