@@ -50,9 +50,11 @@ def _parse_shape(text: str) -> BlockShape:
 
 
 def _shape_arg(args) -> BlockShape:
-    if getattr(args, "shape", None):
+    if args.shape and args.n is not None:
+        raise ValueError("give either --n or --shape, not both")
+    if args.shape:
         return _parse_shape(args.shape)
-    if getattr(args, "n", None):
+    if args.n:
         return BlockShape((1,) * args.n)
     raise ValueError("give either --n or --shape")
 
@@ -419,8 +421,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # building the parser costs about 25 parses (1.7 ms against 0.07 ms),
+    # so it is built on the first call of a process, not at import
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     report = args.fn(args)
     print(report.to_json() if args.json else _render(report))
     return 0 if report.passed else 1

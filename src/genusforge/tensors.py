@@ -9,8 +9,9 @@ all-blocks-of-size-one case.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
 from typing import Iterable
 
 from .f2 import F2Basis, bits_of, kernel_basis, parity, rank
@@ -368,70 +369,123 @@ def gov_space_general(shape: BlockShape, i: int) -> list[MultiTensor]:
     return [MultiTensor(shape.N, i, support, v) for v in basis.basis()]
 
 
-def _block_classes(shape: BlockShape, i: int):
-    """Column classes and ker-pair rows equivalent to tilde_rows(shape, i).
+@lru_cache(maxsize=None)
+def _template(i: int) -> tuple[tuple[int, ...], ...]:
+    """cons_rows((1 << i) - 1, i), built from _template(i - 1) alone.
 
-    Returns (root, zero, rows) over inj_tuples(full support, i): zero[c]
-    marks a column forced to zero, root[c] names the class of c, and
-    rows are the ker-pair rows that remain.  A vector satisfies every
-    tilde row exactly when it vanishes on the zero columns, is constant
-    on each class and satisfies these rows:
-
-    - The zero columns are the tuples meeting a block twice, the third
-      family.  A kernel row in one of the first i-2 slots, built on a
-      rest tuple, has two columns that differ in one slot by members
-      a, b of one block.  If only one of them is injective, the rest
-      holds a or b, so the injective one meets that block twice;
-      otherwise both columns meet a block twice or neither does.  So the first family forces
-      no new zero and, among tuples of distinct blocks, says exactly
-      that the value does not see which member of its block sits in a
-      head slot: the class of a column replaces each head member by
-      its block's first member.
-    - A row of kernel pairs (a, b) in block s and (c, d) in block t in
-      the last two slots, on a rest tuple, touches only zero columns
-      unless s != t and neither block occurs in the rest.  Then its
-      four columns are rest + (p, q) and, on the classes, it equals the
-      row on the rest's canonical form: first members of distinct
-      blocks.  Only those rows are emitted.
-
-    Only the columns of distinct blocks are visited, once each.  When
-    every block has size one, every column has distinct blocks and is its
-    own class, and no block has a kernel pair, so the identity classes
-    come back without the visit.
+    The columns are the orderings of range(i), lexicographic.  Those
+    starting with j are one run of (i-1)! columns whose tails, relabelled
+    in order onto range(i-1), are the columns of _template(i - 1), so the
+    lift through j is a shift by j * (i-1)!.  The Hall-Witt row (arity 3)
+    or the Commutativity rows (arity 4 on) follow, in cons_rows' order:
+    the orderings starting (a, b) are a run of (i-2)! columns from
+    a * (i-1)! + (b - 1) * (i-2)! when a < b, and from b * (i-1)! +
+    a * (i-2)! for (b, a), with the tails in the same order.
     """
-    n = shape.n
-    support = shape.full_mask()
-    if shape.N == n:
-        cols = len(inj_tuples(support, i))
-        return list(range(cols)), bytearray(cols), ()
-    idx = inj_index(support, i)
-    cols = len(idx)
-    root = list(range(cols))
-    zero = bytearray(b"\x01") * cols
-    head = max(i - 2, 0)
-    first = [shape.first(s) for s in range(n)]
-    members = [shape.members(s) for s in range(n)]
-    for blocks in itertools.permutations(range(n), i):
-        canon = tuple(first[s] for s in blocks[:head])
-        heads = tuple(itertools.product(*(members[s] for s in blocks[:head])))
-        for tail in itertools.product(*(members[s] for s in blocks[head:])):
-            r = idx[canon + tail]
-            for h in heads:
-                c = idx[h + tail]
-                root[c] = r
-                zero[c] = 0
+    if i < 2:
+        return ()
+    if i == 2:
+        return ((0, 1),)
+    step = factorial(i - 1)
+    rows = [tuple(c + j * step for c in r)
+            for j in range(i) for r in _template(i - 1)]
+    if i == 3:
+        rows.append((0, 3, 4))  # (0, 1, 2), (1, 2, 0) and (2, 0, 1)
+    else:
+        run = factorial(i - 2)
+        for a, b in itertools.combinations(range(i), 2):
+            ab, ba = a * step + (b - 1) * run, b * step + a * run
+            rows.extend((ab + t, ba + t) for t in range(run))
+    return tuple(rows)
+
+
+def _weights(k: tuple[int, ...]) -> list[int]:
+    """Place value of each block's member in a choice index.
+
+    Choice indices follow itertools.product over the blocks' members, so
+    block s holds digit c // w[s] % k[s] of choice c.
+    """
+    w, acc = [], 1
+    for v in reversed(k):
+        w.append(acc)
+        acc *= v
+    return w[::-1]
+
+
+def _piece_classes(k: tuple[int, ...]):
+    """Column classes and ker-pair rows of BlockShape(k) at its top arity.
+
+    The piece's columns are the tuples that take one member from each
+    block: column c * i! + p puts member c // w[s] % k[s] of each block s
+    in the slots of the p-th lexicographic ordering of the blocks.  On
+    these columns the tilde rows of the full support become:
+
+    - No zero column: the zero columns are the tuples meeting a block
+      twice, and none of these does.
+    - Classes.  A kernel row in one of the first i-2 slots has two
+      columns that differ in one slot by members a, b of one block.  If
+      only one is injective, the rest holds a or b, so that one meets
+      the block twice; otherwise both meet a block twice or neither
+      does.  So on the piece these rows say that the value does not see
+      which member of its block sits in a head slot: the class of a
+      column keeps the members of the last two blocks of its ordering
+      and puts every head block at its first member.
+    - Ker-pair rows.  Kernel pairs (a, b) in block s and (c, d) in
+      block t, in the last two slots of a rest tuple, touch only
+      columns meeting a block twice unless s != t and neither block
+      occurs in the rest.  Then, on the classes, the row equals the one
+      with every head block at its first member: four columns ending in
+      s, t with a or b and c or d.
+
+    Returns (root, zero, rows) as _column_classes takes them.  With
+    blocks of size one every column is its own class and there is no
+    kernel pair.
+    """
+    i = len(k)
+    f = factorial(i)
+    cols = prod(k) * f
+    root, zero = list(range(cols)), bytearray(cols)
+    if i < 2 or max(k) == 1:
+        return root, zero, ()
+    w = _weights(k)
     rows = []
-    if i >= 2:
-        for blocks in itertools.permutations(range(n), i - 2):
-            rest = tuple(first[s] for s in blocks)
-            paired = [s for s in range(n) if s not in blocks and shape.k[s] > 1]
-            for s, t in itertools.permutations(paired, 2):
-                a, c = first[s], first[t]
-                for b in members[s][1:]:
-                    for d in members[t][1:]:
-                        rows.append(tuple(sorted(idx[rest + (p, q)]
-                                                 for p in (a, b) for q in (c, d))))
+    for p, order in enumerate(itertools.permutations(range(i))):
+        s, t = order[-2:]
+        if i > 2:
+            for c in range(cols // f):
+                keep = c // w[s] % k[s] * w[s] + c // w[t] % k[t] * w[t]
+                root[c * f + p] = keep * f + p
+        for b in range(1, k[s]):
+            for d in range(1, k[t]):
+                rows.append(tuple(sorted((x * w[s] + y * w[t]) * f + p
+                                         for x in (0, b) for y in (0, d))))
     return root, zero, tuple(rows)
+
+
+def _piece_gov(k: tuple[int, ...]) -> list[int]:
+    """Echelon basis of the governing span of BlockShape(k) at its top
+    arity, in the columns of _piece_classes.
+
+    governing_tensor_general(shape, range(i), x, T) takes each choice
+    whose member of block x lies in T, in every ordering with x in one of
+    the last two slots: one pattern over the orderings, put at each such
+    choice.  Choices with different members of x fill disjoint columns,
+    so the tensor of T is the sum of those of its members, and the
+    one-member sets T span them all.
+    """
+    i = len(k)
+    w = _weights(k)
+    orders = list(itertools.permutations(range(i)))
+    blank = "0" * len(orders)
+    basis = F2Basis()
+    for x in range(i):
+        # binary digits, highest column first, as int(..., 2) reads them
+        pattern = "".join("1" if x in order[-2:] else "0"
+                          for order in reversed(orders))
+        for m in range(k[x]):
+            basis.add(int("".join(pattern if c // w[x] % k[x] == m else blank
+                                  for c in reversed(range(prod(k)))), 2))
+    return basis.basis()
 
 
 def _column_classes(rows: Iterable[tuple[int, ...]], cols: int,
@@ -442,7 +496,7 @@ def _column_classes(rows: Iterable[tuple[int, ...]], cols: int,
     A one-column row forces its column to zero and a two-column row
     forces two columns equal, so union-find over those rows leaves
     classes of columns sharing one value, some of them forced to zero.
-    root and zero, as _block_classes gives them, start the union-find
+    root and zero, as _piece_classes gives them, start the union-find
     from classes already known.  Returns (root, zero, wide): root[c] is
     a column naming the class of c, zero[root[c]] whether that class is
     forced to zero, and wide the rows of three or more columns.  A
@@ -524,24 +578,68 @@ def _annihilates(classes, vecs: Iterable[int]) -> bool:
     return True
 
 
+def _piece_check(k: tuple[int, ...]) -> dict:
+    """gov_equals_cons_check of BlockShape(k) at its top arity len(k),
+    on the columns that take one member from each block.
+
+    The rows are _template(len(k)) put at each choice of members, that
+    is shifted by the choice's first column, and the ker-pair rows of
+    _piece_classes.
+    """
+    f = factorial(len(k))
+    root, zero, ker = _piece_classes(k)
+    template = _template(len(k))
+    rows = itertools.chain((tuple(c + off for c in r) if off else r
+                            for off in range(0, len(root), f) for r in template),
+                           ker)
+    classes = _column_classes(rows, len(root), root, zero)
+    dim_cons = _class_dim(classes)
+    gov = _piece_gov(k)
+    equal = dim_cons == len(gov) and _annihilates(classes, gov)
+    return {"dim_gov": len(gov), "dim_cons": dim_cons, "equal": equal}
+
+
 def gov_equals_cons_check(shape: BlockShape, i: int) -> dict:
     """Compare the governing span with the constraint kernel as subspaces.
 
-    dim cons comes from _class_dim on the classes of the sparse rows; the
-    block conditions enter as the column classes and ker-pair rows of
-    _block_classes, not as tilde_rows.  The spans are equal exactly when
-    every governing vector solves every row, so gov lies inside cons, and
-    the two dimensions agree.  No kernel basis is built.
+    The check splits into one problem per set B of i blocks, and each is
+    solved on its own columns:
+
+    - Every cons_rows row reads orderings of one set of i members: a lift
+      puts a fixed j in front of a smaller row, a Hall-Witt row permutes
+      a, b, c cyclically and a Commutativity row swaps the first two
+      slots.
+    - Every tilde row is a single zero column or reads tuples that differ
+      only in which member of a block they hold.
+    - So no row mixes the columns of two block sets.  The tilde rows
+      force every column that meets a block twice to zero, and every
+      other column takes one member from each block of one B.
+    - A governing tensor on the block set A is nonzero only on tuples
+      taking one member from each block of A.
+
+    So cons and gov are direct sums over B, dim_gov and dim_cons are sums
+    over B, and the spans are equal exactly when they are equal on every
+    B.  The rows only compare members, so relabelling the members of B
+    onto range(N_B) in order turns the problem of B into the top-arity
+    problem of BlockShape(k_B), k_B the sizes of the blocks of B, which
+    _piece_check solves once per distinct k_B.  On each piece, dim cons
+    comes from _class_dim on the classes of the sparse rows, and the
+    spans are equal when every governing vector solves every row, so gov
+    lies inside cons, and the two dimensions agree.  No kernel basis and
+    no row over the full support is built.
     """
     if i < 1:
         raise ValueError("arity must be positive")
-    gov = gov_space_general(shape, i)
-    root, zero, ker = _block_classes(shape, i)
-    rows = cons_rows(shape.full_mask(), i) + ker
-    classes = _column_classes(rows, len(root), root, zero)
-    dim_cons = _class_dim(classes)
-    equal = dim_cons == len(gov) and _annihilates(classes, [t.bits for t in gov])
-    return {"dim_gov": len(gov), "dim_cons": dim_cons, "equal": equal}
+    sizes = Counter(tuple(shape.k[s] for s in B)
+                    for B in itertools.combinations(range(shape.n), i))
+    dim_gov = dim_cons = 0
+    equal = True
+    for k, count in sizes.items():
+        piece = _piece_check(k)
+        dim_gov += count * piece["dim_gov"]
+        dim_cons += count * piece["dim_cons"]
+        equal = equal and piece["equal"]
+    return {"dim_gov": dim_gov, "dim_cons": dim_cons, "equal": equal}
 
 
 def cons_dim_formula_general(shape: BlockShape, i: int) -> int:

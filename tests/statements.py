@@ -2,17 +2,17 @@
 
 Each function here restates one claim of the paper, the unique
 epimorphism of a universal group, the pairing of governing tensors with
-a Lie grade, the shuffling identity, the restriction kernel, the pointed
-expansion-map recursion, the 2-cocycle identity and the nilpotency
-degree of a map, and checks it on the package's own objects.  They read
-package internals such as _context and _recursion_holds, so they are
-kept apart from oracles.py, whose computations avoid the package's data
-structures.
+a Lie grade, gov = cons over the full support, the shuffling identity,
+the restriction kernel, the pointed expansion-map recursion, the
+2-cocycle identity and the nilpotency degree of a map, and checks it on
+the package's own objects.  They read package internals such as
+_context and _recursion_holds, so they are kept apart from oracles.py,
+whose computations avoid the package's data structures.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from genusforge.expmaps import (PhiMap, _context, _label_row, _recursion_holds,
 from genusforge.f2 import kernel_basis, rank, solve, spans_equal
 from genusforge.groups import ExpansionGroup, descending_central_series
 from genusforge.lie import GradedLie
-from genusforge.tensors import BlockShape, gov_space_general
+from genusforge.tensors import (BlockShape, _annihilates, _class_dim, _column_classes,
+                                 cons_rows, gov_space_general, inj_index)
 
 
 def unique_epimorphism(source, target) -> dict[int, int] | None:
@@ -69,6 +70,83 @@ def tensor_pairing(L: GradedLie, i: int) -> list[int] | None:
             return None
         mats.append(m)
     return mats
+
+
+def block_classes(shape: BlockShape, i: int):
+    """Column classes and ker-pair rows equivalent to tilde_rows(shape, i).
+
+    Returns (root, zero, rows) over inj_tuples(full support, i): zero[c]
+    marks a column forced to zero, root[c] names the class of c, and
+    rows are the ker-pair rows that remain.  A vector satisfies every
+    tilde row exactly when it vanishes on the zero columns, is constant
+    on each class and satisfies these rows:
+
+    - The zero columns are the tuples meeting a block twice, the third
+      family.  A kernel row in one of the first i-2 slots, built on a
+      rest tuple, has two columns that differ in one slot by members
+      a, b of one block.  If only one of them is injective, the rest
+      holds a or b, so the injective one meets that block twice;
+      otherwise both columns meet a block twice or neither does.  So
+      the first family forces no new zero and, among tuples of distinct
+      blocks, says exactly that the value does not see which member of
+      its block sits in a head slot: the class of a column replaces
+      each head member by its block's first member.
+    - A row of kernel pairs (a, b) in block s and (c, d) in block t in
+      the last two slots, on a rest tuple, touches only zero columns
+      unless s != t and neither block occurs in the rest.  Then its
+      four columns are rest + (p, q) and, on the classes, it equals the
+      row on the rest's canonical form: first members of distinct
+      blocks.  Only those rows are emitted.
+    """
+    n = shape.n
+    idx = inj_index(shape.full_mask(), i)
+    cols = len(idx)
+    root = list(range(cols))
+    zero = bytearray(b"\x01") * cols
+    head = max(i - 2, 0)
+    first = [shape.first(s) for s in range(n)]
+    members = [shape.members(s) for s in range(n)]
+    for blocks in permutations(range(n), i):
+        canon = tuple(first[s] for s in blocks[:head])
+        heads = tuple(product(*(members[s] for s in blocks[:head])))
+        for tail in product(*(members[s] for s in blocks[head:])):
+            r = idx[canon + tail]
+            for h in heads:
+                c = idx[h + tail]
+                root[c] = r
+                zero[c] = 0
+    rows = []
+    if i >= 2:
+        for blocks in permutations(range(n), i - 2):
+            rest = tuple(first[s] for s in blocks)
+            paired = [s for s in range(n) if s not in blocks and shape.k[s] > 1]
+            for s, t in permutations(paired, 2):
+                a, c = first[s], first[t]
+                for b in members[s][1:]:
+                    for d in members[t][1:]:
+                        rows.append(tuple(sorted(idx[rest + (p, q)]
+                                                 for p in (a, b) for q in (c, d))))
+    return root, zero, tuple(rows)
+
+
+def class_route_check(shape: BlockShape, i: int, gov=None) -> dict:
+    """gov = cons at arity i over the full support, without splitting.
+
+    Every cons_rows row of the full support and the ker-pair rows of
+    block_classes go through one union-find started from its classes;
+    gov (bit tables over the full support) defaults to the basis
+    gov_space_general builds.  This is the route gov_equals_cons_check
+    took before it split the problem by block set.
+    """
+    if gov is None:
+        gov = [t.bits for t in gov_space_general(shape, i)]
+    root, zero, ker = block_classes(shape, i)
+    rows = cons_rows(shape.full_mask(), i) + ker
+    classes = _column_classes(rows, len(root), root, zero)
+    dim_cons = _class_dim(classes)
+    dim_gov = rank(gov)
+    equal = dim_cons == dim_gov and _annihilates(classes, gov)
+    return {"dim_gov": dim_gov, "dim_cons": dim_cons, "equal": equal}
 
 
 def shuffling_check(shape: BlockShape, A) -> bool:

@@ -71,6 +71,14 @@ def test_dims_shape_and_caps(capsys):
     assert code == 1 and "error" in rep["results"]
 
 
+@pytest.mark.parametrize("command", ["dims", "universal"])
+def test_n_and_shape_together_are_refused(capsys, command):
+    code, rep = run_json(capsys, command, "--n", "3", "--shape", "2,1")
+    assert code == 1 and rep["passed"] is False
+    error = rep["results"]["error"]
+    assert "--n" in error and "--shape" in error
+
+
 def test_universal_formula_and_enumeration(capsys):
     code, rep = run_json(capsys, "universal", "--n", "3", "--enumerate")
     assert code == 0
@@ -309,6 +317,25 @@ def test_arith_search(capsys):
 def test_parser_subcommand_required():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])
+
+
+def test_parser_built_once_answers_as_fresh_processes(capsys, monkeypatch):
+    # main builds its parser on the first call of a process and reuses it;
+    # back-to-back calls must answer as separate processes do
+    built = []
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or build_parser())
+    calls = [["dims", "--n", "3"], ["dims", "--shape", "2,1"],
+             ["verify", "tensors", "--max-n", "4"], ["verify", "tensors"]]
+    same_process = [run_json(capsys, *argv)[1]["results"] for argv in calls]
+    assert len(built) == 1
+    src = Path(cli.__file__).resolve().parent.parent
+    fresh = [json.loads(subprocess.run(
+        [sys.executable, "-m", "genusforge.cli", "--json", *argv],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, check=True).stdout)["results"] for argv in calls]
+    assert same_process == fresh
 
 
 def test_console_script_runs():

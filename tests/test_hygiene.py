@@ -2,12 +2,16 @@
 exports resolves, every module but cli and __init__ has an __all__ whose
 names cli.py or another package module uses, no package module imports a
 name it never uses, numpy is imported only inside the functions that use
-it, and every dotted name README.md quotes exists in the package."""
+it, every dotted name README.md quotes exists in the package, and no
+module-level container keeps what a command put in it once the caches
+are cleared."""
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import importlib
+import io
 import re
 from pathlib import Path
 
@@ -224,3 +228,61 @@ def test_checks_can_fail():
         "        return np.ones(1)\n")
     assert _numpy_misuse(tree) == ["line 1: bare reads np unbound",
                                    "line 15: lost reads np unbound"]
+
+
+def _package_modules():
+    for path in MODULES:
+        name = "genusforge" if path.stem == "__init__" else f"genusforge.{path.stem}"
+        yield path.stem, importlib.import_module(name)
+
+
+def _clear_package_state() -> None:
+    """Empty every functools cache of the package and expmaps._CONTEXTS."""
+    for stem, mod in _package_modules():
+        if stem == "expmaps":
+            mod._CONTEXTS.clear()
+        for value in vars(mod).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def _container_sizes() -> dict[str, int]:
+    """Length of every module-level dict, list and set of the package."""
+    return {f"{stem}.{attr}": len(value) for stem, mod in _package_modules()
+            for attr, value in vars(mod).items()
+            if isinstance(value, (dict, list, set))}
+
+
+def _grown(before: dict[str, int], after: dict[str, int]) -> list[str]:
+    return sorted(name for name, size in after.items() if size > before.get(name, 0))
+
+
+def _commands() -> None:
+    cli = importlib.import_module("genusforge.cli")
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["--json", "dims", "--shape", "2,1,1,1"])
+        cli.main(["--json", "reconstruct", "--shape", "2,1", "--j", "2"])
+
+
+def test_no_state_outlives_the_caches():
+    # the benchmark starts every job from cleared caches; a memo kept in a
+    # plain module-level container would survive that
+    _clear_package_state()
+    before = _container_sizes()
+    _commands()
+    _clear_package_state()
+    assert not _grown(before, _container_sizes())
+
+
+def test_leftover_state_check_can_fail(monkeypatch):
+    tensors = importlib.import_module("genusforge.tensors")
+    seen: dict = {}
+    monkeypatch.setattr(tensors, "_SEEN", seen, raising=False)
+    check = tensors._piece_check
+    monkeypatch.setattr(tensors, "_piece_check",
+                        lambda k: seen.setdefault(k, check(k)))
+    _clear_package_state()
+    before = _container_sizes()
+    _commands()
+    _clear_package_state()
+    assert _grown(before, _container_sizes()) == ["tensors._SEEN"]

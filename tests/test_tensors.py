@@ -3,19 +3,23 @@
 from __future__ import annotations
 
 import itertools
+import json
+from math import factorial
 
 import pytest
 
 import oracles
-from genusforge import tensors
+from genusforge import cli, tensors
 from genusforge.f2 import F2Basis, kernel_basis, rank, spans_equal
 from genusforge.tensors import (
     BlockShape,
     MultiTensor,
     _annihilates,
-    _block_classes,
     _class_dim,
     _column_classes,
+    _piece_check,
+    _piece_gov,
+    _template,
     cons_dim_formula_general,
     cons_rows,
     cons_space,
@@ -28,6 +32,7 @@ from genusforge.tensors import (
     mask_of,
     tilde_rows,
 )
+from statements import block_classes, class_route_check
 
 
 def plain(n: int) -> BlockShape:
@@ -303,9 +308,69 @@ def test_class_route_builds_no_kernel_basis(monkeypatch):
     assert gov_equals_cons_check(BlockShape((2, 2, 1)), 3)["equal"]
 
 
+def _pieces(shape: BlockShape, i: int) -> dict:
+    """Where each column of the full support lies in the split route.
+
+    A column taking one member from each of i blocks maps to (its block
+    set B, its column in _piece_check of the sizes of B): the choice of
+    members in mixed radix, first block most significant, times i!, plus
+    the lexicographic index of the order its slots visit the blocks in.
+    Columns meeting a block twice lie in no piece and are left out.
+    """
+    f = factorial(i)
+    lex = {o: p for p, o in enumerate(itertools.permutations(range(i)))}
+    out = {}
+    for c, t in enumerate(inj_tuples(shape.full_mask(), i)):
+        blocks = [shape.block(x) for x in t]
+        if len(set(blocks)) < i:
+            continue
+        B = tuple(sorted(blocks))
+        choice = 0
+        for s in B:
+            member = next(x for x in t if shape.block(x) == s) - shape.first(s)
+            choice = choice * shape.k[s] + member
+        out[c] = (B, choice * f + lex[tuple(B.index(s) for s in blocks)])
+    return out
+
+
+def _restrict(vec: int, where: dict, B) -> int:
+    """The entries of a full-support vector on the columns of block set B."""
+    out = 0
+    for c, (block_set, col) in where.items():
+        if block_set == B and vec >> c & 1:
+            out |= 1 << col
+    return out
+
+
+def _piece_verdict(monkeypatch, shape: BlockShape, B, vecs) -> dict:
+    """_piece_check of block set B with the governing vectors replaced by
+    the echelon basis of vecs."""
+    basis = F2Basis(vecs).basis()
+    monkeypatch.setattr(tensors, "_piece_gov", lambda k: basis)
+    return _piece_check(tuple(shape.k[s] for s in B))
+
+
+def test_piece_gov_is_the_restricted_governing_span():
+    # the governing tensors vanish off the pieces and, restricted to the
+    # columns of one block set, span what _piece_gov builds directly
+    for k in ((2, 1), (2, 2), (3, 1), (2, 1, 1), (3, 2), (2, 2, 1), (1, 1, 1, 1)):
+        shape = BlockShape(k)
+        for i in range(1, shape.n + 1):
+            where = _pieces(shape, i)
+            on_pieces = mask_of(where)
+            gov = [t.bits for t in gov_space_general(shape, i)]
+            assert all(v & ~on_pieces == 0 for v in gov), (k, i)
+            for B in itertools.combinations(range(shape.n), i):
+                kB = tuple(shape.k[s] for s in B)
+                assert spans_equal(_piece_gov(kB),
+                                   [_restrict(v, where, B) for v in gov]), (k, i, B)
+
+
 @pytest.mark.parametrize("arg, i", [(4, 3), (BlockShape((2, 1, 1)), 3)])
 def test_class_route_sees_a_governing_vector_leave_cons(monkeypatch, arg, i):
-    # an int n stands for the all-ones shape plain(n)
+    # an int n stands for the all-ones shape plain(n); each planted vector
+    # is checked by the full-support route and, restricted to the block
+    # set of the flipped column, by the piece check of that set
     shape = plain(arg) if isinstance(arg, int) else arg
     gov = gov_space_general(shape, i)
     cons = cons_space_general(shape, i)
@@ -314,12 +379,21 @@ def test_class_route_sees_a_governing_vector_leave_cons(monkeypatch, arg, i):
     flips = [c for c in range(len(inj_tuples(g.support, i)))
              if g.bits ^ 1 << c not in inside]
     assert flips
+    where = _pieces(shape, i)
+    seen = 0
     for c in flips:
-        bad = [MultiTensor(g.N, i, g.support, g.bits ^ 1 << c)] + gov[1:]
-        monkeypatch.setattr(tensors, "gov_space_general", lambda *args: bad)
-        report = gov_equals_cons_check(shape, i)
+        bad = [g.bits ^ 1 << c] + [t.bits for t in gov[1:]]
+        report = class_route_check(shape, i, bad)
         assert report == {"dim_gov": len(gov), "dim_cons": len(cons),
                           "equal": False}, c
+        if c not in where:
+            continue  # a column meeting a block twice has no piece column
+        B = where[c][0]
+        report = _piece_verdict(monkeypatch, shape, B,
+                                [_restrict(v, where, B) for v in bad])
+        assert report["equal"] is False, c
+        seen += 1
+    assert seen
 
 
 def _compositions(N: int):
@@ -343,25 +417,43 @@ def _tilde_route(shape: BlockShape, i: int) -> dict:
 
 
 def test_block_classes_match_the_tilde_rows():
+    # the full-support oracle against every explicit tilde row:
     # 127 compositions, 448 (shape, arity) pairs
     for N in range(1, 8):
         for k in _compositions(N):
             shape = BlockShape(k)
             for i in range(1, shape.n + 1):
-                assert gov_equals_cons_check(shape, i) == _tilde_route(shape, i), (k, i)
+                assert class_route_check(shape, i) == _tilde_route(shape, i), (k, i)
 
 
-def test_block_route_builds_no_tilde_rows(monkeypatch):
+def test_split_route_matches_the_full_support_route():
+    # the same 448 pairs, one piece per block set against the whole support
+    for N in range(1, 8):
+        for k in _compositions(N):
+            shape = BlockShape(k)
+            for i in range(1, shape.n + 1):
+                assert gov_equals_cons_check(shape, i) == class_route_check(shape, i), (k, i)
+
+
+def test_template_is_the_top_arity_cons_rows():
+    for i in range(1, 8):
+        assert _template(i) == cons_rows((1 << i) - 1, i), i
+
+
+def test_block_route_builds_no_tilde_rows(monkeypatch, capsys):
+    # dims builds no row, tuple table or governing tensor over the full
+    # support, and still passes every arity against the formula
     def refuse(*args):
-        raise AssertionError("tilde rows built")
+        raise AssertionError("full-support table built")
 
-    monkeypatch.setattr(tensors, "tilde_rows", refuse)
-    for k in ((2, 2, 1), (3, 1, 1, 1, 1)):
-        shape = BlockShape(k)
-        for i in range(1, shape.n + 1):
-            report = gov_equals_cons_check(shape, i)
-            want = cons_dim_formula_general(shape, i)
-            assert report == {"dim_gov": want, "dim_cons": want, "equal": True}
+    for name in ("cons_rows", "tilde_rows", "gov_space_general", "inj_index",
+                 "inj_tuples"):
+        monkeypatch.setattr(tensors, name, refuse)
+    for argv, n in ((("--shape", "2,2,1"), 3), (("--shape", "3,1,1,1,1"), 5),
+                    (("--n", "6"), 6)):
+        assert cli.main(["--json", "dims", *argv]) == 0, argv
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        assert [r["i"] for r in rows] == list(range(1, n + 1)), argv
 
 
 def _block_families(shape: BlockShape, i: int) -> dict:
@@ -396,7 +488,9 @@ def _block_families(shape: BlockShape, i: int) -> dict:
                                           ("ker-pair row", (2, 2, 1), 2)])
 def test_block_route_sees_each_family_broken_alone(monkeypatch, family, k, i):
     # a governing vector plus a vector that solves cons_rows and the other
-    # two families but not this one breaks this family alone
+    # two families but not this one breaks this family alone; the split
+    # route sees it on the block set of the first row it breaks, and a
+    # break on the zero columns lies in no piece at all
     shape = BlockShape(k)
     support = shape.full_mask()
     families = _block_families(shape, i)
@@ -406,12 +500,24 @@ def test_block_route_sees_each_family_broken_alone(monkeypatch, family, k, i):
     breaks = [v for v in solved
               if any(sum(v >> c & 1 for c in r) & 1 for r in families[family])]
     assert breaks
-    gov = gov_space_general(shape, i)
-    bad = [MultiTensor(shape.N, i, support, gov[0].bits ^ breaks[0])] + gov[1:]
-    monkeypatch.setattr(tensors, "gov_space_general", lambda *args: bad)
+    gov = [t.bits for t in gov_space_general(shape, i)]
+    bad = [gov[0] ^ breaks[0]] + gov[1:]
     want = cons_dim_formula_general(shape, i)
-    assert gov_equals_cons_check(shape, i) == {"dim_gov": want, "dim_cons": want,
-                                               "equal": False}
+    assert class_route_check(shape, i, bad) == {"dim_gov": want, "dim_cons": want,
+                                                "equal": False}
+    where = _pieces(shape, i)
+    broken = next(r for r in families[family] if sum(breaks[0] >> c & 1 for c in r) & 1)
+    if family == "zero column":
+        assert broken[0] not in where
+        # on every piece the break adds nothing outside the governing span
+        for B in itertools.combinations(range(shape.n), i):
+            vecs = [_restrict(v, where, B) for v in gov + [breaks[0]]]
+            assert _piece_verdict(monkeypatch, shape, B, vecs)["equal"], B
+        return
+    B = where[broken[0]][0]
+    assert all(where[c][0] == B for c in broken)
+    report = _piece_verdict(monkeypatch, shape, B, [_restrict(v, where, B) for v in bad])
+    assert report["equal"] is False
 
 
 def test_class_route_opens_when_a_hall_witt_row_is_dropped():
@@ -426,11 +532,28 @@ def test_class_route_opens_when_a_hall_witt_row_is_dropped():
         assert _class_dim(_column_classes(kept, cols)) > 8
 
 
+def test_split_route_opens_when_a_template_row_is_dropped(monkeypatch):
+    # every row of the arity-3 template is needed (from arity 4 on, each
+    # single row follows from the others), and dropping one drops its copy
+    # at every choice of members
+    template = _template(3)
+    for t in range(len(template)):
+        kept = template[:t] + template[t + 1:]
+        monkeypatch.setattr(tensors, "_template", lambda i: kept)
+        for shape in (plain(4), BlockShape((2, 1, 1))):
+            report = gov_equals_cons_check(shape, 3)
+            assert report["dim_cons"] > cons_dim_formula_general(shape, 3), (t, shape)
+            assert report["equal"] is False
+
+
 def test_rows_are_sorted_column_tuples():
     shape = BlockShape((2, 2, 1))
     support = shape.full_mask()
     for i in range(1, shape.n + 1):
         cols = len(inj_tuples(support, i))
         for c in cons_rows(support, i) + tilde_rows(shape, i) + \
-                _block_classes(shape, i)[2]:
+                block_classes(shape, i)[2]:
             assert c and list(c) == sorted(set(c)) and c[-1] < cols
+        root, _, ker = tensors._piece_classes(shape.k)
+        for c in _template(shape.n) + ker:
+            assert c and list(c) == sorted(set(c)) and c[-1] < len(root)
