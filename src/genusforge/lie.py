@@ -9,7 +9,7 @@ always identified with the target space of phi, coordinate x <-> e_x.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 
 from .f2 import F2Basis, F2Solver, bits_of, rank
 from .groups import ExpansionGroup, descending_central_series
@@ -65,19 +65,6 @@ class GradedLie:
         if m2 == 1:
             return self.bracket(b, a)
         return m1 + m2, 0
-
-    def nested(self, xs) -> tuple[int, int]:
-        """Right-nested bracket of grade-1 basis vectors e_{xs[0]}, ..."""
-        return self.nested_mixed([1 << x for x in xs])
-
-    def nested_mixed(self, vecs) -> tuple[int, int]:
-        """Right-nested bracket of arbitrary grade-1 elements."""
-        if not vecs:
-            raise ValueError("need at least one entry")
-        acc = (1, vecs[-1])
-        for v in reversed(vecs[:-1]):
-            acc = self.bracket((1, v), acc)
-        return acc
 
     def __repr__(self) -> str:
         return f"GradedLie(shape={list(self.shape.k)}, dims={list(self.dims)})"
@@ -351,12 +338,23 @@ def check_lie_axioms(L: GradedLie) -> dict:
 # -- comparison maps --
 
 def lie_epimorphism(universal: GradedLie, target: GradedLie) -> dict[int, list[int]]:
-    """Graded map fixed on grade 1 and extended along nested brackets.
+    """Graded map fixed on grade 1 and extended along the bracket tables.
 
-    Returns, per grade, the image mask of each source basis vector.  A
-    failure of well-definedness, surjectivity, or bracket compatibility
-    means the source was not universal for the shape; that is reported
-    as a classification violation rather than a value.
+    Returns, per grade, the image mask of each source basis vector.
+    Grade m+1 of the source must be spanned by its table entries
+    [e_x, b_k], b_k in grade m's basis; each basis vector is solved over
+    them once and mapped to the same combination of the target brackets
+    [e_x, f(b_k)].  A failure of spanning, surjectivity, or bracket
+    compatibility means the source was not universal for the shape;
+    that is reported as a classification violation rather than a value.
+
+    Compatibility, f([e_x, b_k]) = [e_x, f(b_k)] for every generator x
+    and basis vector b_k, is the well-definedness check.  By linearity
+    and induction on length it gives f(nested_src(xs)) = nested_tgt(xs)
+    for every tuple xs of generators, which is what a walk over all
+    nested brackets checks, and the source grades are spanned, so the
+    images are unique.  Both routes accept the same pairs and return the
+    same images; tests/oracles.lie_epimorphism_tuples is the walk.
     """
     if universal.shape != target.shape:
         raise ValueError("shape mismatch")
@@ -364,35 +362,24 @@ def lie_epimorphism(universal: GradedLie, target: GradedLie) -> dict[int, list[i
     if universal.nclass < target.nclass:
         raise RuntimeError("classification violation: target outlives the source")
     out = {1: [1 << x for x in range(N)]}
-    for m in range(2, universal.nclass + 1):
-        ds = universal.dims[m - 1]
+    for m in range(1, universal.nclass):
+        tab = universal.tables.get(m, ())
         sol = F2Solver()
         tgt_parts = []
-        pairs = []
-        for xs in product(range(N), repeat=m):
-            vs = universal.nested(xs)[1]
-            vt = target.nested(xs)[1]
-            sol.add(vs)
-            tgt_parts.append(vt)
-            pairs.append((vs, vt))
+        for x, row in enumerate(tab):
+            for k in range(universal.dims[m - 1]):
+                sol.add(row[k])
+                tgt_parts.append(target.bracket_gen(x, m, out[m][k]))
         imgs = []
-        for k in range(ds):
-            combo = sol.express(1 << k)
+        for j in range(universal.dims[m]):
+            combo = sol.express(1 << j)
             if combo is None:
-                raise RuntimeError(
-                    "classification violation: grade not spanned by nested brackets")
+                raise RuntimeError("classification violation: grade not spanned")
             img = 0
-            for j in bits_of(combo):
-                img ^= tgt_parts[j]
+            for i in bits_of(combo):
+                img ^= tgt_parts[i]
             imgs.append(img)
-        for vs, vt in pairs:
-            mapped = 0
-            for k in bits_of(vs):
-                mapped ^= imgs[k]
-            if mapped != vt:
-                raise RuntimeError(
-                    "classification violation: inconsistent extension")
-        out[m] = imgs
+        out[m + 1] = imgs
     for m in range(1, target.nclass + 1):
         if rank(out.get(m, [])) != target.dims[m - 1]:
             raise RuntimeError("classification violation: not surjective")

@@ -18,11 +18,21 @@ from genusforge.arith import AcceptableVector, _primes_1mod4, jacobi
 from genusforge.expmaps import (CommVector, PhiMap, _context, _drop_index,
                                 corner_operator, phi_one_basis,
                                 realize_commuting_vector, solve_cochain, theta)
-from genusforge.f2 import F2Basis, bits_of, kernel_basis, low_bit, rank
+from genusforge.f2 import F2Basis, F2Solver, bits_of, kernel_basis, low_bit, rank
 from genusforge.groups import (TABLE_CEILING, ResourceLimitError, _clear_masks,
                                universal_order_exponent)
 from genusforge.lie import GradedLie
 from genusforge.tensors import BlockShape
+
+
+def compositions(total: int):
+    """Every block shape (k_1, ..., k_n) with k_1 + ... + k_n = total."""
+    if total == 0:
+        yield ()
+        return
+    for head in range(1, total + 1):
+        for tail in compositions(total - head):
+            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +732,84 @@ def search_consistent_scan(k, prime_budget: int):
 
 
 # ---------------------------------------------------------------------------
-# the Lie axiom checks, every right-nested bracket built from scratch
+# the Lie axiom checks and the epimorphism, every right-nested bracket
+# built from scratch
+
+
+def nested(L: GradedLie, xs) -> tuple[int, int]:
+    """Right-nested bracket of grade-1 basis vectors e_{xs[0]}, ..."""
+    return nested_mixed(L, [1 << x for x in xs])
+
+
+def nested_mixed(L: GradedLie, vecs) -> tuple[int, int]:
+    """Right-nested bracket of arbitrary grade-1 elements."""
+    if not vecs:
+        raise ValueError("need at least one entry")
+    acc = (1, vecs[-1])
+    for v in reversed(vecs[:-1]):
+        acc = L.bracket((1, v), acc)
+    return acc
+
+
+def lie_epimorphism_tuples(universal: GradedLie, target: GradedLie) -> dict[int, list[int]]:
+    """Graded map fixed on grade 1 and extended along nested brackets.
+
+    Each grade m is solved over all N^m nested brackets of length m, and
+    the map is checked on every one of them before surjectivity and
+    bracket compatibility; failures raise RuntimeError.
+    """
+    if universal.shape != target.shape:
+        raise ValueError("shape mismatch")
+    N = universal.shape.N
+    if universal.nclass < target.nclass:
+        raise RuntimeError("classification violation: target outlives the source")
+    out = {1: [1 << x for x in range(N)]}
+    for m in range(2, universal.nclass + 1):
+        ds = universal.dims[m - 1]
+        sol = F2Solver()
+        tgt_parts = []
+        pairs = []
+        for xs in product(range(N), repeat=m):
+            vs = nested(universal, xs)[1]
+            vt = nested(target, xs)[1]
+            sol.add(vs)
+            tgt_parts.append(vt)
+            pairs.append((vs, vt))
+        imgs = []
+        for k in range(ds):
+            combo = sol.express(1 << k)
+            if combo is None:
+                raise RuntimeError(
+                    "classification violation: grade not spanned by nested brackets")
+            img = 0
+            for j in bits_of(combo):
+                img ^= tgt_parts[j]
+            imgs.append(img)
+        for vs, vt in pairs:
+            mapped = 0
+            for k in bits_of(vs):
+                mapped ^= imgs[k]
+            if mapped != vt:
+                raise RuntimeError(
+                    "classification violation: inconsistent extension")
+        out[m] = imgs
+    for m in range(1, target.nclass + 1):
+        if rank(out.get(m, [])) != target.dims[m - 1]:
+            raise RuntimeError("classification violation: not surjective")
+    for m in range(1, universal.nclass + 1):
+        nxt = out.get(m + 1)
+        tab = universal.tables.get(m)
+        for x in range(N):
+            for k in range(universal.dims[m - 1]):
+                lhs = 0
+                if tab is not None:
+                    for j in bits_of(tab[x][k]):
+                        lhs ^= nxt[j]
+                rhs = target.bracket_gen(x, m, out[m][k])
+                if lhs != rhs:
+                    raise RuntimeError(
+                        "classification violation: brackets disagree")
+    return out
 
 
 def check_lie_axioms_direct(L: GradedLie, shape: BlockShape | None = None) -> dict:
@@ -788,11 +875,11 @@ def check_lie_axioms_direct(L: GradedLie, shape: BlockShape | None = None) -> di
     ok = True
     for i in range(4, nclass + 2):
         for xs in product(range(N), repeat=i):
-            base = L.nested(xs)[1]
+            base = nested(L, xs)[1]
             for s in range(i - 3):
                 ys = list(xs)
                 ys[s], ys[s + 1] = ys[s + 1], ys[s]
-                if L.nested(ys)[1] != base:
+                if nested(L, ys)[1] != base:
                     ok = False
         free = i - 4
         for s, t in combinations(range(i - 2), 2):
@@ -807,7 +894,7 @@ def check_lie_axioms_direct(L: GradedLie, shape: BlockShape | None = None) -> di
                             vecs.append(1 << next(r))
                     vecs.append(1 << next(r))
                     vecs.append(1 << next(r))
-                    if L.nested_mixed(vecs)[1]:
+                    if nested_mixed(L, vecs)[1]:
                         ok = False
     for x in range(N):
         for m in range(1, nclass + 1):
@@ -832,7 +919,7 @@ def check_lie_axioms_direct(L: GradedLie, shape: BlockShape | None = None) -> di
     for j in range(2, nclass + 2):
         for xs in product(range(N), repeat=j):
             blocks = [shape.block(x) for x in xs]
-            if len(set(blocks)) < j and L.nested(xs)[1]:
+            if len(set(blocks)) < j and nested(L, xs)[1]:
                 ok = False
     report["tilde2"] = ok
     return report

@@ -23,6 +23,7 @@ from genusforge.groups import ExpansionGroup, descending_central_series
 from genusforge.lie import GradedLie
 from genusforge.tensors import (BlockShape, _annihilates, _class_dim, _column_classes,
                                  cons_rows, gov_space_general, inj_index)
+from oracles import nested
 
 
 def unique_epimorphism(source, target) -> dict[int, int] | None:
@@ -59,7 +60,7 @@ def tensor_pairing(L: GradedLie, i: int) -> list[int] | None:
     shape = L.shape
     d = L.dims[i - 1] if 1 <= i <= L.nclass else 0
     tuples = list(product(range(shape.N), repeat=i))
-    nest = [L.nested(xs)[1] for xs in tuples]
+    nest = [nested(L, xs)[1] for xs in tuples]
     mats = []
     for t in gov_space_general(shape, i):
         rhs = 0

@@ -58,7 +58,7 @@ from genusforge.tensors import (
     inj_tuples,
     mask_of,
 )
-from oracles import jacobi_by_euler
+from oracles import compositions, jacobi_by_euler
 from statements import is_cocycle
 
 _BIG: dict[str, object] = {}
@@ -69,15 +69,6 @@ def universal4():
     if "g4" not in _BIG:
         _BIG["g4"] = build_universal(4)
     return _BIG["g4"]
-
-
-def compositions(total: int):
-    if total == 0:
-        yield ()
-        return
-    for head in range(1, total + 1):
-        for tail in compositions(total - head):
-            yield (head,) + tail
 
 
 @contextmanager
@@ -163,8 +154,17 @@ def test_criterion_04_lie_correspondence(capsys):
             lie_epimorphism(M, L)
             lie_epimorphism(L, M)
         L4 = lie_from_group(universal4())
-        assert L4.dims == governing_algebra_general(BlockShape((1,) * 4)).dims \
-            == (4, 6, 8, 3)
+        M4 = governing_algebra_general(BlockShape((1,) * 4))
+        assert L4.dims == M4.dims == (4, 6, 8, 3)
+        lie_epimorphism(M4, L4)
+        lie_epimorphism(L4, M4)
+        for k in ((1,) * 5, (1,) * 6, (2, 1, 1, 1, 1)):
+            sh = BlockShape(k)
+            L = lie_from_group(build_universal_general(sh))
+            M = governing_algebra_general(sh)
+            assert L.dims == M.dims, k
+            lie_epimorphism(M, L)
+            lie_epimorphism(L, M)
 
 
 def test_criterion_05_commutator_evaluation(capsys):

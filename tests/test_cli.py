@@ -71,6 +71,19 @@ def test_dims_shape_and_caps(capsys):
     assert code == 1 and "error" in rep["results"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("dims", "--n", "3", "--i", "0"), ("dims", "--n", "0"),
+    ("universal", "--n", "0"),
+])
+def test_non_positive_values_are_refused(capsys, argv):
+    code, rep = run_json(capsys, *argv)
+    assert code == 1 and rep["passed"] is False
+    assert "positive" in rep["results"]["error"], argv
+    assert rep["parameters"]["n"] == int(argv[2])
+    if "--i" in argv:
+        assert rep["parameters"]["i"] == 0
+
+
 @pytest.mark.parametrize("command", ["dims", "universal"])
 def test_n_and_shape_together_are_refused(capsys, command):
     code, rep = run_json(capsys, command, "--n", "3", "--shape", "2,1")
@@ -224,6 +237,11 @@ def test_reconstruct_never_enumerates(capsys, monkeypatch):
         assert hashlib.sha256(text).hexdigest()[:16] == digest, (shape, j)
 
 
+LIE_SHAPES = [(1, 1), (1, 1, 1), (2, 1), (2, 2), (1, 1, 1, 1),
+              (1, 1, 1, 1, 1), (1, 1, 1, 1, 1, 1), (2, 1, 1, 1),
+              (2, 1, 1, 1, 1)]
+
+
 def _raising(source, target):
     raise RuntimeError("classification violation: not surjective")
 
@@ -251,7 +269,8 @@ def test_verify_lie_epimorphism_check_can_fail(capsys, monkeypatch, fake, detail
     assert code == 1 and rep["passed"] is False
     checks = rep["results"]["checks"]
     epi = [c for c in checks if c["name"].startswith("lie epimorphisms")]
-    assert len(epi) == 2
+    assert [c["name"] for c in epi] == [f"lie epimorphisms shape={k}"
+                                        for k in LIE_SHAPES]
     assert all(not c["passed"] and c["detail"].startswith(detail) for c in epi)
     assert all(c["passed"] for c in checks if c not in epi)
 
@@ -259,13 +278,9 @@ def test_verify_lie_epimorphism_check_can_fail(capsys, monkeypatch, fake, detail
 def test_verify_lie_checks_axioms_past_n4(capsys, monkeypatch):
     code, rep = run_json(capsys, "verify", "lie")
     assert code == 0
-    names = [c["name"] for c in rep["results"]["checks"]
-             if c["name"].startswith("lie axioms shape=")]
-    assert names == ["lie axioms shape=(2, 1)", "lie axioms shape=(2, 2)",
-                     "lie axioms shape=(1, 1, 1, 1, 1)",
-                     "lie axioms shape=(1, 1, 1, 1, 1, 1)",
-                     "lie axioms shape=(2, 1, 1, 1)",
-                     "lie axioms shape=(2, 1, 1, 1, 1)"]
+    names = [c["name"] for c in rep["results"]["checks"]]
+    assert names == [f"lie {check} shape={k}" for k in LIE_SHAPES
+                     for check in ("axioms", "group match", "epimorphisms")]
     real = cli.check_lie_axioms
 
     def blind_to_one_shape(L):

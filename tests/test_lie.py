@@ -18,7 +18,8 @@ from genusforge.lie import (
     lie_from_group,
 )
 from genusforge.tensors import BlockShape
-from oracles import check_lie_axioms_direct
+from oracles import (check_lie_axioms_direct, compositions, lie_epimorphism_tuples, nested,
+                     nested_mixed)
 from statements import tensor_pairing, unique_epimorphism
 
 
@@ -72,23 +73,23 @@ def test_chain_bracket_examples():
     assert L21.bracket((1, 1 << 1), (1, 1 << 2)) == (2, 0b10)
 
     L3 = plain(3)
-    assert L3.nested((0, 1, 2)) == (3, 0b10)
-    assert L3.nested((2, 0, 1)) == (3, 0b01)
+    assert nested(L3, (0, 1, 2)) == (3, 0b10)
+    assert nested(L3, (2, 0, 1)) == (3, 0b01)
     # char-2 Jacobi: [e1,[e0,e2]] = [e0,[e1,e2]] + [e2,[e0,e1]]
-    assert L3.nested((1, 0, 2)) == (3, 0b11)
+    assert nested(L3, (1, 0, 2)) == (3, 0b11)
     # repeated leading entry and blocked entries vanish
-    assert L3.nested((0, 0, 1))[1] == 0
-    assert L3.nested((0, 1, 0))[1] == 0
-    assert L21.nested((0, 1))[1] == 0
+    assert nested(L3, (0, 0, 1))[1] == 0
+    assert nested(L3, (0, 1, 0))[1] == 0
+    assert nested(L21, (0, 1))[1] == 0
 
 
 def test_bracket_grade_bookkeeping():
     L = plain(3)
     g2 = (2, 1)
     assert L.bracket(g2, g2) == (4, 0)
-    assert L.nested((0, 1, 2, 0))[1] == 0
+    assert nested(L, (0, 1, 2, 0))[1] == 0
     with pytest.raises(ValueError):
-        L.nested_mixed([])
+        nested_mixed(L, [])
 
 
 def test_governing_axioms_hold():
@@ -213,6 +214,70 @@ def test_epimorphism_errors():
     hollow = GradedLie(src.shape, (2, 1), {1: [[0, 0], [0, 0]]})
     with pytest.raises(RuntimeError, match="classification violation"):
         lie_epimorphism(hollow, src)
+    M = plain(3)
+    tableless = GradedLie(M.shape, M.dims, {2: M.tables[2]})
+    with pytest.raises(RuntimeError, match="grade not spanned"):
+        lie_epimorphism(tableless, M)
+
+
+def epimorphism_or_error(source, target, route):
+    try:
+        return route(source, target)
+    except RuntimeError:
+        return "classification violation"
+
+
+def test_epimorphism_matches_tuple_walk():
+    # images and verdicts of the route along the bracket tables equal those
+    # of the walk over every nested bracket, on the models, the group
+    # algebras and seeded table mutants of both
+    algebras = []
+    for N in range(1, 6):
+        for k in compositions(N):
+            shape = BlockShape(k)
+            M = governing_algebra_general(shape)
+            L = lie_from_group(build_universal_general(shape))
+            algebras += [M, L]
+            for src, tgt in ((M, L), (L, M), (M, M)):
+                got = lie_epimorphism(src, tgt)
+                assert got == lie_epimorphism_tuples(src, tgt), k
+    rng = random.Random(19)
+    verdicts = set()
+    for flips in (1, 2, 3):
+        for _ in range(120):
+            A = rng.choice([A for A in algebras if A.tables])
+            tables = copy.deepcopy(A.tables)
+            for _ in range(flips):
+                m = rng.choice(sorted(tables))
+                row = tables[m][rng.randrange(A.shape.N)]
+                row[rng.randrange(len(row))] ^= 1 << rng.randrange(A.dims[m])
+            mutant = GradedLie(A.shape, A.dims, tables)
+            B = rng.choice([B for B in algebras if B.shape == A.shape])
+            for src, tgt in ((mutant, B), (B, mutant), (mutant, mutant)):
+                got = epimorphism_or_error(src, tgt, lie_epimorphism)
+                assert got == epimorphism_or_error(src, tgt, lie_epimorphism_tuples), \
+                    (flips, A.shape.k)
+                verdicts.add(isinstance(got, dict))
+    assert verdicts == {True, False}
+
+
+def test_epimorphism_work_is_bounded_by_the_tables(monkeypatch):
+    # one solve per grade over the N * dims[m-1] table entries: no more
+    # than 2 * N * sum(dims) bracket_gen calls, not one per nested tuple
+    shape = BlockShape((1,) * 5)
+    M = governing_algebra_general(shape)
+    L = lie_from_group(build_universal_general(shape))
+    calls = 0
+    real = GradedLie.bracket_gen
+
+    def counted(self, x, m, bits):
+        nonlocal calls
+        calls += 1
+        return real(self, x, m, bits)
+
+    monkeypatch.setattr(GradedLie, "bracket_gen", counted)
+    lie_epimorphism(M, L)
+    assert 0 < calls <= 2 * shape.N * sum(M.dims) == 540
 
 
 def test_mutant_structure_constants_detected():

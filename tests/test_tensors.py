@@ -396,15 +396,6 @@ def test_class_route_sees_a_governing_vector_leave_cons(monkeypatch, arg, i):
     assert seen
 
 
-def _compositions(N: int):
-    if N == 0:
-        yield ()
-        return
-    for head in range(1, N + 1):
-        for rest in _compositions(N - head):
-            yield (head,) + rest
-
-
 def _tilde_route(shape: BlockShape, i: int) -> dict:
     # the union-find and annihilation verdict over every explicit row
     gov = gov_space_general(shape, i)
@@ -420,7 +411,7 @@ def test_block_classes_match_the_tilde_rows():
     # the full-support oracle against every explicit tilde row:
     # 127 compositions, 448 (shape, arity) pairs
     for N in range(1, 8):
-        for k in _compositions(N):
+        for k in oracles.compositions(N):
             shape = BlockShape(k)
             for i in range(1, shape.n + 1):
                 assert class_route_check(shape, i) == _tilde_route(shape, i), (k, i)
@@ -429,7 +420,7 @@ def test_block_classes_match_the_tilde_rows():
 def test_split_route_matches_the_full_support_route():
     # the same 448 pairs, one piece per block set against the whole support
     for N in range(1, 8):
-        for k in _compositions(N):
+        for k in oracles.compositions(N):
             shape = BlockShape(k)
             for i in range(1, shape.n + 1):
                 assert gov_equals_cons_check(shape, i) == class_route_check(shape, i), (k, i)
