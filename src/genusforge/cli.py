@@ -46,13 +46,18 @@ class RunReport:
 
 
 def _parse_shape(text: str) -> BlockShape:
-    return BlockShape(tuple(int(v) for v in text.split(",")))
+    try:
+        k = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError("--shape takes block sizes separated by commas, "
+                         f"got {text!r}") from None
+    return BlockShape(k)
 
 
 def _shape_arg(args) -> BlockShape:
-    if args.shape and args.n is not None:
+    if args.shape is not None and args.n is not None:
         raise ValueError("give either --n or --shape, not both")
-    if args.shape:
+    if args.shape is not None:
         return _parse_shape(args.shape)
     if args.n is not None:
         return BlockShape((1,) * args.n)

@@ -40,6 +40,13 @@ TABLE_CEILING = 1 << 13
 CODE_WIDTH_LIMIT = 63
 
 
+def _work_dtype(width: int) -> np.dtype:
+    """The dtype codes of this width are worked on in: uint32 while a tag
+    bit still fits above them, else uint64."""
+    import numpy as np
+    return np.dtype(np.uint32 if width < 32 else np.uint64)
+
+
 def _power_text(v: int) -> str:
     return f"2^{v.bit_length() - 1}" if v > 0 and v & (v - 1) == 0 else str(v)
 
@@ -242,7 +249,10 @@ class ExpansionGroup:
 
     # -- vectorized code arithmetic --
 
-    def _gen_table(self, gc: int):
+    def _gen_table(self, gc: int, dtype: np.dtype):
+        """Right multiplication by gc on codes of the given dtype: a
+        constant XOR plus, per factor that gc moves, one lookup keyed by the
+        factor's vector field."""
         import numpy as np
         const = 0
         parts = []
@@ -253,22 +263,20 @@ class ExpansionGroup:
             if a2:
                 tab = np.fromiter((_act(v, a2, c.m) << c.poly_off
                                    for v in range(1 << c.m)),
-                                  dtype=np.uint64, count=1 << c.m)
-                parts.append((np.uint64(c.vec_off), np.uint64(c.vec_mask), tab))
-        return np.uint64(const), parts
+                                  dtype=dtype, count=1 << c.m)
+                parts.append((dtype.type(c.vec_off), dtype.type(c.vec_mask), tab))
+        return dtype.type(const), parts
 
     @staticmethod
     def _step(codes: np.ndarray, table) -> np.ndarray:
-        import numpy as np
         const, parts = table
         out = codes ^ const
         for off, mask, tab in parts:
-            vx = ((codes >> off) & mask).astype(np.int64)
-            out = out ^ tab[vx]
+            out ^= tab[(codes >> off) & mask]
         return out
 
     def right_mul_array(self, codes: np.ndarray, gc: int) -> np.ndarray:
-        return self._step(codes, self._gen_table(gc))
+        return self._step(codes, self._gen_table(gc, codes.dtype))
 
     def mul_table(self) -> np.ndarray:
         """M[p, q], the position of codes[p] * codes[q], as int32, built on
@@ -297,27 +305,53 @@ class ExpansionGroup:
     # -- closure --
 
     def _close(self, gen_codes: list[int]) -> np.ndarray:
-        """Breadth-first closure as a sorted array, deduplicated by sorting:
-        no hashing, so its cost is a few sorts per layer."""
+        """The subgroup generated by gen_codes, as a sorted uint64 array,
+        found one breadth-first layer at a time with one sort per layer.
+
+        The search runs over S, the generators together with their
+        inverses.  Write L_d for the elements at distance d from the
+        identity in the Cayley graph of S (x joined to x s for s in S).
+        S is closed under inverses, so the graph is undirected: if x s
+        lies in L_e then x = (x s) s^-1 lies within one step of L_e, so
+        |d - e| <= 1.  Hence the products L_d S lie in L_(d-1), L_d and
+        L_(d+1), and L_(d+1) is L_d S minus L_(d-1) and L_d.  Every
+        element of the group S generates is a word in S, so the layers
+        exhaust it.  This holds in any finite group and uses no
+        expansion axiom, so the enumerated check_expansion_axioms stays
+        independent of check_generator_axioms.
+
+        Each layer sorts one array: the codes of L_(d-1) and L_d shifted
+        left with tag bit 0, then every product shifted left with tag 1.
+        After the sort a tagged entry is new exactly when the entry before
+        it holds a different code.  Codes are worked on in uint32 when
+        the width leaves room for the tag bit, else in uint64, whose top
+        bit CODE_WIDTH_LIMIT keeps spare.  The element ceiling is checked
+        after every layer.
+        """
         import numpy as np
-        tables = [self._gen_table(g) for g in gen_codes]
-        seen = np.zeros(1, dtype=np.uint64)
-        frontier = seen
-        while frontier.size and tables:
-            nxt = np.concatenate([self._step(frontier, t) for t in tables])
-            nxt.sort()
-            nxt = nxt[np.concatenate(([True], nxt[1:] != nxt[:-1]))]
-            pos = np.minimum(np.searchsorted(seen, nxt), seen.size - 1)
-            fresh = nxt[seen[pos] != nxt]
-            if not fresh.size:
-                break
-            # two disjoint sorted runs: the stable sort merges them in one pass
-            seen = np.concatenate([seen, fresh])
-            seen.sort(kind="stable")
-            if seen.size > ENUM_CEILING:
+        dtype = _work_dtype(self.width)
+        one = dtype.type(1)
+        gens = sorted(set(gen_codes) | {self.inv(g) for g in gen_codes})
+        tables = [self._gen_table(g, dtype) for g in gens]
+        prev = np.zeros(0, dtype=dtype)
+        cur = np.zeros(1, dtype=dtype)
+        layers = [cur]
+        total = 1
+        while cur.size and tables:
+            z = np.concatenate([prev << one, cur << one]
+                               + [(self._step(cur, t) << one) | one for t in tables])
+            z.sort()
+            new = z & one == one
+            # only 2c and 2c + 1 sort just below 2c + 1 while holding code c
+            new[1:] &= z[1:] - z[:-1] > one
+            prev, cur = cur, z[new] >> one
+            layers.append(cur)
+            total += cur.size
+            if total > ENUM_CEILING:
                 raise ResourceLimitError(self.expected_order)
-            frontier = fresh
-        return seen
+        codes = np.concatenate(layers)
+        codes.sort()
+        return codes.astype(np.uint64, copy=False)
 
     def __repr__(self) -> str:
         return (f"ExpansionGroup(shape={list(self.shape.k)}, "
@@ -381,8 +415,11 @@ def _xor_closed_sorted(codes: np.ndarray) -> bool:
     exactly when max(S^S') lies in S'.  Sorted V therefore lists v_S at
     position sum over k in S of 2^(k-1): codes[2^t] is b_(t+1), and the
     span of codes[1], codes[2], ..., codes[2^(r-1)] is all of codes.
-    Conversely span lists the XOR of every subset of those candidates,
-    so if it equals codes then codes is a span, hence closed.
+    Doubling span = [span, span ^ codes[2^t]] for t = 0, ..., r-1 puts
+    the XOR of the candidates indexed by S at that same position, so a
+    closed set equals span entry by entry, with no sort.  Conversely
+    span lists the XOR of every subset of the candidates, so if it
+    equals codes then codes is a span, hence closed.
     """
     import numpy as np
     size = int(codes.size)
@@ -391,9 +428,9 @@ def _xor_closed_sorted(codes: np.ndarray) -> bool:
     if int(codes[0]) != 0:
         return False
     r = size.bit_length() - 1
-    span = np.array([0], dtype=np.uint64)
+    span = codes[:1]
     for t in range(r):
-        span = np.sort(np.concatenate([span, span ^ codes[1 << t]]))
+        span = np.concatenate([span, span ^ codes[1 << t]])
     return bool(np.array_equal(span, codes))
 
 
@@ -535,14 +572,15 @@ def check_expansion_axioms(G: ExpansionGroup) -> dict[str, bool]:
     report["axiom1"] = all(G.phi(g) == 1 << x for x, g in enumerate(G.gen_codes))
     if report["axiom1"]:
         # phi(u g) = phi(u) + phi(g) for all u, read on every phi bit at once
-        codes = G.codes
+        dtype = _work_dtype(G.width)
+        codes = G.codes.astype(dtype, copy=False)
         mask = 0
         for pos in G.phi_bits:
             mask |= 1 << pos
-        M = np.uint64(mask)
+        M = dtype.type(mask)
         report["axiom1"] = all(
             bool(np.all(((G.right_mul_array(codes, g) ^ codes) & M)
-                        == np.uint64(g & mask)))
+                        == dtype.type(g & mask)))
             for g in G.gen_codes)
     ker, tilde = _phi_zero_sets(G)
     report["axiom2"] = _is_elementary_abelian(G, ker)

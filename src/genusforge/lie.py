@@ -384,12 +384,15 @@ def lie_epimorphism(universal: GradedLie, target: GradedLie) -> dict[int, list[i
         if rank(out.get(m, [])) != target.dims[m - 1]:
             raise RuntimeError("classification violation: not surjective")
     for m in range(1, universal.nclass + 1):
-        nxt = out.get(m + 1)
+        nxt = out.get(m + 1, [])
         tab = universal.tables.get(m)
         for x in range(N):
             for k in range(universal.dims[m - 1]):
                 lhs = 0
                 if tab is not None:
+                    if tab[x][k] >> len(nxt):
+                        raise RuntimeError(
+                            "classification violation: bracket leaves the grades")
                     for j in bits_of(tab[x][k]):
                         lhs ^= nxt[j]
                 rhs = target.bracket_gen(x, m, out[m][k])

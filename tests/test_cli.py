@@ -71,6 +71,16 @@ def test_dims_shape_and_caps(capsys):
     assert code == 1 and "error" in rep["results"]
 
 
+def test_empty_shape_is_a_shape_not_an_absence(capsys):
+    code, rep = run_json(capsys, "dims", "--shape", "", "--n", "2")
+    assert code == 1 and rep["passed"] is False
+    assert rep["results"]["error"] == "give either --n or --shape, not both"
+    code, rep = run_json(capsys, "dims", "--shape", "")
+    assert code == 1 and rep["passed"] is False
+    assert rep["results"]["error"] == (
+        "--shape takes block sizes separated by commas, got ''")
+
+
 @pytest.mark.parametrize("argv", [
     ("dims", "--n", "3", "--i", "0"), ("dims", "--n", "0"),
     ("universal", "--n", "0"),

@@ -292,6 +292,43 @@ def test_close_np_matches_close_set():
         assert codes.tolist() == sorted(want), k
 
 
+def test_close_matches_close_set_on_other_generating_sets():
+    # the closure searches over the generators and their inverses; these
+    # sets have a generator of order 4, or codes too wide for the uint32
+    # working dtype (build_universal(4) is 44 bits), or span a proper
+    # subgroup
+    G, U = build_universal(3), build_universal(4)
+    g, h = G.gen_codes, U.gen_codes
+    mutant = G.mul(g[0], G.commutator(g[1], g[2]))
+    umutant = U.mul(h[0], U.commutator(h[1], h[2]))
+    assert G.mul(mutant, mutant) != 0 and U.mul(umutant, umutant) != 0
+    assert U.width > 31
+    cases = [(G.with_generators([mutant, g[1], g[2]]), 256),
+             (U.with_generators([umutant, h[1]]), 16),
+             (U.with_generators(h[:3]), 256)]
+    for k in [(2, 1, 1), (2, 2), (3, 1)]:
+        H = build_universal_general(BlockShape(k))
+        cases += [(H.with_generators(H.gen_codes[:j]), None)
+                  for j in range(1, len(H.gen_codes))]
+    for H, order in cases:
+        codes = H._close(H.gen_codes)
+        want = sorted(oracles.closure_by_sets(H.gen_codes, H.mul, 0))
+        assert codes.dtype == np.uint64
+        assert codes.tolist() == want
+        assert order is None or len(want) == order
+
+
+def test_right_mul_array_agrees_across_dtypes():
+    G = build_universal_general(BlockShape((2, 2, 1)))
+    assert G.codes.dtype == np.uint64 and G.width <= 31
+    narrow = G.codes.astype(np.uint32)
+    for g in G.gen_codes + [int(G.codes[-1])]:
+        wide = G.right_mul_array(G.codes, g)
+        got = G.right_mul_array(narrow, g)
+        assert wide.dtype == np.uint64 and got.dtype == np.uint32
+        assert np.array_equal(got, wide)
+
+
 def test_empty_generating_set_is_trivial():
     G = build_universal(2)
     assert G._close([]).tolist() == [0]

@@ -218,6 +218,11 @@ def test_epimorphism_errors():
     tableless = GradedLie(M.shape, M.dims, {2: M.tables[2]})
     with pytest.raises(RuntimeError, match="grade not spanned"):
         lie_epimorphism(tableless, M)
+    # a nonzero bracket out of the top grade lands in no grade of the source
+    overhang = GradedLie(M.shape, M.dims, {**M.tables, 3: [[1, 0], [0, 0], [0, 0]]})
+    for route in (lie_epimorphism, lie_epimorphism_tuples):
+        with pytest.raises(RuntimeError, match="bracket leaves the grades"):
+            route(overhang, M)
 
 
 def epimorphism_or_error(source, target, route):
