@@ -8,7 +8,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from . import arith
 from .expmaps import (CommVector, ThetaCocycle, build_phi_basis, coboundary,
@@ -22,10 +22,14 @@ from .groups import (ENUM_CEILING, ResourceLimitError, augmentation_power_span,
                      universal_order_exponent)
 from .lie import (check_lie_axioms, governing_algebra_general, lie_epimorphism,
                   lie_from_group)
-from .tensors import BlockShape, cons_dim_formula_general, gov_equals_cons_check
+from .tensors import (BlockShape, block_sets, cons_dim_formula_general,
+                      gov_equals_cons_check, piece_cells)
 
 SCHEMA = "genusforge-report/1"
 SIZE_CAP = 8
+# dims refuses a run past either limit; (1,)*35, 24.4 M cells, takes 1.5 s
+PIECE_LIMIT = 1000
+CELL_LIMIT = 25 * 10 ** 6
 
 
 @dataclass
@@ -69,8 +73,9 @@ def _presentation_cap(shape: BlockShape) -> None:
 
     Past that ceiling the group is read from its presentation alone, and
     the series and the layers grow three- to sixfold per block: (1,)*8
-    takes a fraction of a second for universal and about 3 s for
-    reconstruct, (1,)*9 about 18 s for reconstruct --j 2.
+    takes a fraction of a second for universal and 2.4 s for
+    reconstruct --j 2, (1,)*9 20.6 s and 134 MB for reconstruct --j 2
+    with the cap lifted (single runs, Python 3.11.7, numpy 2.4.6).
     """
     if shape.N > SIZE_CAP and \
             universal_order_exponent(shape) > ENUM_CEILING.bit_length() - 1:
@@ -90,26 +95,39 @@ def _failed(command: str, params: dict, err: Exception, t0: float) -> RunReport:
 
 # -- dims --
 
+def _dims_guard(shape: BlockShape, span) -> None:
+    """Refuse a dims run, before any row is built, past PIECE_LIMIT
+    distinct pieces or CELL_LIMIT pairs times rows summed over them.
+    Every arity up to n has pieces of its own, so a longer span is
+    refused before any block set is walked."""
+    pieces = [] if len(span) > PIECE_LIMIT else list(islice(
+        (k for i in span for k, _ in block_sets(shape, i)), PIECE_LIMIT + 1))
+    if max(len(span), len(pieces)) > PIECE_LIMIT:
+        raise ValueError(f"more than {PIECE_LIMIT} distinct pieces exceed "
+                         "the piece limit")
+    cells = sum(map(piece_cells, pieces))
+    if cells > CELL_LIMIT:
+        raise ValueError(f"{cells} pair-row cells exceed the cell limit "
+                         f"{CELL_LIMIT}")
+
+
 def cmd_dims(args) -> RunReport:
     t0 = time.perf_counter()
     params = {"n": args.n, "shape": args.shape, "i": args.i}
     try:
         shape = _shape_arg(args)
-        if shape.N > SIZE_CAP:
-            raise ValueError(f"total support size capped at {SIZE_CAP}")
         span = [args.i] if args.i is not None else list(range(1, shape.n + 1))
+        _dims_guard(shape, span)
         rows = []
-        ok = True
         for i in span:
             chk = gov_equals_cons_check(shape, i)
             want = cons_dim_formula_general(shape, i)
-            good = chk["equal"] and chk["dim_cons"] == want \
-                and chk["dim_gov"] == want
             rows.append({"i": i, "dim_gov": chk["dim_gov"],
                          "dim_cons": chk["dim_cons"], "formula": want,
-                         "equal": good})
-            ok = ok and good
-        return _finish("dims", params, {"rows": rows}, ok, t0)
+                         "equal": chk["equal"] and
+                         chk["dim_gov"] == chk["dim_cons"] == want})
+        return _finish("dims", params, {"rows": rows},
+                       all(r["equal"] for r in rows), t0)
     except (ValueError, ResourceLimitError) as err:
         return _failed("dims", params, err, t0)
 
@@ -152,20 +170,14 @@ def _check(checks: list, name: str, good: bool, detail: str = "") -> None:
 
 
 def _verify_tensors(checks: list, max_n: int) -> None:
-    for n in range(1, max_n + 1):
-        shape = BlockShape((1,) * n)
-        for i in range(1, n + 1):
-            chk = gov_equals_cons_check(shape, i)
-            want = cons_dim_formula_general(shape, i)
-            _check(checks, f"tensors n={n} i={i}",
-                   chk["equal"] and chk["dim_cons"] == want,
-                   f"dim {chk['dim_cons']} expected {want}")
-    for k in ((1, 1), (2, 1), (2, 2), (1, 1, 1)):
+    _dims_guard(BlockShape((1,) * max(max_n, 1)), range(1, max_n + 1))
+    for k, label in [((1,) * n, f"n={n}") for n in range(1, max_n + 1)] + [
+            (k, f"shape={k}") for k in ((1, 1), (2, 1), (2, 2), (1, 1, 1))]:
         shape = BlockShape(k)
         for i in range(1, shape.n + 1):
             chk = gov_equals_cons_check(shape, i)
             want = cons_dim_formula_general(shape, i)
-            _check(checks, f"tensors shape={k} i={i}",
+            _check(checks, f"tensors {label} i={i}",
                    chk["equal"] and chk["dim_cons"] == want,
                    f"dim {chk['dim_cons']} expected {want}")
 
@@ -308,6 +320,31 @@ def cmd_reconstruct(args) -> RunReport:
 
 # -- arith --
 
+def _arith_bound(n: int, text: str, params: dict, t0: float) -> RunReport:
+    """maximality_bound, its grades j >= 2 checked against dim cons of the
+    shape omega, N*C(n-1,j-1) - C(n,j), when omega lists one size per
+    block and passes the dims guard; otherwise the reason no second route
+    applies."""
+    omega = int(text) if "," not in text else [int(v) for v in text.split(",")]
+    if isinstance(omega, list) and len(omega) != n:
+        raise ValueError(f"--omega lists {len(omega)} entries for --n {n}: "
+                         "give one per block")
+    total, grades = arith.maximality_bound(n, omega)
+    results = {"total": total, "grades": grades}
+    try:
+        if isinstance(omega, int):
+            raise ValueError("an integer --omega names no block sizes")
+        shape, span = BlockShape(omega), range(2, n + 1)
+        _dims_guard(shape, span)
+    except ValueError as err:
+        results["second_route"] = f"none: {err}"
+        return _finish("arith", params, results, True, t0)
+    results["cons_grades"] = [gov_equals_cons_check(shape, j)["dim_cons"]
+                              for j in span]
+    return _finish("arith", params, results,
+                   grades[1:] == results["cons_grades"], t0)
+
+
 def cmd_arith(args) -> RunReport:
     t0 = time.perf_counter()
     params = {"sub": args.sub}
@@ -329,12 +366,8 @@ def cmd_arith(args) -> RunReport:
                            {"consistent": cons, "maximal": maximal},
                            cons, t0)
         if args.sub == "bound":
-            omega = (int(args.omega) if "," not in args.omega
-                     else [int(v) for v in args.omega.split(",")])
             params.update({"n": args.n, "omega": args.omega})
-            total, grades = arith.maximality_bound(args.n, omega)
-            return _finish("arith", params,
-                           {"total": total, "grades": grades}, True, t0)
+            return _arith_bound(args.n, args.omega, params, t0)
         params.update({"k": args.k, "budget": args.budget})
         k = tuple(int(v) for v in args.k.split(","))
         v = arith.search_consistent(k, args.budget)

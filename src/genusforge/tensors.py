@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from math import comb, factorial, prod
+from math import comb, prod
 from typing import Iterable
 
 from .f2 import F2Basis, bits_of, kernel_basis, parity, rank
@@ -19,6 +19,8 @@ from .f2 import F2Basis, bits_of, kernel_basis, parity, rank
 __all__ = [
     "BlockShape",
     "governing_tensor_general",
+    "block_sets",
+    "piece_cells",
     "gov_equals_cons_check",
     "cons_dim_formula_general",
 ]
@@ -43,11 +45,7 @@ class BlockShape:
         self.k = k
         self.n = len(k)
         self.N = sum(k)
-        starts, acc = [], 0
-        for v in k:
-            starts.append(acc)
-            acc += v
-        self._starts = tuple(starts)
+        self._starts = tuple(itertools.accumulate(k[:-1], initial=0))
         self._block = tuple(s for s, v in enumerate(k) for _ in range(v))
 
     def block(self, x: int) -> int:
@@ -369,234 +367,110 @@ def gov_space_general(shape: BlockShape, i: int) -> list[MultiTensor]:
     return [MultiTensor(shape.N, i, support, v) for v in basis.basis()]
 
 
-@lru_cache(maxsize=None)
-def _template(i: int) -> tuple[tuple[int, ...], ...]:
-    """cons_rows((1 << i) - 1, i), built from _template(i - 1) alone.
+def block_sets(shape: BlockShape, i: int):
+    """Yield (k_B, count) for each multiset k_B of sizes of i blocks, in
+    descending order, with count = prod_v C(m_v, c_v) block sets B of
+    those sizes: m_v blocks of size v in the shape, c_v of them in B.
+    A branch that cannot be filled stops at once."""
+    sizes = sorted(Counter(shape.k).items(), reverse=True)
+    rest = [sum(m for _, m in sizes[j:]) for j in range(len(sizes) + 1)]
 
-    The columns are the orderings of range(i), lexicographic.  Those
-    starting with j are one run of (i-1)! columns whose tails, relabelled
-    in order onto range(i-1), are the columns of _template(i - 1), so the
-    lift through j is a shift by j * (i-1)!.  The Hall-Witt row (arity 3)
-    or the Commutativity rows (arity 4 on) follow, in cons_rows' order:
-    the orderings starting (a, b) are a run of (i-2)! columns from
-    a * (i-1)! + (b - 1) * (i-2)! when a < b, and from b * (i-1)! +
-    a * (i-2)! for (b, a), with the tails in the same order.
+    def walk(j: int, left: int, piece: tuple[int, ...], count: int):
+        if not left:
+            yield piece, count
+        elif left <= rest[j]:
+            v, m = sizes[j]
+            for c in range(min(m, left), -1, -1):
+                yield from walk(j + 1, left - c, piece + (v,) * c,
+                                count * comb(m, c))
+
+    return walk(0, i, (), 1)
+
+
+def piece_cells(k: tuple[int, ...]) -> int:
+    """Pairs times rows, star vectors included, that _pair_check builds
+    for the piece k, counted without building them."""
+    e1 = e2 = e3 = 0  # members, pairs and triangles
+    for v in k:
+        e1, e2, e3 = e1 + v, e2 + v * e1, e3 + v * e2
+    return e2 * ((e3 if len(k) > 2 else prod(v - 1 for v in k)) + e1)
+
+
+def _pair_columns(blocks: list[range]) -> dict[tuple[int, int], int]:
+    """Column of each pair of members of two distinct blocks, lower first."""
+    pairs = (p for A, B in itertools.combinations(blocks, 2)
+             for p in itertools.product(A, B))
+    return {p: c for c, p in enumerate(pairs)}
+
+
+def _triangles(blocks: list[range], col: dict) -> list[int]:
+    """Rows from arity 3 on: the pairs of one member each of three blocks."""
+    return [1 << col[a, b] | 1 << col[a, c] | 1 << col[b, c]
+            for A, B, C in itertools.combinations(blocks, 3)
+            for a, b, c in itertools.product(A, B, C)]
+
+
+def _four_cycles(blocks: list[range], col: dict) -> list[int]:
+    """Rows at arity 2: 4-cycles through the first member of each block."""
+    (a, *A), (c, *C) = blocks
+    return [1 << col[a, c] | 1 << col[a, d] | 1 << col[b, c] | 1 << col[b, d]
+            for b in A for d in C]
+
+
+def _stars(blocks: list[range], col: dict) -> list[int]:
+    """Governing vectors: the pairs holding each member."""
+    stars = [0] * blocks[-1].stop
+    for (a, b), c in col.items():
+        stars[a] |= 1 << c
+        stars[b] |= 1 << c
+    return stars
+
+
+def _pair_check(k: tuple[int, ...]) -> dict:
+    """gov_equals_cons_check of BlockShape(k) at its top arity i = len(k),
+    on the pairs of members of two distinct blocks.
+
+    The piece's columns are the tuples taking one member from each block.
+    Its rows are the cons_rows of the members, the block classes (a head
+    slot does not see which member of its block it holds) and the
+    ker-pair rows of the last two slots.  On them:
+
+    - Classes.  A lifted Symmetry row swaps the last two slots, and a
+      lifted Commutativity row swaps slots h and h+1, h = 0 ... i-4;
+      slots i-3 and i-2 are never swapped.  So the two-column rows
+      generate S_{i-2} on the head slots times S_2 on the last two, and
+      with the block classes a column's class is fixed by the set of its
+      last two members: one class per pair, none forced to zero.
+    - Triangles.  A Hall-Witt row, lifted by a prefix p, reads p + (a, b,
+      c), p + (c, a, b) and p + (b, c, a), whose classes are the pairs
+      bc, ab and ca of members of three distinct blocks.  Every such
+      triangle arises, with p the other blocks.
+    - 4-cycles.  A ker-pair row reads rest + (x, y) for x in {a, b} of
+      block s and y in {c, d} of block t: the pairs of a 4-cycle.  At
+      i >= 3 it is the sum of the four triangles through x, y and one
+      member z of a third block, since each pair xz and yz occurs twice,
+      so only i = 2, which has no triangle, keeps these rows.
+    - Stars.  The governing tensor of member m of block x is 1 on the
+      columns holding m in one of the last two slots, that is on every
+      class whose pair holds m.
+
+    So dim_cons = pairs - rank(rows), and the spans are equal exactly
+    when every star meets every row evenly and rank(stars) = dim_cons:
+    the cut space and the cycle space of the complete multipartite graph
+    on the members (Diestel, Graph Theory, 1.9).  At i = 1 the columns
+    are the k_0 members, with no row, and the governing tensors are
+    their unit vectors.
     """
-    if i < 2:
-        return ()
-    if i == 2:
-        return ((0, 1),)
-    step = factorial(i - 1)
-    rows = [tuple(c + j * step for c in r)
-            for j in range(i) for r in _template(i - 1)]
-    if i == 3:
-        rows.append((0, 3, 4))  # (0, 1, 2), (1, 2, 0) and (2, 0, 1)
-    else:
-        run = factorial(i - 2)
-        for a, b in itertools.combinations(range(i), 2):
-            ab, ba = a * step + (b - 1) * run, b * step + a * run
-            rows.extend((ab + t, ba + t) for t in range(run))
-    return tuple(rows)
-
-
-def _weights(k: tuple[int, ...]) -> list[int]:
-    """Place value of each block's member in a choice index.
-
-    Choice indices follow itertools.product over the blocks' members, so
-    block s holds digit c // w[s] % k[s] of choice c.
-    """
-    w, acc = [], 1
-    for v in reversed(k):
-        w.append(acc)
-        acc *= v
-    return w[::-1]
-
-
-def _piece_classes(k: tuple[int, ...]):
-    """Column classes and ker-pair rows of BlockShape(k) at its top arity.
-
-    The piece's columns are the tuples that take one member from each
-    block: column c * i! + p puts member c // w[s] % k[s] of each block s
-    in the slots of the p-th lexicographic ordering of the blocks.  On
-    these columns the tilde rows of the full support become:
-
-    - No zero column: the zero columns are the tuples meeting a block
-      twice, and none of these does.
-    - Classes.  A kernel row in one of the first i-2 slots has two
-      columns that differ in one slot by members a, b of one block.  If
-      only one is injective, the rest holds a or b, so that one meets
-      the block twice; otherwise both meet a block twice or neither
-      does.  So on the piece these rows say that the value does not see
-      which member of its block sits in a head slot: the class of a
-      column keeps the members of the last two blocks of its ordering
-      and puts every head block at its first member.
-    - Ker-pair rows.  Kernel pairs (a, b) in block s and (c, d) in
-      block t, in the last two slots of a rest tuple, touch only
-      columns meeting a block twice unless s != t and neither block
-      occurs in the rest.  Then, on the classes, the row equals the one
-      with every head block at its first member: four columns ending in
-      s, t with a or b and c or d.
-
-    Returns (root, zero, rows) as _column_classes takes them.  With
-    blocks of size one every column is its own class and there is no
-    kernel pair.
-    """
-    i = len(k)
-    f = factorial(i)
-    cols = prod(k) * f
-    root, zero = list(range(cols)), bytearray(cols)
-    if i < 2 or max(k) == 1:
-        return root, zero, ()
-    w = _weights(k)
-    rows = []
-    for p, order in enumerate(itertools.permutations(range(i))):
-        s, t = order[-2:]
-        if i > 2:
-            for c in range(cols // f):
-                keep = c // w[s] % k[s] * w[s] + c // w[t] % k[t] * w[t]
-                root[c * f + p] = keep * f + p
-        for b in range(1, k[s]):
-            for d in range(1, k[t]):
-                rows.append(tuple(sorted((x * w[s] + y * w[t]) * f + p
-                                         for x in (0, b) for y in (0, d))))
-    return root, zero, tuple(rows)
-
-
-def _piece_gov(k: tuple[int, ...]) -> list[int]:
-    """Echelon basis of the governing span of BlockShape(k) at its top
-    arity, in the columns of _piece_classes.
-
-    governing_tensor_general(shape, range(i), x, T) takes each choice
-    whose member of block x lies in T, in every ordering with x in one of
-    the last two slots: one pattern over the orderings, put at each such
-    choice.  Choices with different members of x fill disjoint columns,
-    so the tensor of T is the sum of those of its members, and the
-    one-member sets T span them all.
-    """
-    i = len(k)
-    w = _weights(k)
-    orders = list(itertools.permutations(range(i)))
-    blank = "0" * len(orders)
-    basis = F2Basis()
-    for x in range(i):
-        # binary digits, highest column first, as int(..., 2) reads them
-        pattern = "".join("1" if x in order[-2:] else "0"
-                          for order in reversed(orders))
-        for m in range(k[x]):
-            basis.add(int("".join(pattern if c // w[x] % k[x] == m else blank
-                                  for c in reversed(range(prod(k)))), 2))
-    return basis.basis()
-
-
-def _column_classes(rows: Iterable[tuple[int, ...]], cols: int,
-                    root: list[int] | None = None,
-                    zero: bytearray | None = None):
-    """Classes of columns that every solution of the rows holds equal.
-
-    A one-column row forces its column to zero and a two-column row
-    forces two columns equal, so union-find over those rows leaves
-    classes of columns sharing one value, some of them forced to zero.
-    root and zero, as _piece_classes gives them, start the union-find
-    from classes already known.  Returns (root, zero, wide): root[c] is
-    a column naming the class of c, zero[root[c]] whether that class is
-    forced to zero, and wide the rows of three or more columns.  A
-    vector solves the rows exactly when it is zero on the zero classes,
-    constant on each class and sums to zero over every wide row.
-    """
-    parent = list(range(cols)) if root is None else list(root)
-    zero = bytearray(cols) if zero is None else bytearray(zero)
-
-    def find(c: int) -> int:
-        top = c
-        while parent[top] != top:
-            top = parent[top]
-        while parent[c] != top:
-            parent[c], c = top, parent[c]
-        return top
-
-    wide = []
-    for r in rows:
-        if len(r) == 1:
-            zero[find(r[0])] = 1
-        elif len(r) == 2:
-            a, b = find(r[0]), find(r[1])
-            if a != b:
-                parent[b] = a
-                zero[a] |= zero[b]
-        else:
-            wide.append(r)
-    return [find(c) for c in range(cols)], zero, wide
-
-
-def _class_dim(classes) -> int:
-    """Dimension of the solutions of the rows _column_classes folded.
-
-    Only the wide rows are projected onto the free classes and ranked.
-    """
-    root, zero, wide = classes
-    free: dict[int, int] = {}
-    for r in root:
-        if not zero[r] and r not in free:
-            free[r] = len(free)
-    projected = []
-    for row in wide:
-        m = 0
-        for c in row:
-            r = root[c]
-            if not zero[r]:
-                m ^= 1 << free[r]
-        projected.append(m)
-    return len(free) - rank(projected)
-
-
-def _annihilates(classes, vecs: Iterable[int]) -> bool:
-    """Whether every vector solves the rows _column_classes folded.
-
-    Bit k of a column's mask is that column's entry in vector k, so a
-    column agrees with its class on every vector at once when the two
-    masks are equal, and the XOR of the masks over a wide row's columns
-    is the row's value on every vector at once.
-    """
-    root, zero, wide = classes
-    colmask: dict[int, int] = {}
-    for k, v in enumerate(vecs):
-        digits = bin(v)[:1:-1]  # digits[c] is bit c
-        c = digits.find("1")
-        while c >= 0:
-            colmask[c] = colmask.get(c, 0) | 1 << k
-            c = digits.find("1", c + 1)
-    for c, r in enumerate(root):
-        m = colmask.get(c, 0)
-        if m and zero[r] or m != colmask.get(r, 0):
-            return False
-    for row in wide:
-        acc = 0
-        for c in row:
-            acc ^= colmask.get(c, 0)
-        if acc:
-            return False
-    return True
-
-
-def _piece_check(k: tuple[int, ...]) -> dict:
-    """gov_equals_cons_check of BlockShape(k) at its top arity len(k),
-    on the columns that take one member from each block.
-
-    The rows are _template(len(k)) put at each choice of members, that
-    is shifted by the choice's first column, and the ker-pair rows of
-    _piece_classes.
-    """
-    f = factorial(len(k))
-    root, zero, ker = _piece_classes(k)
-    template = _template(len(k))
-    rows = itertools.chain((tuple(c + off for c in r) if off else r
-                            for off in range(0, len(root), f) for r in template),
-                           ker)
-    classes = _column_classes(rows, len(root), root, zero)
-    dim_cons = _class_dim(classes)
-    gov = _piece_gov(k)
-    equal = dim_cons == len(gov) and _annihilates(classes, gov)
-    return {"dim_gov": len(gov), "dim_cons": dim_cons, "equal": equal}
+    if len(k) == 1:
+        return {"dim_gov": k[0], "dim_cons": k[0], "equal": True}
+    blocks = [range(a, a + v) for a, v in zip(itertools.accumulate(k, initial=0), k)]
+    col = _pair_columns(blocks)
+    rows = (_triangles if len(k) > 2 else _four_cycles)(blocks, col)
+    stars = _stars(blocks, col)
+    dim_gov, dim_cons = rank(stars), len(col) - rank(rows)
+    equal = dim_cons == dim_gov and not any(
+        parity(s & r) for r in rows for s in stars)
+    return {"dim_gov": dim_gov, "dim_cons": dim_cons, "equal": equal}
 
 
 def gov_equals_cons_check(shape: BlockShape, i: int) -> dict:
@@ -622,24 +496,17 @@ def gov_equals_cons_check(shape: BlockShape, i: int) -> dict:
     B.  The rows only compare members, so relabelling the members of B
     onto range(N_B) in order turns the problem of B into the top-arity
     problem of BlockShape(k_B), k_B the sizes of the blocks of B, which
-    _piece_check solves once per distinct k_B.  On each piece, dim cons
-    comes from _class_dim on the classes of the sparse rows, and the
-    spans are equal when every governing vector solves every row, so gov
-    lies inside cons, and the two dimensions agree.  No kernel basis and
-    no row over the full support is built.
+    _pair_check solves on the pairs of members.  Reordering the blocks
+    permutes the pairs, rows and stars among themselves, so the answer
+    depends only on the multiset of k_B, whose block sets block_sets
+    counts.  No kernel basis and no full-support row is built.
     """
     if i < 1:
         raise ValueError("arity must be positive")
-    sizes = Counter(tuple(shape.k[s] for s in B)
-                    for B in itertools.combinations(range(shape.n), i))
-    dim_gov = dim_cons = 0
-    equal = True
-    for k, count in sizes.items():
-        piece = _piece_check(k)
-        dim_gov += count * piece["dim_gov"]
-        dim_cons += count * piece["dim_cons"]
-        equal = equal and piece["equal"]
-    return {"dim_gov": dim_gov, "dim_cons": dim_cons, "equal": equal}
+    pieces = [(count, _pair_check(k)) for k, count in block_sets(shape, i)]
+    return {"dim_gov": sum(c * p["dim_gov"] for c, p in pieces),
+            "dim_cons": sum(c * p["dim_cons"] for c, p in pieces),
+            "equal": all(p["equal"] for _, p in pieces)}
 
 
 def cons_dim_formula_general(shape: BlockShape, i: int) -> int:

@@ -8,21 +8,28 @@ the restriction kernel, the pointed expansion-map recursion, the
 the package's own objects.  They read package internals such as
 _context and _recursion_holds, so they are kept apart from oracles.py,
 whose computations avoid the package's data structures.
+
+The column route (_template to column_route_check) is the reference
+for tensors' pair route: gov = cons per block set on the i! * prod(k)
+tuple columns of each piece, by union-find over the two-column rows.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from collections import Counter
+from functools import lru_cache
+from itertools import chain, combinations, permutations, product
+from math import factorial, prod
+from typing import Iterable
 
 import numpy as np
 
 from genusforge.expmaps import (PhiMap, _context, _label_row, _recursion_holds,
                                 _unpack, phi_one_basis)
-from genusforge.f2 import kernel_basis, rank, solve, spans_equal
+from genusforge.f2 import F2Basis, kernel_basis, rank, solve, spans_equal
 from genusforge.groups import ExpansionGroup, descending_central_series
 from genusforge.lie import GradedLie
-from genusforge.tensors import (BlockShape, _annihilates, _class_dim, _column_classes,
-                                 cons_rows, gov_space_general, inj_index)
+from genusforge.tensors import BlockShape, cons_rows, gov_space_general, inj_index
 from oracles import nested
 
 
@@ -148,6 +155,252 @@ def class_route_check(shape: BlockShape, i: int, gov=None) -> dict:
     dim_gov = rank(gov)
     equal = dim_cons == dim_gov and _annihilates(classes, gov)
     return {"dim_gov": dim_gov, "dim_cons": dim_cons, "equal": equal}
+
+
+@lru_cache(maxsize=None)
+def _template(i: int) -> tuple[tuple[int, ...], ...]:
+    """cons_rows((1 << i) - 1, i), built from _template(i - 1) alone.
+
+    The columns are the orderings of range(i), lexicographic.  Those
+    starting with j are one run of (i-1)! columns whose tails, relabelled
+    in order onto range(i-1), are the columns of _template(i - 1), so the
+    lift through j is a shift by j * (i-1)!.  The Hall-Witt row (arity 3)
+    or the Commutativity rows (arity 4 on) follow, in cons_rows' order:
+    the orderings starting (a, b) are a run of (i-2)! columns from
+    a * (i-1)! + (b - 1) * (i-2)! when a < b, and from b * (i-1)! +
+    a * (i-2)! for (b, a), with the tails in the same order.
+    """
+    if i < 2:
+        return ()
+    if i == 2:
+        return ((0, 1),)
+    step = factorial(i - 1)
+    rows = [tuple(c + j * step for c in r)
+            for j in range(i) for r in _template(i - 1)]
+    if i == 3:
+        rows.append((0, 3, 4))  # (0, 1, 2), (1, 2, 0) and (2, 0, 1)
+    else:
+        run = factorial(i - 2)
+        for a, b in combinations(range(i), 2):
+            ab, ba = a * step + (b - 1) * run, b * step + a * run
+            rows.extend((ab + t, ba + t) for t in range(run))
+    return tuple(rows)
+
+
+def _weights(k: tuple[int, ...]) -> list[int]:
+    """Place value of each block's member in a choice index.
+
+    Choice indices follow product over the blocks' members, so
+    block s holds digit c // w[s] % k[s] of choice c.
+    """
+    w, acc = [], 1
+    for v in reversed(k):
+        w.append(acc)
+        acc *= v
+    return w[::-1]
+
+
+def _piece_classes(k: tuple[int, ...]):
+    """Column classes and ker-pair rows of BlockShape(k) at its top arity.
+
+    The piece's columns are the tuples that take one member from each
+    block: column c * i! + p puts member c // w[s] % k[s] of each block s
+    in the slots of the p-th lexicographic ordering of the blocks.  On
+    these columns the tilde rows of the full support become:
+
+    - No zero column: the zero columns are the tuples meeting a block
+      twice, and none of these does.
+    - Classes.  A kernel row in one of the first i-2 slots has two
+      columns that differ in one slot by members a, b of one block.  If
+      only one is injective, the rest holds a or b, so that one meets
+      the block twice; otherwise both meet a block twice or neither
+      does.  So on the piece these rows say that the value does not see
+      which member of its block sits in a head slot: the class of a
+      column keeps the members of the last two blocks of its ordering
+      and puts every head block at its first member.
+    - Ker-pair rows.  Kernel pairs (a, b) in block s and (c, d) in
+      block t, in the last two slots of a rest tuple, touch only
+      columns meeting a block twice unless s != t and neither block
+      occurs in the rest.  Then, on the classes, the row equals the one
+      with every head block at its first member: four columns ending in
+      s, t with a or b and c or d.
+
+    Returns (root, zero, rows) as _column_classes takes them.  With
+    blocks of size one every column is its own class and there is no
+    kernel pair.
+    """
+    i = len(k)
+    f = factorial(i)
+    cols = prod(k) * f
+    root, zero = list(range(cols)), bytearray(cols)
+    if i < 2 or max(k) == 1:
+        return root, zero, ()
+    w = _weights(k)
+    rows = []
+    for p, order in enumerate(permutations(range(i))):
+        s, t = order[-2:]
+        if i > 2:
+            for c in range(cols // f):
+                keep = c // w[s] % k[s] * w[s] + c // w[t] % k[t] * w[t]
+                root[c * f + p] = keep * f + p
+        for b in range(1, k[s]):
+            for d in range(1, k[t]):
+                rows.append(tuple(sorted((x * w[s] + y * w[t]) * f + p
+                                         for x in (0, b) for y in (0, d))))
+    return root, zero, tuple(rows)
+
+
+def _piece_gov(k: tuple[int, ...]) -> list[int]:
+    """Echelon basis of the governing span of BlockShape(k) at its top
+    arity, in the columns of _piece_classes.
+
+    governing_tensor_general(shape, range(i), x, T) takes each choice
+    whose member of block x lies in T, in every ordering with x in one of
+    the last two slots: one pattern over the orderings, put at each such
+    choice.  Choices with different members of x fill disjoint columns,
+    so the tensor of T is the sum of those of its members, and the
+    one-member sets T span them all.
+    """
+    i = len(k)
+    w = _weights(k)
+    orders = list(permutations(range(i)))
+    blank = "0" * len(orders)
+    basis = F2Basis()
+    for x in range(i):
+        # binary digits, highest column first, as int(..., 2) reads them
+        pattern = "".join("1" if x in order[-2:] else "0"
+                          for order in reversed(orders))
+        for m in range(k[x]):
+            basis.add(int("".join(pattern if c // w[x] % k[x] == m else blank
+                                  for c in reversed(range(prod(k)))), 2))
+    return basis.basis()
+
+
+def _column_classes(rows: Iterable[tuple[int, ...]], cols: int,
+                    root: list[int] | None = None,
+                    zero: bytearray | None = None):
+    """Classes of columns that every solution of the rows holds equal.
+
+    A one-column row forces its column to zero and a two-column row
+    forces two columns equal, so union-find over those rows leaves
+    classes of columns sharing one value, some of them forced to zero.
+    root and zero, as _piece_classes gives them, start the union-find
+    from classes already known.  Returns (root, zero, wide): root[c] is
+    a column naming the class of c, zero[root[c]] whether that class is
+    forced to zero, and wide the rows of three or more columns.  A
+    vector solves the rows exactly when it is zero on the zero classes,
+    constant on each class and sums to zero over every wide row.
+    """
+    parent = list(range(cols)) if root is None else list(root)
+    zero = bytearray(cols) if zero is None else bytearray(zero)
+
+    def find(c: int) -> int:
+        top = c
+        while parent[top] != top:
+            top = parent[top]
+        while parent[c] != top:
+            parent[c], c = top, parent[c]
+        return top
+
+    wide = []
+    for r in rows:
+        if len(r) == 1:
+            zero[find(r[0])] = 1
+        elif len(r) == 2:
+            a, b = find(r[0]), find(r[1])
+            if a != b:
+                parent[b] = a
+                zero[a] |= zero[b]
+        else:
+            wide.append(r)
+    return [find(c) for c in range(cols)], zero, wide
+
+
+def _class_dim(classes) -> int:
+    """Dimension of the solutions of the rows _column_classes folded.
+
+    Only the wide rows are projected onto the free classes and ranked.
+    """
+    root, zero, wide = classes
+    free: dict[int, int] = {}
+    for r in root:
+        if not zero[r] and r not in free:
+            free[r] = len(free)
+    projected = []
+    for row in wide:
+        m = 0
+        for c in row:
+            r = root[c]
+            if not zero[r]:
+                m ^= 1 << free[r]
+        projected.append(m)
+    return len(free) - rank(projected)
+
+
+def _annihilates(classes, vecs: Iterable[int]) -> bool:
+    """Whether every vector solves the rows _column_classes folded.
+
+    Bit k of a column's mask is that column's entry in vector k, so a
+    column agrees with its class on every vector at once when the two
+    masks are equal, and the XOR of the masks over a wide row's columns
+    is the row's value on every vector at once.
+    """
+    root, zero, wide = classes
+    colmask: dict[int, int] = {}
+    for k, v in enumerate(vecs):
+        digits = bin(v)[:1:-1]  # digits[c] is bit c
+        c = digits.find("1")
+        while c >= 0:
+            colmask[c] = colmask.get(c, 0) | 1 << k
+            c = digits.find("1", c + 1)
+    for c, r in enumerate(root):
+        m = colmask.get(c, 0)
+        if m and zero[r] or m != colmask.get(r, 0):
+            return False
+    for row in wide:
+        acc = 0
+        for c in row:
+            acc ^= colmask.get(c, 0)
+        if acc:
+            return False
+    return True
+
+
+def _piece_check(k: tuple[int, ...]) -> dict:
+    """gov_equals_cons_check of BlockShape(k) at its top arity len(k),
+    on the columns that take one member from each block.
+
+    The rows are _template(len(k)) put at each choice of members, that
+    is shifted by the choice's first column, and the ker-pair rows of
+    _piece_classes.
+    """
+    f = factorial(len(k))
+    root, zero, ker = _piece_classes(k)
+    template = _template(len(k))
+    rows = chain((tuple(c + off for c in r) if off else r
+                            for off in range(0, len(root), f) for r in template),
+                           ker)
+    classes = _column_classes(rows, len(root), root, zero)
+    dim_cons = _class_dim(classes)
+    gov = _piece_gov(k)
+    equal = dim_cons == len(gov) and _annihilates(classes, gov)
+    return {"dim_gov": len(gov), "dim_cons": dim_cons, "equal": equal}
+
+
+def column_route_check(shape: BlockShape, i: int) -> dict:
+    """gov_equals_cons_check by the column route: _piece_check once per
+    tuple of block sizes of the i-block sets, each counted once per set."""
+    sizes = Counter(tuple(shape.k[s] for s in B)
+                    for B in combinations(range(shape.n), i))
+    dim_gov = dim_cons = 0
+    equal = True
+    for k, count in sizes.items():
+        piece = _piece_check(k)
+        dim_gov += count * piece["dim_gov"]
+        dim_cons += count * piece["dim_cons"]
+        equal = equal and piece["equal"]
+    return {"dim_gov": dim_gov, "dim_cons": dim_cons, "equal": equal}
+
 
 
 def shuffling_check(shape: BlockShape, A) -> bool:

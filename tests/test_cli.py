@@ -11,11 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from genusforge import cli, expmaps, groups
+from genusforge import arith, cli, expmaps, groups, tensors
 from genusforge.cli import RunReport, build_parser, main
 from genusforge.groups import descending_central_series, universal_order_exponent
 from genusforge.lie import governing_algebra_general, lie_epimorphism
-from genusforge.tensors import BlockShape
+from genusforge.tensors import BlockShape, cons_dim_formula_general
 
 AXIOMS = ("axiom1", "axiom2", "axiom3", "axiom4", "tilde_condition")
 
@@ -60,15 +60,75 @@ def test_dims_plain_is_the_all_ones_shape(capsys):
         assert len(by_n["results"]["rows"]) == k
 
 
+def _passes_against_the_formula(rep, shape: BlockShape, span) -> bool:
+    rows = rep["results"]["rows"]
+    return rep["passed"] and [r["i"] for r in rows] == list(span) and all(
+        r["equal"] and r["dim_gov"] == r["dim_cons"] == r["formula"]
+        == cons_dim_formula_general(shape, r["i"]) for r in rows)
+
+
 def test_dims_shape_and_caps(capsys):
     code, rep = run_json(capsys, "dims", "--shape", "2,1", "--i", "2")
     assert code == 0
     assert rep["results"]["rows"] == [
         {"i": 2, "dim_gov": 2, "dim_cons": 2, "formula": 2, "equal": True}]
+    # N = 9 was refused by the old size cap; the pair route solves it
     code, rep = run_json(capsys, "dims", "--n", "9")
-    assert code == 1 and "error" in rep["results"]
+    assert code == 0 and _passes_against_the_formula(rep, BlockShape((1,) * 9),
+                                                      range(1, 10))
+    for argv, limit in ((("--n", "40"), "cell limit"),
+                        (("--shape", ",".join(map(str, range(1, 12)))), "piece limit"),
+                        (("--n", "100000"), "piece limit")):
+        code, out = run(capsys, "--json", "dims", *argv)
+        rep = json.loads(out)
+        assert code == 1 and rep["passed"] is False, argv
+        assert limit in rep["results"]["error"] and "Traceback" not in out, argv
     code, rep = run_json(capsys, "dims")
     assert code == 1 and "error" in rep["results"]
+    code, rep = run_json(capsys, "verify", "tensors", "--max-n", "40")
+    assert code == 1 and "cell limit" in rep["results"]["error"]
+
+
+@pytest.mark.parametrize("argv", [("--n", "20"), ("--shape", "3,3,2,2,2,1,1"),
+                                  ("--n", "10", "--i", "10")])
+def test_dims_past_n8_passes_against_the_formula(capsys, argv):
+    code, rep = run_json(capsys, "dims", *argv)
+    shape = cli._shape_arg(build_parser().parse_args(["dims", *argv]))
+    span = [10] if "--i" in argv else range(1, shape.n + 1)
+    assert code == 0 and _passes_against_the_formula(rep, shape, span)
+
+
+@pytest.mark.parametrize("rows, argv, arities", [
+    ("_triangles", ("--n", "5"), (3, 4, 5)),
+    ("_triangles", ("--shape", "2,2,1"), (3,)),
+    ("_four_cycles", ("--shape", "3,2", "--i", "2"), (2,)),
+])
+def test_dims_fails_without_a_row_family(capsys, monkeypatch, rows, argv, arities):
+    # with one family of the pair route's rows gone, dim cons rises above
+    # the formula at exactly the arities that family serves
+    monkeypatch.setattr(tensors, rows, lambda blocks, col: [])
+    code, rep = run_json(capsys, "dims", *argv)
+    assert code == 1 and rep["passed"] is False
+    over = [r["i"] for r in rep["results"]["rows"] if r["dim_cons"] > r["formula"]]
+    assert tuple(over) == arities
+    if argv[1] == "2,2,1":
+        # no row is left on the 8 pairs; the formula gives 4
+        assert rep["results"]["rows"][2]["dim_cons"] == 8
+
+
+@pytest.mark.parametrize("kept", [None, -1])
+def test_dims_fails_on_a_star_with_one_pair_flipped(capsys, monkeypatch, kept):
+    # dropping the last star as well keeps rank(stars) at dim cons on
+    # three blocks, so there only the even-meeting check can fail
+    stars = tensors._stars
+    monkeypatch.setattr(tensors, "_stars", lambda blocks, col: (
+        [stars(blocks, col)[0] ^ 1] + stars(blocks, col)[1:])[:kept])
+    code, rep = run_json(capsys, "dims", "--shape", "2,2,1")
+    assert code == 1 and rep["passed"] is False
+    rows = rep["results"]["rows"]
+    assert [r["equal"] for r in rows] == [True, False, False]
+    if kept:
+        assert rows[2]["dim_gov"] == rows[2]["dim_cons"] == rows[2]["formula"]
 
 
 def test_empty_shape_is_a_shape_not_an_absence(capsys):
@@ -323,10 +383,40 @@ def test_arith_commands(capsys):
     assert rep["results"]["maximal"] == "undecidable at this scope"
     code, rep = run_json(capsys, "arith", "bound", "--n", "2",
                          "--omega", "4")
-    assert code == 0 and rep["results"] == {"total": 5, "grades": [2, 3]}
+    assert code == 0 and rep["results"] == {
+        "total": 5, "grades": [2, 3],
+        "second_route": "none: an integer --omega names no block sizes"}
     code, rep = run_json(capsys, "arith", "bound", "--n", "2",
                          "--omega", "2,2")
-    assert rep["results"]["total"] == 5
+    assert code == 0 and rep["results"] == {"total": 5, "grades": [2, 3],
+                                            "cons_grades": [3]}
+
+
+def test_arith_bound_checks_its_grades(capsys, monkeypatch):
+    code, rep = run_json(capsys, "arith", "bound", "--n", "4",
+                         "--omega", "3,1,2,2")
+    assert code == 0 and rep["results"]["cons_grades"] == [18, 20, 7]
+    code, rep = run_json(capsys, "arith", "bound", "--n", "3",
+                         "--omega", "2,2")
+    assert code == 1 and rep["passed"] is False
+    assert rep["results"]["error"] == (
+        "--omega lists 2 entries for --n 3: give one per block")
+    code, rep = run_json(capsys, "arith", "bound", "--n", "40",
+                         "--omega", ",".join(["1"] * 40))
+    assert code == 0 and "cell limit" in rep["results"]["second_route"]
+    bound = arith.maximality_bound
+
+    def one_off(n, omega):
+        total, grades = bound(n, omega)
+        return total + 1, grades[:-1] + [grades[-1] + 1]
+
+    monkeypatch.setattr(arith, "maximality_bound", one_off)
+    code, rep = run_json(capsys, "arith", "bound", "--n", "4",
+                         "--omega", "3,1,2,2")
+    assert code == 1 and rep["passed"] is False
+    assert rep["results"]["grades"][1:] == [18, 20, 8]
+    code, rep = run_json(capsys, "arith", "bound", "--n", "4", "--omega", "8")
+    assert code == 0 and rep["results"]["grades"][-1] == 8
 
 
 def test_arith_search(capsys):

@@ -278,8 +278,8 @@ def test_leftover_state_check_can_fail(monkeypatch):
     tensors = importlib.import_module("genusforge.tensors")
     seen: dict = {}
     monkeypatch.setattr(tensors, "_SEEN", seen, raising=False)
-    check = tensors._piece_check
-    monkeypatch.setattr(tensors, "_piece_check",
+    check = tensors._pair_check
+    monkeypatch.setattr(tensors, "_pair_check",
                         lambda k: seen.setdefault(k, check(k)))
     _clear_package_state()
     before = _container_sizes()

@@ -4,22 +4,19 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from math import factorial
 
 import pytest
 
 import oracles
+import statements
 from genusforge import cli, tensors
 from genusforge.f2 import F2Basis, kernel_basis, rank, spans_equal
 from genusforge.tensors import (
     BlockShape,
     MultiTensor,
-    _annihilates,
-    _class_dim,
-    _column_classes,
-    _piece_check,
-    _piece_gov,
-    _template,
+    _pair_check,
     cons_dim_formula_general,
     cons_rows,
     cons_space,
@@ -32,7 +29,9 @@ from genusforge.tensors import (
     mask_of,
     tilde_rows,
 )
-from statements import block_classes, class_route_check
+from statements import (_annihilates, _class_dim, _column_classes, _piece_check,
+                        _piece_gov, _template, block_classes, class_route_check,
+                        column_route_check)
 
 
 def plain(n: int) -> BlockShape:
@@ -312,9 +311,10 @@ def _pieces(shape: BlockShape, i: int) -> dict:
     """Where each column of the full support lies in the split route.
 
     A column taking one member from each of i blocks maps to (its block
-    set B, its column in _piece_check of the sizes of B): the choice of
-    members in mixed radix, first block most significant, times i!, plus
-    the lexicographic index of the order its slots visit the blocks in.
+    set B, its column in the oracle's _piece_check of the sizes of B):
+    the choice of members in mixed radix, first block most significant,
+    times i!, plus the lexicographic index of the order its slots visit
+    the blocks in.
     Columns meeting a block twice lie in no piece and are left out.
     """
     f = factorial(i)
@@ -343,10 +343,10 @@ def _restrict(vec: int, where: dict, B) -> int:
 
 
 def _piece_verdict(monkeypatch, shape: BlockShape, B, vecs) -> dict:
-    """_piece_check of block set B with the governing vectors replaced by
-    the echelon basis of vecs."""
+    """The column oracle's _piece_check of block set B with the governing
+    vectors replaced by the echelon basis of vecs."""
     basis = F2Basis(vecs).basis()
-    monkeypatch.setattr(tensors, "_piece_gov", lambda k: basis)
+    monkeypatch.setattr(statements, "_piece_gov", lambda k: basis)
     return _piece_check(tuple(shape.k[s] for s in B))
 
 
@@ -526,13 +526,13 @@ def test_class_route_opens_when_a_hall_witt_row_is_dropped():
 def test_split_route_opens_when_a_template_row_is_dropped(monkeypatch):
     # every row of the arity-3 template is needed (from arity 4 on, each
     # single row follows from the others), and dropping one drops its copy
-    # at every choice of members
+    # at every choice of members of the column oracle
     template = _template(3)
     for t in range(len(template)):
         kept = template[:t] + template[t + 1:]
-        monkeypatch.setattr(tensors, "_template", lambda i: kept)
+        monkeypatch.setattr(statements, "_template", lambda i: kept)
         for shape in (plain(4), BlockShape((2, 1, 1))):
-            report = gov_equals_cons_check(shape, 3)
+            report = column_route_check(shape, 3)
             assert report["dim_cons"] > cons_dim_formula_general(shape, 3), (t, shape)
             assert report["equal"] is False
 
@@ -545,6 +545,61 @@ def test_rows_are_sorted_column_tuples():
         for c in cons_rows(support, i) + tilde_rows(shape, i) + \
                 block_classes(shape, i)[2]:
             assert c and list(c) == sorted(set(c)) and c[-1] < cols
-        root, _, ker = tensors._piece_classes(shape.k)
+        root, _, ker = statements._piece_classes(shape.k)
         for c in _template(shape.n) + ker:
             assert c and list(c) == sorted(set(c)) and c[-1] < len(root)
+
+
+# every piece of a shape with N <= 7; the oracle comparison adds the top
+# piece of (1,)*8 and three mixed pieces, one out of descending order
+SMALL_PIECES = tuple(tuple(k) for N in range(1, 8) for k in oracles.compositions(N))
+ORACLE_PIECES = SMALL_PIECES + ((1,) * 8, (2, 2, 2, 2), (4, 2, 1), (5, 1, 2))
+
+
+def test_pair_route_matches_the_column_oracle():
+    for k in ORACLE_PIECES:
+        assert _pair_check(k) == _piece_check(k), k
+
+
+def test_ker_pair_rows_add_nothing_past_arity_two(monkeypatch):
+    # on the column oracle, the ker-pair rows of _piece_classes change no
+    # report from arity 3 on (each is a sum of four triangles), and at
+    # arity 2 they are the only rows beyond Symmetry
+    want = {k: _piece_check(k) for k in SMALL_PIECES}
+    classes = statements._piece_classes
+    monkeypatch.setattr(statements, "_piece_classes", lambda k: classes(k)[:2] + ((),))
+    for k, report in want.items():
+        got = _piece_check(k)
+        if len(k) != 2 or min(k) == 1:
+            assert got == report, k
+        else:
+            assert got["dim_cons"] > report["dim_cons"] and not got["equal"], k
+    assert _piece_check((2, 2))["dim_cons"] == 4 and want[(2, 2)]["dim_cons"] == 3
+    assert _piece_check((3, 2))["dim_cons"] == 6 and want[(3, 2)]["dim_cons"] == 4
+
+
+def test_block_sets_count_every_block_set():
+    for k in ((1,), (3, 1, 2, 1, 1, 3), (2, 2, 1, 1), (1,) * 6, (4, 3, 2, 1)):
+        shape = BlockShape(k)
+        for i in range(shape.n + 2):
+            want = Counter(tuple(sorted((k[s] for s in B), reverse=True))
+                           for B in itertools.combinations(range(shape.n), i))
+            assert dict(tensors.block_sets(shape, i)) == want, (k, i)
+
+
+def test_piece_cells_counts_what_pair_check_builds(monkeypatch):
+    # the pairs each row builder is handed, and the rows it returns
+    built = {}
+    for name in ("_triangles", "_four_cycles", "_stars"):
+        def counted(blocks, col, name=name, make=getattr(tensors, name)):
+            built[name] = make(blocks, col)
+            built["pairs"] = len(col)
+            return built[name]
+        monkeypatch.setattr(tensors, name, counted)
+    for k in ((2, 3), (1, 1, 1), (3, 2, 1, 4), (2,) * 5, (3, 1)):
+        built.clear()
+        assert _pair_check(k)["equal"]
+        rows = built.get("_triangles", built.get("_four_cycles"))
+        assert tensors.piece_cells(k) == built["pairs"] * (
+            len(rows) + len(built["_stars"])), k
+    assert tensors.piece_cells((5,)) == 0
