@@ -42,7 +42,7 @@ class RunReport:
     schema: str = SCHEMA
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), indent=2, sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunReport":
@@ -72,10 +72,11 @@ def _presentation_cap(shape: BlockShape) -> None:
     """Refuse a shape past both the enumeration ceiling and SIZE_CAP.
 
     Past that ceiling the group is read from its presentation alone, and
-    the series and the layers grow three- to sixfold per block: (1,)*8
-    takes a fraction of a second for universal and 2.4 s for
-    reconstruct --j 2, (1,)*9 20.6 s and 134 MB for reconstruct --j 2
-    with the cap lifted (single runs, Python 3.11.7, numpy 2.4.6).
+    the series and the layers grow about sixfold per block: (1,)*8
+    takes a fraction of a second for universal and 0.6 s for
+    reconstruct --j 2, (1,)*9 3.5 s and 43 MB for reconstruct --j 2
+    with the cap lifted (single runs, 2 cores, Python 3.11.7, numpy
+    2.4.6).
     """
     if shape.N > SIZE_CAP and \
             universal_order_exponent(shape) > ENUM_CEILING.bit_length() - 1:

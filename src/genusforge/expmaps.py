@@ -39,6 +39,7 @@ inside the functions that build or read these arrays.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import itemgetter
 
 from . import groups
 from .f2 import F2Basis, bits_of, kernel_basis, rank
@@ -92,10 +93,11 @@ class _Context:
     Labels and corner matrices come from the shape; the group is
     enumerated only when a value table or pos_of is asked for.  The
     group keeps its own product table and series, so _CONTEXTS.clear()
-    frees those with the context.
+    frees those with the context.  row_bits picks the label bits out of a
+    code written in binary, last label first, for _label_row.
     """
 
-    __slots__ = ("shape", "group", "labels", "index", "bitpos",
+    __slots__ = ("shape", "group", "labels", "index", "bitpos", "row_bits",
                  "_tables", "_corners")
 
     def __init__(self, shape: BlockShape):
@@ -117,6 +119,8 @@ class _Context:
             A = lab[1] if lab[0] == "phi" else ()
             self.bitpos[lab] = comp.poly_off + sum(
                 1 << comp.pos[s] for s in A if s != shape.block(lab[-1]))
+        top = self.group.width - 1
+        self.row_bits = itemgetter(*(top - self.bitpos[lab] for lab in reversed(labels)))
         self._tables = {}
         self._corners = {}
 
@@ -358,6 +362,29 @@ def _corner_matrix(shape: BlockShape, i: int) -> list[int]:
     return mat
 
 
+def _corner_preimages(shape: BlockShape, i: int) -> list[int]:
+    """The transpose of _corner_matrix(shape, i): entry q holds the labels
+    whose image is corner label q.  Each label has at most one image, so
+    the pull-back of a corner functional f is the OR of the entries at
+    the bits of f; an image of two or more bits is refused."""
+    pre = [0] * len(_context(shape.drop(i)).labels)
+    for p, image in enumerate(_corner_matrix(shape, i)):
+        if image & (image - 1):
+            raise ValueError(f"corner matrix of block {i} sends label {p} to "
+                             "more than one corner label")
+        if image:
+            pre[image.bit_length() - 1] |= 1 << p
+    return pre
+
+
+def _pull_back(pre: list[int], f: int) -> int:
+    """The labels whose corner image lies in f, read through _corner_preimages."""
+    out = 0
+    for q in bits_of(f):
+        out |= pre[q]
+    return out
+
+
 def _corner_chain(phi: PhiMap, B) -> PhiMap:
     """Corner phi at each block of B in turn, B indexing phi's blocks."""
     for k, b in enumerate(sorted(B)):
@@ -413,11 +440,9 @@ def lcomm_check(shape: BlockShape, A, pointer_x: int, gens) -> tuple[int, int]:
 
 
 def _label_row(ctx: _Context, w: int) -> int:
-    """Bit p is the value of label p at the code w."""
-    row = 0
-    for p, lab in enumerate(ctx.labels):
-        row |= ctx.eval_label(lab, w) << p
-    return row
+    """Bit p is the value of label p at the code w: w is written out once,
+    most significant bit first, and one gather reads every label's bit."""
+    return int("".join(ctx.row_bits(format(w, f"0{ctx.group.width}b"))), 2)
 
 
 # -- coboundaries and cocycles --
@@ -555,9 +580,7 @@ def realize_commuting_vector(shape: BlockShape, v: CommVector) -> PhiMap:
         raise ValueError("vector lives on a different shape")
     coords = 0
     for i, phi in enumerate(v.entries):
-        for p, image in enumerate(_corner_matrix(shape, i)):
-            if image & phi.coords:
-                coords |= 1 << p
+        coords |= _pull_back(_corner_preimages(shape, i), phi.coords)
     lift = PhiMap(shape, coords)
     if any(corner_operator(shape, i, lift) != phi for i, phi in enumerate(v.entries)):
         raise ValueError("vector is not commuting")
@@ -584,10 +607,10 @@ def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
 
     corner_spaces[i] spans the (j-1)-th layer on the corner without
     block i; the vectors need not be independent.  The functionals
-    vanishing on each space are pulled back through the block-i corner
-    matrix, one kernel over the shape's labels takes every condition at
-    once, and the preimage is joined with layer 1.  No value table is
-    built.
+    vanishing on each space are pulled back through the transpose of the
+    block-i corner matrix (_corner_preimages), one kernel over the
+    shape's labels takes every condition at once, and the preimage is
+    joined with layer 1.  No value table is built.
 
     The preimage is the span of the realized commuting vectors plus the
     characters.  Cornering at block i sends the label (A, x), with i in
@@ -617,9 +640,9 @@ def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
             raise ValueError(f"corner basis {i} lives on the wrong shape")
         space = [phi.coords for phi in maps]
         dependent += len(space) - rank(space)
-        mat = _corner_matrix(shape, i)
-        for f in kernel_basis(space, cols=len(_context(sub).labels)):
-            conds.append(sum(1 << p for p, image in enumerate(mat) if image & f))
+        pre = _corner_preimages(shape, i)
+        conds.extend(_pull_back(pre, f)
+                     for f in kernel_basis(space, cols=len(_context(sub).labels)))
     preimage = kernel_basis(conds, cols=len(_context(shape).labels))
     span = F2Basis(preimage)
     for phi in phi_one_basis(shape):

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import product as iproduct
 from typing import Iterable, Sequence
 
-from .f2 import F2Basis, bits_of
+from .f2 import F2Basis
 from .tensors import BlockShape
 
 __all__ = [
@@ -90,14 +90,6 @@ def _clear_masks(m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _act(v: int, a: int, m: int) -> int:
-    """Vector v acting on polynomial a: e_j sends t_B to t_B + t_(B|{j})."""
-    masks = _clear_masks(m)
-    for j in bits_of(v):
-        a ^= (a & masks[j]) << (1 << j)
-    return a
-
-
 class _Comp:
     """Packed-field layout of one factor inside an element code."""
 
@@ -128,21 +120,54 @@ def _layout(specs: Iterable[tuple[int, tuple[int, ...]]]) -> tuple[_Comp, ...]:
     return tuple(comps)
 
 
+def _act_plan(comps: tuple[_Comp, ...]) -> tuple[tuple[int, int, int, int, int], ...]:
+    """(2^m + j, P_m, 2^(2^m) - 1, C_(m,j), 2^j) for each factor size m
+    present and each j < m: P_m holds the t_empty bits of the factors of
+    size m, C_(m,j) their _clear_masks(m)[j] fields."""
+    plan = []
+    for m in sorted({c.m for c in comps}):
+        same = [c.poly_off for c in comps if c.m == m]
+        P = sum(1 << off for off in same)
+        for j, mask in enumerate(_clear_masks(m)):
+            C = sum(mask << off for off in same)
+            plan.append(((1 << m) + j, P, (1 << (1 << m)) - 1, C, 1 << j))
+    return tuple(plan)
+
+
 class ExpansionGroup:
     """Group generated by packed integer codes inside a product of factors.
 
-    Codes concatenate per-factor fields [poly | vec]. The group is its
-    presentation: generators and the product on codes. The order, the
-    axiom report and the central series come from generator arithmetic
-    (check_generator_axioms) on Python ints, with no size limit. codes,
-    the sorted uint64 array of every element, is enumerated on its first
-    read, by a value table, mul_table or the enumerated
-    check_expansion_axioms; that read checks the element ceiling and the
-    code-width limit first, since the array is all they protect.
-    mul_table is built once and kept on the group, below TABLE_CEILING.
-    numpy is imported only inside the functions that build or read the
-    array.
-    phi reads one code bit per coordinate of [N].
+    Codes concatenate per-factor fields [poly | vec]. In a factor of size
+    m, (a1, v1)(a2, v2) = (a1 + x^v1 a2, v1 + v2), where x^v multiplies by
+    x_j = 1 + t_j for each j in v: t_B goes to t_B + t_(B|{j}) for each B
+    that omits j.  act applies every factor's vector part to a polynomial
+    code at once, by a plan built here with one entry per factor size m
+    present and each j < m (_act_plan): the vector bit j of every factor
+    of size m sits 2^m + j above its t_empty bit, so shifting the code
+    down by 2^m + j and masking with P_m, the t_empty bits of those
+    factors, leaves one bit per factor at its t_empty position.
+    Multiplying by 2^(2^m) - 1, the sum of 2^k for k < 2^m, copies that
+    bit onto the 2^m bits of the factor's own polynomial field.  Factor
+    fields are disjoint, so the copies of different factors neither
+    overlap nor carry, and the product is their OR.  Masking with
+    C_(m,j) keeps the slots t_B with j not in B, and the shift by 2^j
+    moves t_B to t_(B|{j}), where B|{j} = B + 2^j < 2^m: the result
+    stays inside the field it came from.  Each entry is a few big-int
+    steps over every factor of that size; entries of different sizes
+    touch disjoint fields, and those of one size apply x_0, x_1, ... in
+    turn.  mul, inv, conj and commutator are closed forms in act.
+
+    The group is its presentation: generators and the product on codes.
+    The order, the axiom report and the central series come from
+    generator arithmetic (check_generator_axioms) on Python ints, with no
+    size limit. codes, the sorted uint64 array of every element, is
+    enumerated on its first read, by a value table, mul_table or the
+    enumerated check_expansion_axioms; that read checks the element
+    ceiling and the code-width limit first, since the array is all they
+    protect.  mul_table is built once and kept on the group, below
+    TABLE_CEILING.  numpy is imported only inside the functions that
+    build or read the array.  phi reads one code bit per coordinate of
+    [N].
     """
 
     def __init__(self, shape: BlockShape, comps: tuple[_Comp, ...],
@@ -158,6 +183,8 @@ class ExpansionGroup:
         self.vec_field_mask = 0
         for c in comps:
             self.vec_field_mask |= c.vec_mask << c.vec_off
+        self.poly_field_mask = ((1 << self.width) - 1) ^ self.vec_field_mask
+        self._plan = _act_plan(comps)
         self._codes: np.ndarray | None = None
         self._order: int | None = None
         self._derived: F2Basis | None = None
@@ -180,40 +207,38 @@ class ExpansionGroup:
 
     # -- scalar element arithmetic on codes --
 
+    def act(self, a: int, p: int) -> int:
+        """x^v p in every factor at once, v the factor's vector part of a
+        and p a pure-polynomial code (see the class docstring)."""
+        for shift, P, spread, C, up in self._plan:
+            v = (a >> shift) & P
+            if v:
+                p ^= (p & C & (v * spread)) << up
+        return p
+
     def mul(self, a: int, b: int) -> int:
-        out = 0
-        for c in self.comps:
-            a1 = (a >> c.poly_off) & c.poly_mask
-            v1 = (a >> c.vec_off) & c.vec_mask
-            a2 = (b >> c.poly_off) & c.poly_mask
-            v2 = (b >> c.vec_off) & c.vec_mask
-            out |= (a1 ^ _act(v1, a2, c.m)) << c.poly_off
-            out |= (v1 ^ v2) << c.vec_off
-        return out
+        return ((a & self.poly_field_mask) ^ self.act(a, b & self.poly_field_mask)
+                ^ ((a ^ b) & self.vec_field_mask))
 
     def inv(self, a: int) -> int:
-        out = 0
-        for c in self.comps:
-            a1 = (a >> c.poly_off) & c.poly_mask
-            v1 = (a >> c.vec_off) & c.vec_mask
-            out |= _act(v1, a1, c.m) << c.poly_off
-            out |= v1 << c.vec_off
-        return out
+        """(a1, v)^-1 = (x^v a1, v), since x^v x^v = 1."""
+        return self.act(a, a & self.poly_field_mask) | (a & self.vec_field_mask)
 
     def conj(self, g: int, w: int) -> int:
         """g w g^-1; for pure-polynomial w this is g's vector part acting
-        on w, factor by factor: (a, v)(b, 0)(v.a, v) = (v.b, 0)."""
+        on w: (a, v)(b, 0)(x^v a, v) = (x^v b, 0)."""
         if w & self.vec_field_mask:
             return self.mul(self.mul(g, w), self.inv(g))
-        out = 0
-        for c in self.comps:
-            b = (w >> c.poly_off) & c.poly_mask
-            if b:
-                out |= _act((g >> c.vec_off) & c.vec_mask, b, c.m) << c.poly_off
-        return out
+        return self.act(g, w)
 
     def commutator(self, a: int, b: int) -> int:
-        return self.mul(self.mul(a, b), self.mul(self.inv(a), self.inv(b)))
+        """a b a^-1 b^-1 = (1 + x^vb) a1 + (1 + x^va) b1, with zero vector
+        part, for a = (a1, va) and b = (b1, vb) in every factor:
+        a b = (a1 + x^va b1, va + vb), a^-1 b^-1 = (x^va a1 + x^(va+vb) b1, va + vb),
+        and x^(va+vb) x^va = x^vb, x^(va+vb) x^(va+vb) = 1 give
+        (a b)(a^-1 b^-1) = (a1 + x^va b1 + x^vb a1 + b1, 0)."""
+        a1, b1 = a & self.poly_field_mask, b & self.poly_field_mask
+        return a1 ^ b1 ^ self.act(b, a1) ^ self.act(a, b1)
 
     def nested_commutator(self, codes: Sequence[int]) -> int:
         if len(codes) < 2:
@@ -261,7 +286,7 @@ class ExpansionGroup:
             v2 = (gc >> c.vec_off) & c.vec_mask
             const |= v2 << c.vec_off
             if a2:
-                tab = np.fromiter((_act(v, a2, c.m) << c.poly_off
+                tab = np.fromiter((self.act(v << c.vec_off, a2 << c.poly_off)
                                    for v in range(1 << c.m)),
                                   dtype=dtype, count=1 << c.m)
                 parts.append((dtype.type(c.vec_off), dtype.type(c.vec_mask), tab))

@@ -371,7 +371,9 @@ def block_sets(shape: BlockShape, i: int):
     """Yield (k_B, count) for each multiset k_B of sizes of i blocks, in
     descending order, with count = prod_v C(m_v, c_v) block sets B of
     those sizes: m_v blocks of size v in the shape, c_v of them in B.
-    A branch that cannot be filled stops at once."""
+    A branch is entered only if the sizes after it can fill it: c_v is
+    at least left - rest[j + 1], so no piece is built that is then
+    abandoned."""
     sizes = sorted(Counter(shape.k).items(), reverse=True)
     rest = [sum(m for _, m in sizes[j:]) for j in range(len(sizes) + 1)]
 
@@ -380,7 +382,7 @@ def block_sets(shape: BlockShape, i: int):
             yield piece, count
         elif left <= rest[j]:
             v, m = sizes[j]
-            for c in range(min(m, left), -1, -1):
+            for c in range(min(m, left), max(0, left - rest[j + 1]) - 1, -1):
                 yield from walk(j + 1, left - c, piece + (v,) * c,
                                 count * comb(m, c))
 

@@ -197,6 +197,60 @@ def group_order_by_sets(gens, mul, identity) -> int:
     return len(closure_by_sets(gens, mul, identity))
 
 
+def act_factor(v: int, a: int, m: int) -> int:
+    """Vector v acting on the polynomial a of one factor of size m: e_j
+    sends t_B to t_B + t_(B|{j}), one j at a time."""
+    masks = _clear_masks(m)
+    for j in bits_of(v):
+        a ^= (a & masks[j]) << (1 << j)
+    return a
+
+
+def mul_by_factors(G, a: int, b: int) -> int:
+    """G.mul one factor at a time: (a1, v1)(a2, v2) = (a1 + v1.a2, v1 + v2)."""
+    out = 0
+    for c in G.comps:
+        a1 = (a >> c.poly_off) & c.poly_mask
+        v1 = (a >> c.vec_off) & c.vec_mask
+        a2 = (b >> c.poly_off) & c.poly_mask
+        v2 = (b >> c.vec_off) & c.vec_mask
+        out |= (a1 ^ act_factor(v1, a2, c.m)) << c.poly_off
+        out |= (v1 ^ v2) << c.vec_off
+    return out
+
+
+def inv_by_factors(G, a: int) -> int:
+    out = 0
+    for c in G.comps:
+        a1 = (a >> c.poly_off) & c.poly_mask
+        v1 = (a >> c.vec_off) & c.vec_mask
+        out |= act_factor(v1, a1, c.m) << c.poly_off
+        out |= v1 << c.vec_off
+    return out
+
+
+def conj_by_factors(G, g: int, w: int) -> int:
+    return mul_by_factors(G, mul_by_factors(G, g, w), inv_by_factors(G, g))
+
+
+def commutator_by_factors(G, a: int, b: int) -> int:
+    return mul_by_factors(G, mul_by_factors(G, a, b),
+                          mul_by_factors(G, inv_by_factors(G, a), inv_by_factors(G, b)))
+
+
+def label_row_by_labels(ctx, w: int) -> int:
+    """Bit p is the value of label p at the code w, one label at a time."""
+    row = 0
+    for p, lab in enumerate(ctx.labels):
+        row |= ctx.eval_label(lab, w) << p
+    return row
+
+
+def pull_back_by_labels(mat: list[int], f: int) -> int:
+    """The labels whose image under a corner matrix meets f."""
+    return sum(1 << p for p, image in enumerate(mat) if image & f)
+
+
 def _act_set(vec, polys):
     """Reference action on square-free monomials, one index at a time."""
     out = frozenset(polys)

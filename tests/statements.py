@@ -19,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Iterable
 
 import numpy as np
@@ -442,6 +442,25 @@ def restriction_kernel_check(shape: BlockShape) -> dict:
         "kernel_dim": len(ker),
         "kernel_matches": spans_equal(ker, [p.coords for p in phi_one_basis(shape)]),
     }
+
+
+def block_sets_unpruned(shape: BlockShape, i: int):
+    """tensors.block_sets as it was before its branches were pruned: every
+    count c_v from min(m_v, left) down to 0 is tried, and a branch the
+    sizes after it cannot fill is abandoned one level down."""
+    sizes = sorted(Counter(shape.k).items(), reverse=True)
+    rest = [sum(m for _, m in sizes[j:]) for j in range(len(sizes) + 1)]
+
+    def walk(j: int, left: int, piece: tuple[int, ...], count: int):
+        if not left:
+            yield piece, count
+        elif left <= rest[j]:
+            v, m = sizes[j]
+            for c in range(min(m, left), -1, -1):
+                yield from walk(j + 1, left - c, piece + (v,) * c,
+                                count * comb(m, c))
+
+    return walk(0, i, (), 1)
 
 
 class ExpansionMap:

@@ -37,6 +37,14 @@ def test_report_round_trip(capsys):
     assert rep == RunReport.from_json(rep.to_json())
     assert rep.schema == "genusforge-report/1"
     assert rep.passed and code == 0
+    # the document is one line, and reads back as the report it came from
+    for argv in (("dims", "--n", "2"), ("reconstruct", "--shape", "2,1", "--j", "2"),
+                 ("universal", "--n", "0")):
+        code, out = run(capsys, "--json", *argv)
+        assert out.count("\n") == 1 and out.endswith("\n"), argv
+        rep = RunReport.from_json(out)
+        assert rep.to_json() == out.rstrip("\n")
+        assert RunReport.from_json(rep.to_json()) == rep
 
 
 def test_dims_plain(capsys):
@@ -76,7 +84,8 @@ def test_dims_shape_and_caps(capsys):
     code, rep = run_json(capsys, "dims", "--n", "9")
     assert code == 0 and _passes_against_the_formula(rep, BlockShape((1,) * 9),
                                                       range(1, 10))
-    for argv, limit in ((("--n", "40"), "cell limit"),
+    # at n = 1000 the block-set walk enters no branch it cannot fill
+    for argv, limit in ((("--n", "40"), "cell limit"), (("--n", "1000"), "cell limit"),
                         (("--shape", ",".join(map(str, range(1, 12)))), "piece limit"),
                         (("--n", "100000"), "piece limit")):
         code, out = run(capsys, "--json", "dims", *argv)

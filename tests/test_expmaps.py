@@ -31,7 +31,8 @@ from genusforge.expmaps import (
 from genusforge.f2 import F2Basis, rank, rref, spans_equal
 from genusforge.groups import ResourceLimitError
 from genusforge.tensors import BlockShape
-from oracles import (coboundary_rows, normal_closure, reconstruct_report_cochain_first,
+from oracles import (coboundary_rows, label_row_by_labels, normal_closure,
+                     pull_back_by_labels, reconstruct_report_cochain_first,
                      solve_cochain_bfs, solve_cochain_exhaustive)
 from statements import (expansion_map, is_cocycle, nil_deg, restriction_kernel_check,
                         shuffling_check)
@@ -649,6 +650,43 @@ def test_reconstruct_round_trip():
             want = [p.coords for p in phi_layer(shape, j)]
             assert rep["dim"] == len(want)
             assert spans_equal(rep["basis_coords"], want)
+
+
+def test_label_row_gather_matches_the_label_loop():
+    rng = random.Random(2202)
+    for k in ((1, 1), (2, 1), (1, 1, 1), (2, 2, 1), (4, 3), (1,) * 5, (1,) * 8):
+        ctx = _context(BlockShape(k))
+        width = ctx.group.width
+        for w in [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(20)]:
+            assert expmaps._label_row(ctx, w) == label_row_by_labels(ctx, w), k
+
+
+def test_corner_pull_back_matches_the_matrix_scan():
+    rng = random.Random(2203)
+    for k in ((1, 1), (2, 1), (1, 1, 1), (2, 2, 1), (1, 2, 1, 1)):
+        shape = BlockShape(k)
+        for i in range(shape.n):
+            mat = expmaps._corner_matrix(shape, i)
+            pre = expmaps._corner_preimages(shape, i)
+            cols = len(pre)
+            for f in [0, (1 << cols) - 1] + [rng.getrandbits(cols) for _ in range(20)]:
+                assert expmaps._pull_back(pre, f) == pull_back_by_labels(mat, f), (k, i)
+
+
+def test_reconstruct_refuses_a_corner_image_of_two_labels(monkeypatch):
+    corners = [phi_layer(S111.drop(i), 1) for i in range(3)]
+    assert reconstruct_report(S111, 2, corners)["dim"] == len(phi_layer(S111, 2))
+    corner_matrix = expmaps._corner_matrix
+
+    def doubled(shape, i):
+        mat = list(corner_matrix(shape, i))
+        p = next(p for p, image in enumerate(mat) if image)
+        mat[p] |= 1 if mat[p] != 1 else 2
+        return mat
+
+    monkeypatch.setattr(expmaps, "_corner_matrix", doubled)
+    with pytest.raises(ValueError, match="more than one corner label"):
+        reconstruct_report(S111, 2, corners)
 
 
 def test_reconstruct_validates_corners():

@@ -72,6 +72,52 @@ def test_mul_identity_and_associativity():
         assert G.mul(a, G.inv(a)) == 0
 
 
+MIXED_LAYOUTS = [
+    # every factor size from 0 to 4, sizes interleaved
+    [(0, ()), (1, (0, 1, 2)), (2, (0,)), (3, (1, 2, 3, 4)), (4, (0, 1)), (5, ())],
+    [(0, (3,)), (1, (0, 1, 2, 3)), (2, ()), (3, (0, 2)), (4, (1, 2, 3)), (5, (0,))],
+]
+
+
+def _mixed(specs) -> ExpansionGroup:
+    return ExpansionGroup(BlockShape((1,)), groups._layout(specs), [1], [0])
+
+
+def _arith_groups():
+    shapes = [k for N in range(1, 8) for k in oracles.compositions(N)] + [(1,) * 8]
+    for k in shapes:
+        yield k, build_universal_general(BlockShape(k))
+    for t, specs in enumerate(MIXED_LAYOUTS):
+        yield f"mixed{t}", _mixed(specs)
+
+
+def test_code_arithmetic_matches_factor_by_factor():
+    rng = random.Random(2201)
+    for name, G in _arith_groups():
+        for _ in range(12):
+            a, b = rng.getrandbits(G.width), rng.getrandbits(G.width)
+            w = b & G.poly_field_mask
+            assert G.mul(a, b) == oracles.mul_by_factors(G, a, b), name
+            assert G.inv(a) == oracles.inv_by_factors(G, a), name
+            assert G.conj(a, w) == oracles.conj_by_factors(G, a, w), name
+            assert G.conj(a, b) == oracles.conj_by_factors(G, a, b), name
+            c = G.commutator(a, b)
+            assert c == oracles.commutator_by_factors(G, a, b), name
+            assert c == G.mul(G.mul(a, b), G.mul(G.inv(a), G.inv(b))), name
+
+
+def test_mixed_layouts_cover_every_factor_size():
+    for specs in MIXED_LAYOUTS:
+        G = _mixed(specs)
+        assert sorted({c.m for c in G.comps}) == [0, 1, 2, 3, 4]
+        assert len(G._plan) == 1 + 2 + 3 + 4
+        # the vector of each factor moves only that factor's polynomial field
+        for c in G.comps:
+            full = c.poly_mask << c.poly_off
+            moved = G.act(c.vec_mask << c.vec_off, G.poly_field_mask) ^ G.poly_field_mask
+            assert moved & ~full == 0 and bool(moved) == (c.m > 0)
+
+
 def test_nested_commutator():
     G = build_universal(3)
     g1, g2, g3 = G.gen_codes

@@ -587,6 +587,15 @@ def test_block_sets_count_every_block_set():
             assert dict(tensors.block_sets(shape, i)) == want, (k, i)
 
 
+def test_block_sets_pruned_walk_matches_the_unpruned_walk():
+    for N in range(1, 9):
+        for k in oracles.compositions(N):
+            shape = BlockShape(k)
+            for i in range(shape.n + 2):
+                assert list(tensors.block_sets(shape, i)) == \
+                    list(statements.block_sets_unpruned(shape, i)), (k, i)
+
+
 def test_piece_cells_counts_what_pair_check_builds(monkeypatch):
     # the pairs each row builder is handed, and the rows it returns
     built = {}
