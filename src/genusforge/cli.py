@@ -64,8 +64,20 @@ def _shape_arg(args) -> BlockShape:
     if args.shape is not None:
         return _parse_shape(args.shape)
     if args.n is not None:
-        return BlockShape((1,) * args.n)
+        return _ones(args.n)
     raise ValueError("give either --n or --shape")
+
+
+def _ones(n: int) -> BlockShape:
+    """BlockShape((1,) * n), refused before its n sizes are built when n
+    passes PIECE_LIMIT.  The shape has a distinct piece at every arity,
+    past the piece limit of a dims run over all of them, and universal
+    refuses every N past SIZE_CAP; a dims run at one arity is refused
+    there too, since the n sizes are what the refusal saves."""
+    if n > PIECE_LIMIT:
+        raise ValueError(f"(1,)*{n} has {n} distinct pieces, past the piece "
+                         f"limit {PIECE_LIMIT}")
+    return BlockShape((1,) * n)
 
 
 def _presentation_cap(shape: BlockShape) -> None:
@@ -148,6 +160,8 @@ def cmd_universal(args) -> RunReport:
             axioms = check_expansion_axioms(G)
             # the enumerated count checks the presentation's order
             results["order"] = len(G.codes)
+            # the closure's work: cosets, their layers, dim of the span over them
+            results.update(G.closure_stats)
             results["axioms"] = {k: bool(v) for k, v in axioms.items()}
             ok = len(G.codes) == G.order == 2 ** exp and all(axioms.values())
         else:
@@ -171,7 +185,7 @@ def _check(checks: list, name: str, good: bool, detail: str = "") -> None:
 
 
 def _verify_tensors(checks: list, max_n: int) -> None:
-    _dims_guard(BlockShape((1,) * max(max_n, 1)), range(1, max_n + 1))
+    _dims_guard(_ones(max(max_n, 1)), range(1, max_n + 1))
     for k, label in [((1,) * n, f"n={n}") for n in range(1, max_n + 1)] + [
             (k, f"shape={k}") for k in ((1, 1), (2, 1), (2, 2), (1, 1, 1))]:
         shape = BlockShape(k)

@@ -12,7 +12,7 @@ into integer codes, field by field, so closures are plain sorted int arrays.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 from typing import Iterable, Sequence
 
 from .f2 import F2Basis
@@ -164,7 +164,11 @@ class ExpansionGroup:
     enumerated on its first read, by a value table, mul_table or the
     enumerated check_expansion_axioms; that read checks the element
     ceiling and the code-width limit first, since the array is all they
-    protect.  mul_table is built once and kept on the group, below
+    protect.  The enumeration (_close) searches the cosets of a normal
+    XOR span W, built from mul and inv alone, and lays W over each coset
+    with one XOR broadcast: for a universal group W = [G,G] and the
+    search visits 2^N cosets, not the 2^(N + dim[G,G]) elements.
+    mul_table is built once and kept on the group, below
     TABLE_CEILING.  numpy is imported only inside the functions that
     build or read the array.  phi reads one code bit per coordinate of
     [N].
@@ -191,6 +195,7 @@ class ExpansionGroup:
         self._report: dict | None = None
         self._series: list[list[int]] | None = None
         self._mul: np.ndarray | None = None
+        self.closure_stats: dict | None = None
 
     @property
     def codes(self) -> np.ndarray:
@@ -323,48 +328,68 @@ class ExpansionGroup:
             self._mul = M
         return self._mul
 
-    def phi_bit_array(self, codes: np.ndarray, x: int) -> np.ndarray:
-        import numpy as np
-        return ((codes >> np.uint64(self.phi_bits[x])) & np.uint64(1)).astype(np.uint8)
-
     # -- closure --
 
     def _close(self, gen_codes: list[int]) -> np.ndarray:
-        """The subgroup generated by gen_codes, as a sorted uint64 array,
-        found one breadth-first layer at a time with one sort per layer.
+        """The subgroup H generated by gen_codes, as a sorted uint64 array:
+        a breadth-first search of the cosets of a normal subgroup W, then
+        one XOR broadcast and one sort.
 
-        The search runs over S, the generators together with their
-        inverses.  Write L_d for the elements at distance d from the
-        identity in the Cayley graph of S (x joined to x s for s in S).
-        S is closed under inverses, so the graph is undirected: if x s
-        lies in L_e then x = (x s) s^-1 lies within one step of L_e, so
-        |d - e| <= 1.  Hence the products L_d S lie in L_(d-1), L_d and
-        L_(d+1), and L_(d+1) is L_d S minus L_(d-1) and L_d.  Every
-        element of the group S generates is a word in S, so the layers
-        exhaust it.  This holds in any finite group and uses no
-        expansion axiom, so the enumerated check_expansion_axioms stays
-        independent of check_generator_axioms.
+        S is gen_codes with their inverses, and W the span of the
+        commutators a b a^-1 b^-1 of S closed under w -> g w g^-1 for g
+        in S, computed by mul and inv.  The proof reads only those and
+        the vector-part rule (the vector part of a product is the sum of
+        the vector parts), no expansion axiom, so the enumerated
+        check_expansion_axioms stays independent of
+        check_generator_axioms.  Let Q be the codes with zero vector
+        part.  W ⊆ Q, because vector parts add.  A zero vector part acts
+        as the identity, so left multiplication by w in Q is XOR: Q is
+        elementary abelian, W is a subgroup, and conjugation by g, a
+        homomorphism, is linear on Q.  W ⊆ H, being made of products of
+        S.  Conjugation by g in S maps a spanning set of W, hence W, into
+        W, and it is injective on a finite set, so g W g^-1 = W: W is
+        normal in H.  The coset W h is h ^ W, and distinct cosets are
+        disjoint.
 
-        Each layer sorts one array: the codes of L_(d-1) and L_d shifted
-        left with tag bit 0, then every product shifted left with tag 1.
-        After the sort a tagged entry is new exactly when the entry before
-        it holds a different code.  Codes are worked on in uint32 when
-        the width leaves room for the tag bit, else in uint64, whose top
-        bit CODE_WIDTH_LIMIT keeps spare.  The element ceiling is checked
-        after every layer.
+        The search is the layered closure of the Cayley graph of H/W on
+        S: S is closed under inverses, so the graph is undirected, the
+        products of layer d lie in layers d-1, d and d+1, and layer d+1
+        is those products minus layers d-1 and d.  A coset is held by its
+        member with 0 at every pivot of W: for each pivot p in ascending
+        order, z ^= bit p of z times row_p, which clears bit p and no
+        lower pivot, since row_p has no bit below p.  W h s = W (h s), so
+        the products are reduced before the tag.  Each layer sorts one
+        array: layers d-1 and d shifted left with tag bit 0, the products
+        shifted left with tag 1; a tagged entry is new exactly when the
+        entry before it holds a different code.  H is then reps ^ span,
+        span being W doubled out, with no duplicate since the cosets are
+        disjoint, sorted once.
+
+        Codes are worked on in uint32 when the width leaves room for the
+        tag bit, else in uint64, whose top bit CODE_WIDTH_LIMIT keeps
+        spare.  The element ceiling is checked against reps x 2^dim W
+        after every layer.  The last layer is empty, so the last check
+        sees the final count, just before the broadcast.  closure_stats
+        records the cosets, the nonempty layers and dim W.
         """
         import numpy as np
+        mul, inv = self.mul, self.inv
+        gens = sorted(set(gen_codes) | {inv(g) for g in gen_codes})
+        W = _normal_span(gens, lambda a, b: mul(mul(a, b), mul(inv(a), inv(b))),
+                         lambda g, w: mul(mul(g, w), inv(g)))
         dtype = _work_dtype(self.width)
         one = dtype.type(1)
-        gens = sorted(set(gen_codes) | {self.inv(g) for g in gen_codes})
+        pivots = [(dtype.type(p), dtype.type(r)) for p, r in sorted(W.rows.items())]
         tables = [self._gen_table(g, dtype) for g in gens]
         prev = np.zeros(0, dtype=dtype)
         cur = np.zeros(1, dtype=dtype)
         layers = [cur]
         total = 1
         while cur.size and tables:
-            z = np.concatenate([prev << one, cur << one]
-                               + [(self._step(cur, t) << one) | one for t in tables])
+            z = np.concatenate([self._step(cur, t) for t in tables])
+            for p, row in pivots:
+                z ^= ((z >> p) & one) * row
+            z = np.concatenate([prev << one, cur << one, (z << one) | one])
             z.sort()
             new = z & one == one
             # only 2c and 2c + 1 sort just below 2c + 1 while holding code c
@@ -372,10 +397,15 @@ class ExpansionGroup:
             prev, cur = cur, z[new] >> one
             layers.append(cur)
             total += cur.size
-            if total > ENUM_CEILING:
+            if total << len(W) > ENUM_CEILING:
                 raise ResourceLimitError(self.expected_order)
-        codes = np.concatenate(layers)
+        span = np.zeros(1, dtype=dtype)
+        for b in W.basis():
+            span = np.concatenate([span, span ^ dtype.type(b)])
+        codes = (np.concatenate(layers)[:, None] ^ span[None, :]).ravel()
         codes.sort()
+        self.closure_stats = {"cosets": total, "coset_layers": len(layers) - 1,
+                              "span_dim": len(W)}
         return codes.astype(np.uint64, copy=False)
 
     def __repr__(self) -> str:
@@ -484,7 +514,8 @@ def _phi_zero_sets(G: ExpansionGroup) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
     shape = G.shape
     codes = G.codes
-    bits = [G.phi_bit_array(codes, x) for x in range(shape.N)]
+    bits = [((codes >> np.uint64(p)) & np.uint64(1)).astype(np.uint8)
+            for p in G.phi_bits]
     nz = np.zeros(codes.size, dtype=np.uint8)
     for b in bits:
         nz |= b
@@ -506,24 +537,25 @@ def _commutator_span(G: ExpansionGroup) -> F2Basis:
     the generator commutators, closed under w -> w + g w g^-1 = [w, g],
     is the normal closure of those commutators: [G,G]."""
     if G._derived is None:
-        B = F2Basis()
-        queue = []
-        for s, gi in enumerate(G.gen_codes):
-            for gj in G.gen_codes[s + 1:]:
-                w = G.commutator(gi, gj)
-                if B.add(w):
-                    queue.append(w)
-        G._derived = _conj_close(G, B, queue)
+        G._derived = _normal_span(G.gen_codes, G.commutator, G.conj)
     return G._derived
 
 
-def _conj_close(G: ExpansionGroup, B: F2Basis, queue: list[int]) -> F2Basis:
-    """Close the span B under w -> w + g w g^-1 for every generator g,
+def _normal_span(gens: list[int], commutator, conj) -> F2Basis:
+    """The span of commutator(a, b) over pairs of gens, closed under
+    w -> w + conj(g, w) for every g in gens."""
+    B = F2Basis()
+    queue = [w for a, b in combinations(gens, 2) if B.add(w := commutator(a, b))]
+    return _conj_close(B, queue, gens, conj)
+
+
+def _conj_close(B: F2Basis, queue: list[int], gens: list[int], conj) -> F2Basis:
+    """Close the span B under w -> w + conj(g, w) for every g in gens,
     popping from queue the vectors whose images are still to be added."""
     while queue:
         w = queue.pop()
-        for g in G.gen_codes:
-            u = w ^ G.conj(g, w)
+        for g in gens:
+            u = w ^ conj(g, w)
             if B.add(u):
                 queue.append(u)
     return B
@@ -654,7 +686,7 @@ def descending_central_series(G: ExpansionGroup) -> list[list[int]]:
         for w in cur.basis():
             for g in G.gen_codes:
                 nxt.add(w ^ G.conj(g, w))
-        cur = _conj_close(G, nxt, nxt.basis())
+        cur = _conj_close(nxt, nxt.basis(), G.gen_codes, G.conj)
         if len(series) > 64:
             raise RuntimeError("series failed to terminate")
     G._series = [list(b) for b in series]

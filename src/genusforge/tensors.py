@@ -9,6 +9,7 @@ all-blocks-of-size-one case.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
 from math import comb, prod
@@ -34,9 +35,12 @@ def mask_of(indices: Iterable[int]) -> int:
 
 
 class BlockShape:
-    """Partition of {0..N-1} into n consecutive blocks of sizes k[s]."""
+    """Partition of {0..N-1} into n consecutive blocks of sizes k[s].
 
-    __slots__ = ("k", "n", "N", "_block", "_starts")
+    Only the n block sizes and starts are stored, nothing of size N, so
+    a shape with a huge block costs no more than its list of sizes."""
+
+    __slots__ = ("k", "n", "N", "_starts")
 
     def __init__(self, k: Iterable[int]) -> None:
         k = tuple(int(v) for v in k)
@@ -46,11 +50,13 @@ class BlockShape:
         self.n = len(k)
         self.N = sum(k)
         self._starts = tuple(itertools.accumulate(k[:-1], initial=0))
-        self._block = tuple(s for s, v in enumerate(k) for _ in range(v))
 
     def block(self, x: int) -> int:
-        """Block index of coordinate x."""
-        return self._block[x]
+        """Block index of coordinate x: the last block starting at or
+        before x."""
+        if not 0 <= x < self.N:
+            raise IndexError(f"coordinate {x} outside 0..{self.N - 1}")
+        return bisect_right(self._starts, x) - 1
 
     def first(self, s: int) -> int:
         """First coordinate of block s."""

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -224,6 +226,57 @@ def test_reconstruct_past_table_ceiling(capsys, monkeypatch):
 
 def _no_enumeration(self, gens):
     raise AssertionError(f"enumerated {self.shape.k}")
+
+
+@pytest.mark.parametrize("k", [(1, 1), (2, 2, 1), (1, 1, 1, 1)])
+def test_universal_enumerate_reports_the_coset_search(capsys, k):
+    code, rep = run_json(capsys, "universal", "--shape", ",".join(map(str, k)),
+                         "--enumerate")
+    res = rep["results"]
+    assert code == 0 and rep["passed"] is True
+    # G/[G,G] is F2^N on the generators, so the search meets 2^N cosets,
+    # a coset's layer being its weight, and [G,G] fills out the order
+    N = sum(k)
+    assert res["cosets"] == 1 << N and res["coset_layers"] == N + 1
+    assert res["cosets"] << res["span_dim"] == res["order"] == res["predicted_order"]
+
+
+@contextlib.contextmanager
+def _address_space(extra_mb: int):
+    """Cap this process's address space at its present size plus extra_mb,
+    so a larger allocation raises MemoryError instead of being made."""
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        pytest.skip("the address-space cap is sized from /proc/self/statm")
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = int(statm.read_text().split()[0]) * resource.getpagesize() + (extra_mb << 20)
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (cap if hard == resource.RLIM_INFINITY else min(cap, hard), hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("dims", "--n", "200000000"), "past the piece limit 1000"),
+    (("dims", "--shape", "200000000"), None),
+    (("universal", "--n", "200000000"), "past the piece limit 1000"),
+    (("reconstruct", "--shape", "200000000", "--j", "2"), "capped at 8"),
+    (("verify", "tensors", "--max-n", "200000000"), "past the piece limit 1000"),
+], ids=["dims-n", "dims-shape", "universal-n", "reconstruct", "verify-tensors"])
+def test_huge_shapes_answer_without_building_n_entries(capsys, argv, error):
+    # N = 2*10^8: one entry per coordinate or block would take 1.6 GB,
+    # past the cap, so each answer is a report, not a MemoryError
+    with _address_space(256):
+        code, rep = run_json(capsys, *argv)
+    if error is None:
+        assert code == 0 and rep["results"]["rows"] == [
+            {"i": 1, "dim_gov": 2 * 10 ** 8, "dim_cons": 2 * 10 ** 8,
+             "formula": 2 * 10 ** 8, "equal": True}]
+    else:
+        assert code == 1 and rep["passed"] is False
+        assert error in rep["results"]["error"]
 
 
 def test_universal_enumerate_refuses_before_enumerating(capsys, monkeypatch):
@@ -506,5 +559,5 @@ def test_numpy_stays_off_the_start_up_path():
     assert out["loaded"] == [False] * (1 + len(PRESENTATION_COMMANDS)) + [True]
     assert all(rep["passed"] for rep in out["reports"])
     assert out["reports"][-1]["results"] == {
-        "exponent": 3, "predicted_order": 8, "order": 8,
-        "axioms": dict.fromkeys(AXIOMS, True)}
+        "exponent": 3, "predicted_order": 8, "order": 8, "cosets": 4,
+        "coset_layers": 3, "span_dim": 1, "axioms": dict.fromkeys(AXIOMS, True)}

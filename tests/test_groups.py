@@ -435,6 +435,67 @@ def test_close_np_ceiling_trips_partway(monkeypatch):
     assert str(G.order // 8) in str(e.value)
 
 
+def test_closure_is_closed_on_enumerate_shapes():
+    # no set oracle at 2^15 to 2^20 elements: the codes are distinct, as
+    # many as the order formula says, and closed under every generator
+    for k in [(4, 4), (2, 2, 1), (3, 1, 1), (5, 4), (2, 2, 2)]:
+        shape = BlockShape(k)
+        G = build_universal_general(shape)
+        codes = G.codes
+        assert bool(np.all(codes[1:] > codes[:-1])), k
+        assert len(codes) == 1 << universal_order_exponent(shape), k
+        for g in G.gen_codes:
+            moved = G.right_mul_array(codes, g)
+            at = np.minimum(np.searchsorted(codes, moved), len(codes) - 1)
+            assert np.array_equal(codes[at], moved), k
+
+
+def test_closure_reads_only_mul_and_inv(monkeypatch):
+    G = build_universal_general(BlockShape((2, 1, 1)))
+    want = sorted(oracles.closure_by_sets(G.gen_codes, G.mul, 0))
+    # closed forms that leave the pure-polynomial codes
+    stray = 1 << G.comps[0].vec_off
+    monkeypatch.setattr(ExpansionGroup, "commutator", lambda self, a, b: stray)
+    monkeypatch.setattr(ExpansionGroup, "conj", lambda self, g, w: w ^ stray)
+    assert check_generator_axioms(G)["axiom2"] is False
+
+    def refuse(G):
+        raise AssertionError("the closure read the commutator span")
+
+    monkeypatch.setattr(groups, "_commutator_span", refuse)
+    assert G.codes.tolist() == want
+    assert G.closure_stats == {"cosets": 16, "coset_layers": 5, "span_dim": 8}
+
+
+def test_closure_ceiling_is_checked_on_cosets(monkeypatch):
+    # |H/W| = 2^4 and |H| = 2^12: with the ceiling between them, the
+    # refusal names the predicted order, and no step sees more than the
+    # cosets
+    G = build_universal_general(BlockShape((2, 1, 1)))
+    cosets = 1 << G.shape.N
+    steps = []
+    step = ExpansionGroup._step
+
+    def counted(codes, table):
+        steps.append(codes.size)
+        return step(codes, table)
+
+    monkeypatch.setattr(ExpansionGroup, "_step", staticmethod(counted))
+    monkeypatch.setattr(groups, "ENUM_CEILING", 1 << 10)
+    with pytest.raises(ResourceLimitError) as e:
+        G.codes
+    assert not steps and e.value.predicted_order == G.order == 1 << 12
+    with pytest.raises(ResourceLimitError,
+                       match=r"predicted order 2\^12 exceeds the enumeration ceiling 2\^10"):
+        G._close(G.gen_codes)
+    assert steps and max(steps) <= cosets
+    steps.clear()
+    with pytest.raises(ResourceLimitError, match="ceiling of 1024 elements"):
+        G.with_generators(G.gen_codes).codes
+    assert steps and max(steps) <= cosets
+    assert G._codes is None
+
+
 def test_axiom1_array_branch_can_fail():
     G = build_universal_general(BlockShape((1, 1)))
     c0, c1 = G.comps

@@ -59,6 +59,20 @@ def test_block_shape_layout():
     assert s.drop([0, 2]) == BlockShape([1])
 
 
+def test_block_shape_block_bisects_the_starts():
+    for k in [(1,), (2, 1, 3), (1, 1, 1, 1), (5, 1, 1, 4), (3, 3)]:
+        s = BlockShape(k)
+        assert [s.block(x) for x in range(s.N)] == [
+            b for b, v in enumerate(k) for _ in range(v)], k
+        for x in (-1, s.N):
+            with pytest.raises(IndexError):
+                s.block(x)
+    # nothing of size N is stored: a block of 2*10^8 members is three ints
+    s = BlockShape((2 * 10 ** 8, 1))
+    assert s.__slots__ == ("k", "n", "N", "_starts")
+    assert (s.block(0), s.block(s.N - 2), s.block(s.N - 1)) == (0, 0, 1)
+
+
 def test_block_shape_rejects_empty():
     with pytest.raises(ValueError):
         BlockShape([])
