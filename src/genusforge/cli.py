@@ -96,16 +96,6 @@ def _presentation_cap(shape: BlockShape) -> None:
                          "enumeration ceiling")
 
 
-def _finish(command: str, params: dict, results: dict, passed: bool,
-            t0: float) -> RunReport:
-    return RunReport(command, params, results, bool(passed),
-                     round(time.perf_counter() - t0, 6))
-
-
-def _failed(command: str, params: dict, err: Exception, t0: float) -> RunReport:
-    return _finish(command, params, {"error": str(err)}, False, t0)
-
-
 # -- dims --
 
 def _dims_guard(shape: BlockShape, span) -> None:
@@ -124,58 +114,53 @@ def _dims_guard(shape: BlockShape, span) -> None:
                          f"{CELL_LIMIT}")
 
 
-def cmd_dims(args) -> RunReport:
-    t0 = time.perf_counter()
-    params = {"n": args.n, "shape": args.shape, "i": args.i}
-    try:
-        shape = _shape_arg(args)
-        span = [args.i] if args.i is not None else list(range(1, shape.n + 1))
-        _dims_guard(shape, span)
-        rows = []
-        for i in span:
-            chk = gov_equals_cons_check(shape, i)
-            want = cons_dim_formula_general(shape, i)
-            rows.append({"i": i, "dim_gov": chk["dim_gov"],
-                         "dim_cons": chk["dim_cons"], "formula": want,
-                         "equal": chk["equal"] and
-                         chk["dim_gov"] == chk["dim_cons"] == want})
-        return _finish("dims", params, {"rows": rows},
-                       all(r["equal"] for r in rows), t0)
-    except (ValueError, ResourceLimitError) as err:
-        return _failed("dims", params, err, t0)
+def _dims_rows(shape: BlockShape, span) -> list[dict]:
+    """One row per arity in span: dim gov and dim cons from the pair
+    route, the formula, and whether the spans and all three agree."""
+    rows = []
+    for i in span:
+        chk = gov_equals_cons_check(shape, i)
+        want = cons_dim_formula_general(shape, i)
+        rows.append({"i": i, "dim_gov": chk["dim_gov"],
+                     "dim_cons": chk["dim_cons"], "formula": want,
+                     "equal": chk["equal"] and
+                     chk["dim_gov"] == chk["dim_cons"] == want})
+    return rows
+
+
+def cmd_dims(args) -> tuple[dict, bool]:
+    shape = _shape_arg(args)
+    span = [args.i] if args.i is not None else list(range(1, shape.n + 1))
+    _dims_guard(shape, span)
+    rows = _dims_rows(shape, span)
+    return {"rows": rows}, all(r["equal"] for r in rows)
 
 
 # -- universal --
 
-def cmd_universal(args) -> RunReport:
-    t0 = time.perf_counter()
-    params = {"n": args.n, "shape": args.shape, "enumerate": args.enumerate}
-    try:
-        shape = _shape_arg(args)
-        _presentation_cap(shape)
-        exp = universal_order_exponent(shape)
-        results = {"exponent": exp, "predicted_order": 2 ** exp}
-        G = build_universal_general(shape)
-        if args.enumerate:
-            axioms = check_expansion_axioms(G)
-            # the enumerated count checks the presentation's order
-            results["order"] = len(G.codes)
-            # the closure's work: cosets, their layers, dim of the span over them
-            results.update(G.closure_stats)
-            results["axioms"] = {k: bool(v) for k, v in axioms.items()}
-            ok = len(G.codes) == G.order == 2 ** exp and all(axioms.values())
-        else:
-            # the generator check proves the axioms and |G| = 2^(N + dim[G,G]),
-            # and the grade dimensions sum to N + dim[G,G]
-            axioms = check_generator_axioms(G)
-            results["generator_axioms"] = axioms
-            ok = all(axioms.values())
-            if ok:
-                results["grade_dims"] = list(grade_dims(G))
-                ok = sum(results["grade_dims"]) == exp
-        return _finish("universal", params, results, ok, t0)
-    except (ValueError, ResourceLimitError) as err:
-        return _failed("universal", params, err, t0)
+def cmd_universal(args) -> tuple[dict, bool]:
+    shape = _shape_arg(args)
+    _presentation_cap(shape)
+    exp = universal_order_exponent(shape)
+    results = {"exponent": exp, "predicted_order": 2 ** exp}
+    G = build_universal_general(shape)
+    if args.enumerate:
+        axioms = check_expansion_axioms(G)
+        # the enumerated count checks the presentation's order
+        results["order"] = len(G.codes)
+        # the closure's work: cosets, their layers, dim of the span over them
+        results.update(G.closure_stats)
+        results["axioms"] = {k: bool(v) for k, v in axioms.items()}
+        return results, (len(G.codes) == G.order == 2 ** exp
+                         and all(axioms.values()))
+    # the generator check proves the axioms and |G| = 2^(N + dim[G,G]),
+    # and the grade dimensions sum to N + dim[G,G]
+    axioms = check_generator_axioms(G)
+    results["generator_axioms"] = axioms
+    if not all(axioms.values()):
+        return results, False
+    results["grade_dims"] = list(grade_dims(G))
+    return results, sum(results["grade_dims"]) == exp
 
 
 # -- verify --
@@ -188,16 +173,12 @@ def _verify_tensors(checks: list, max_n: int) -> None:
     _dims_guard(_ones(max(max_n, 1)), range(1, max_n + 1))
     for k, label in [((1,) * n, f"n={n}") for n in range(1, max_n + 1)] + [
             (k, f"shape={k}") for k in ((1, 1), (2, 1), (2, 2), (1, 1, 1))]:
-        shape = BlockShape(k)
-        for i in range(1, shape.n + 1):
-            chk = gov_equals_cons_check(shape, i)
-            want = cons_dim_formula_general(shape, i)
-            _check(checks, f"tensors {label} i={i}",
-                   chk["equal"] and chk["dim_cons"] == want,
-                   f"dim {chk['dim_cons']} expected {want}")
+        for row in _dims_rows(BlockShape(k), range(1, len(k) + 1)):
+            _check(checks, f"tensors {label} i={row['i']}", row["equal"],
+                   f"dim {row['dim_cons']} expected {row['formula']}")
 
 
-def _verify_groups(checks: list) -> None:
+def _verify_groups(checks: list, max_n: int) -> None:
     for k in ((1,), (1, 1), (1, 1, 1), (2, 1), (2, 2)):
         shape = BlockShape(k)
         G = build_universal_general(shape)
@@ -234,7 +215,7 @@ def _epimorphism_problem(source, target) -> str:
     return ""
 
 
-def _verify_lie(checks: list) -> None:
+def _verify_lie(checks: list, max_n: int) -> None:
     for k in ((1, 1), (1, 1, 1), (2, 1), (2, 2), (1,) * 4, (1,) * 5, (1,) * 6,
               (2, 1, 1, 1), (2, 1, 1, 1, 1)):
         shape = BlockShape(k)
@@ -286,60 +267,45 @@ def _verify_expmaps(checks: list, max_n: int) -> None:
            solve_cochain(ctx.group, th) is None)
 
 
-def cmd_verify(args) -> RunReport:
-    t0 = time.perf_counter()
-    params = {"suite": args.suite, "max_n": args.max_n}
+# each suite appends its checks; max_n bounds the tensor and expmaps
+# suites, and "all" runs every suite in this order
+_SUITES = {"tensors": _verify_tensors, "groups": _verify_groups,
+           "lie": _verify_lie, "expmaps": _verify_expmaps}
+
+
+def cmd_verify(args) -> tuple[dict, bool]:
     checks: list[dict] = []
-    try:
-        if args.suite in ("tensors", "all"):
-            _verify_tensors(checks, args.max_n)
-        if args.suite in ("groups", "all"):
-            _verify_groups(checks)
-        if args.suite in ("lie", "all"):
-            _verify_lie(checks)
-        if args.suite in ("expmaps", "all"):
-            _verify_expmaps(checks, args.max_n)
-        passed = all(c["passed"] for c in checks) and bool(checks)
-        return _finish("verify", params, {"checks": checks}, passed, t0)
-    except (ValueError, ResourceLimitError) as err:
-        return _failed("verify", params, err, t0)
+    for name, suite in _SUITES.items():
+        if args.suite in (name, "all"):
+            suite(checks, args.max_n)
+    return {"checks": checks}, all(c["passed"] for c in checks) and bool(checks)
 
 
 # -- reconstruct --
 
-def cmd_reconstruct(args) -> RunReport:
-    t0 = time.perf_counter()
-    params = {"shape": args.shape, "j": args.j}
-    try:
-        shape = _parse_shape(args.shape)
-        _presentation_cap(shape)
-        width = len(_context(shape).labels)
-        corners = [phi_layer(shape.drop(i), args.j - 1)
-                   for i in range(shape.n)]
-        rep = reconstruct_report(shape, args.j, corners)
-        direct = phi_layer(shape, args.j)
-        equal = spans_equal(rep["basis_coords"], [p.coords for p in direct])
-        layer = {"shape": rep["shape"], "j": rep["j"], "dim": rep["dim"],
-                 "basis_coords": [[(c >> t) & 1 for t in range(width)]
-                                  for c in rep["basis_coords"]],
-                 "obstruction_count": rep["obstruction_count"]}
-        results = {"layer_report": layer,
-                   "commvect_dim": rep["commvect_dim"],
-                   "lifted_count": rep["lifted_count"],
-                   "direct_dim": len(direct),
-                   "equal": equal}
-        return _finish("reconstruct", params, results, equal, t0)
-    except (ValueError, ResourceLimitError) as err:
-        return _failed("reconstruct", params, err, t0)
+def cmd_reconstruct(args) -> tuple[dict, bool]:
+    shape = _parse_shape(args.shape)
+    _presentation_cap(shape)
+    width = len(_context(shape).labels)
+    corners = [phi_layer(shape.drop(i), args.j - 1) for i in range(shape.n)]
+    rep = reconstruct_report(shape, args.j, corners)
+    direct = phi_layer(shape, args.j)
+    equal = spans_equal(rep["basis_coords"], [p.coords for p in direct])
+    layer = {"shape": rep["shape"], "j": rep["j"], "dim": rep["dim"],
+             "basis_coords": [[(c >> t) & 1 for t in range(width)]
+                              for c in rep["basis_coords"]],
+             "obstruction_count": rep["obstruction_count"]}
+    return {"layer_report": layer, "commvect_dim": rep["commvect_dim"],
+            "direct_dim": len(direct), "equal": equal}, equal
 
 
 # -- arith --
 
-def _arith_bound(n: int, text: str, params: dict, t0: float) -> RunReport:
+def _arith_bound(n: int, text: str) -> tuple[dict, bool]:
     """maximality_bound, its grades j >= 2 checked against dim cons of the
     shape omega, N*C(n-1,j-1) - C(n,j), when omega lists one size per
     block and passes the dims guard; otherwise the reason no second route
-    applies."""
+    applies, in a report that passes."""
     omega = int(text) if "," not in text else [int(v) for v in text.split(",")]
     if isinstance(omega, list) and len(omega) != n:
         raise ValueError(f"--omega lists {len(omega)} entries for --n {n}: "
@@ -353,49 +319,35 @@ def _arith_bound(n: int, text: str, params: dict, t0: float) -> RunReport:
         _dims_guard(shape, span)
     except ValueError as err:
         results["second_route"] = f"none: {err}"
-        return _finish("arith", params, results, True, t0)
-    results["cons_grades"] = [gov_equals_cons_check(shape, j)["dim_cons"]
-                              for j in span]
-    return _finish("arith", params, results,
-                   grades[1:] == results["cons_grades"], t0)
+        return results, True
+    results["cons_grades"] = [r["dim_cons"] for r in _dims_rows(shape, span)]
+    return results, grades[1:] == results["cons_grades"]
 
 
-def cmd_arith(args) -> RunReport:
-    t0 = time.perf_counter()
-    params = {"sub": args.sub}
-    try:
-        if args.sub == "validate":
-            params["entries"] = args.entries
-            v = arith.validate_acceptable(args.entries)
-            return _finish("arith", params, {
-                "a": list(v.a), "omega": list(v.omega),
-                "factorizations": [list(f) for f in v.factorizations],
-                "valid": True}, True, t0)
-        if args.sub == "consistent":
-            params["entries"] = args.entries
-            v = arith.validate_acceptable(args.entries)
-            cons = arith.is_strongly_consistent(v)
-            maximal = (arith.decide_maximal_n2(v) if len(v.a) <= 2
-                       else "undecidable at this scope")
-            return _finish("arith", params,
-                           {"consistent": cons, "maximal": maximal},
-                           cons, t0)
-        if args.sub == "bound":
-            params.update({"n": args.n, "omega": args.omega})
-            return _arith_bound(args.n, args.omega, params, t0)
-        params.update({"k": args.k, "budget": args.budget})
-        k = tuple(int(v) for v in args.k.split(","))
-        v = arith.search_consistent(k, args.budget)
-        if v is None:
-            return _finish("arith", params, {"found": False}, False, t0)
-        verified = (arith.is_strongly_consistent(v)
-                    and arith.validate_acceptable(v.a).a == v.a)
-        return _finish("arith", params, {
-            "found": True, "a": list(v.a), "omega": list(v.omega),
-            "factorizations": [list(f) for f in v.factorizations],
-            "verified": verified}, verified, t0)
-    except (ValueError, arith.FactorBudgetError) as err:
-        return _failed("arith", params, err, t0)
+def _vector(v: arith.AcceptableVector) -> dict:
+    return {"a": list(v.a), "omega": list(v.omega),
+            "factorizations": [list(f) for f in v.factorizations]}
+
+
+def cmd_arith(args) -> tuple[dict, bool]:
+    if args.sub == "validate":
+        return {**_vector(arith.validate_acceptable(args.entries)),
+                "valid": True}, True
+    if args.sub == "consistent":
+        v = arith.validate_acceptable(args.entries)
+        cons = arith.is_strongly_consistent(v)
+        maximal = (arith.decide_maximal_n2(v) if len(v.a) <= 2
+                   else "undecidable at this scope")
+        return {"consistent": cons, "maximal": maximal}, cons
+    if args.sub == "bound":
+        return _arith_bound(args.n, args.omega)
+    v = arith.search_consistent(tuple(int(x) for x in args.k.split(",")),
+                                args.budget)
+    if v is None:
+        return {"found": False}, False
+    verified = (arith.is_strongly_consistent(v)
+                and arith.validate_acceptable(v.a).a == v.a)
+    return {"found": True, **_vector(v), "verified": verified}, verified
 
 
 # -- wiring --
@@ -442,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     u.set_defaults(fn=cmd_universal)
 
     v = sub.add_parser("verify", help="run a module invariant suite")
-    v.add_argument("suite",
-                   choices=["tensors", "groups", "lie", "expmaps", "all"])
+    v.add_argument("suite", choices=[*_SUITES, "all"])
     v.add_argument("--max-n", dest="max_n", type=int, default=5,
                    help="largest n for the tensor and expmaps checks")
     v.set_defaults(fn=cmd_verify)
@@ -474,13 +425,24 @@ _PARSER: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:
+    """Run one command and print its report: each cmd_* returns (results,
+    passed), and main alone records the parsed arguments, times the call
+    and reports every refusal as {"error": ...} with passed=False."""
     # building the parser costs about 25 parses (1.7 ms against 0.07 ms),
     # so it is built on the first call of a process, not at import
     global _PARSER
     if _PARSER is None:
         _PARSER = build_parser()
     args = _PARSER.parse_args(argv)
-    report = args.fn(args)
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("json", "command", "fn")}
+    t0 = time.perf_counter()
+    try:
+        results, passed = args.fn(args)
+    except (ValueError, ResourceLimitError, arith.FactorBudgetError) as err:
+        results, passed = {"error": str(err)}, False
+    report = RunReport(args.command, params, results, bool(passed),
+                       round(time.perf_counter() - t0, 6))
     print(report.to_json() if args.json else _render(report))
     return 0 if report.passed else 1
 

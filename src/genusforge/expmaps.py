@@ -588,7 +588,12 @@ def realize_commuting_vector(shape: BlockShape, v: CommVector) -> PhiMap:
 
 
 def phi_layer(shape: BlockShape, j: int) -> list[PhiMap]:
-    """Maps vanishing on the (j+1)-th term of the central series."""
+    """Maps vanishing on the (j+1)-th term of the central series.
+
+    Every deeper term lies inside that one, so its basis alone gives the
+    conditions; past the class the term is trivial and every label is
+    free.
+    """
     if j < 0:
         raise ValueError("layer index must be nonnegative")
     ctx = _context(shape)
@@ -596,7 +601,8 @@ def phi_layer(shape: BlockShape, j: int) -> list[PhiMap]:
     if j == 0:
         return []
     series = descending_central_series(ctx.group)
-    conds = [_label_row(ctx, w) for basis in series[j - 1:] for w in basis]
+    term = series[j - 1] if j <= len(series) else []
+    conds = [_label_row(ctx, w) for w in term]
     if not conds:
         return [PhiMap(shape, 1 << p) for p in range(width)]
     return [PhiMap(shape, c) for c in kernel_basis(conds, cols=width)]
@@ -622,9 +628,9 @@ def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
     in the product of the corner spaces is the corner vector of a map,
     and these vectors form a space of dimension dim(preimage) - N.  A map
     phi with corners v has theta(v) = d phi by the expansion equation, so
-    no vector is obstructed: obstruction_count is 0.  commvect_dim and
-    lifted_count count the coefficient vectors over the given spanning
-    lists, so each list's dependencies add len - rank.  tests/oracles.py
+    no vector is obstructed: obstruction_count is 0.  commvect_dim counts
+    the coefficient vectors over the given spanning lists, so each list's
+    dependencies add len - rank.  tests/oracles.py
     keeps the route that solves the commuting conditions and puts every
     vector through theta and solve_cochain first.
     """
@@ -647,15 +653,12 @@ def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
     span = F2Basis(preimage)
     for phi in phi_one_basis(shape):
         span.add(phi.coords)
-    basis = [PhiMap(shape, c) for c in span.basis()]
-    lifted = len(preimage) - shape.N + dependent
+    basis = span.basis()
     return {
         "shape": list(shape.k),
         "j": j,
         "dim": len(basis),
-        "basis_coords": [p.coords for p in basis],
+        "basis_coords": basis,
         "obstruction_count": 0,
-        "commvect_dim": lifted,
-        "lifted_count": lifted,
-        "basis": basis,
+        "commvect_dim": len(preimage) - shape.N + dependent,
     }

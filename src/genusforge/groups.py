@@ -12,7 +12,7 @@ into integer codes, field by field, so closures are plain sorted int arrays.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product as iproduct
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .f2 import F2Basis
@@ -707,15 +707,20 @@ def grade_dims(G: ExpansionGroup) -> tuple[int, ...]:
 
 def augmentation_power_span(G: ExpansionGroup, i: int) -> list[int]:
     """Basis of I^(i-2) * [G,G], the augmentation-ideal power applied to the
-    commutator subgroup through the conjugation module structure."""
+    commutator subgroup through the conjugation module structure.
+
+    V_0 = [G,G] and V_(k+1) is spanned by w ^ conj(g, w) over a basis w
+    of V_k and the generators g.  Conjugation is linear on Q, the codes
+    with zero vector part (see _close), so this spans what every product
+    of i-2 factors (1 + g) applied to every w in [G,G] spans.
+    """
     if i < 2:
         raise ValueError("power index starts at 2")
-    base = descending_central_series(G)[0]
-    B = F2Basis()
-    for w in base:
-        for tup in iproduct(G.gen_codes, repeat=i - 2):
-            v = w
-            for g in tup:
-                v = v ^ G.conj(g, v)
-            B.add(v)
-    return B.basis()
+    span = descending_central_series(G)[0]
+    for _ in range(i - 2):
+        nxt = F2Basis()
+        for w in span:
+            for g in G.gen_codes:
+                nxt.add(w ^ G.conj(g, w))
+        span = nxt.basis()
+    return span

@@ -20,7 +20,7 @@ from genusforge.expmaps import (CommVector, PhiMap, _context, _drop_index,
                                 realize_commuting_vector, solve_cochain, theta)
 from genusforge.f2 import F2Basis, F2Solver, bits_of, kernel_basis, low_bit, rank
 from genusforge.groups import (TABLE_CEILING, ResourceLimitError, _clear_masks,
-                               universal_order_exponent)
+                               descending_central_series, universal_order_exponent)
 from genusforge.lie import GradedLie
 from genusforge.tensors import BlockShape
 
@@ -324,6 +324,19 @@ def series_dims_by_sets(gens, mul, inv, identity):
         prev, cur = cur, nxt
     dims.append(int(math.log2(len(prev))))
     return tuple(dims)
+
+
+def augmentation_power_span_by_tuples(G, i: int) -> list[int]:
+    """Basis of I^(i-2) * [G,G] spanned by (1 + g_(i-2)) ... (1 + g_1) w
+    over every w of a basis of [G,G] and every tuple of i-2 generators."""
+    B = F2Basis()
+    for w in descending_central_series(G)[0]:
+        for tup in product(G.gen_codes, repeat=i - 2):
+            v = w
+            for g in tup:
+                v = v ^ G.conj(g, v)
+            B.add(v)
+    return B.basis()
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +706,6 @@ def reconstruct_report_cochain_first(shape: BlockShape, j: int, corner_spaces) -
         "basis_coords": [p.coords for p in basis],
         "obstruction_count": obstructions,
         "commvect_dim": len(kernel),
-        "lifted_count": len(kernel) - obstructions,
-        "basis": basis,
     }
 
 

@@ -219,7 +219,7 @@ def test_reconstruct_past_table_ceiling(capsys, monkeypatch):
     code, rep = run_json(capsys, "reconstruct", "--shape", "1,1,1,1", "--j", "2")
     assert code == 0 and rep["passed"] is True
     res = rep["results"]
-    assert res["equal"] is True and res["lifted_count"] == 17
+    assert res["equal"] is True and res["commvect_dim"] == 17
     assert res["layer_report"]["obstruction_count"] == 0
     assert res["layer_report"]["dim"] == res["direct_dim"] == 21
 
@@ -345,17 +345,19 @@ def test_universal_reports_a_failed_generator_check(capsys, monkeypatch):
 
 
 # sha256 of each report's sorted-key JSON results, first 16 hex digits,
-# recorded when reconstruction still enumerated every group it touched
+# recorded when reconstruction still enumerated every group it touched,
+# less the field lifted_count, which equalled commvect_dim and is no
+# longer reported
 RECONSTRUCT_DIGESTS = {
-    ("4,3", 2): "d519c594bdf586f7", ("4,3", 3): "53a33adada390f30",
-    ("6,1", 2): "814edb9a69e8c53d", ("3,3", 2): "6d8a307101eaeb31",
-    ("1,1", 2): "f5c476be04c2d1fa", ("1,1", 3): "3c9a1676ed028902",
-    ("2,1", 2): "7d0a17ae7170f78a", ("2,1", 3): "61a2f8b43ed9450f",
-    ("2,2", 2): "494b5c5f786f89ce", ("2,2", 3): "bdadf326a4c6b01a",
-    ("1,1,1", 2): "67a14851590abaad", ("1,1,1", 3): "69e47cf978ec612e",
-    ("2,1,1", 2): "d18e2264765c3b38", ("2,1,1", 3): "f289e80ce1dc8b3a",
-    ("2,2,1", 2): "9b2b7cecbcc01758", ("1,1,1,1", 2): "6675263bda14999d",
-    ("1,1,1,1", 3): "c866a6b4119c5da0",
+    ("4,3", 2): "6a7717e2ed3ae0f7", ("4,3", 3): "b6b5cc088d6cc673",
+    ("6,1", 2): "ae94846df0331bf0", ("3,3", 2): "b218fb589cd7a938",
+    ("1,1", 2): "5ea842cd4ecff583", ("1,1", 3): "98294377c603e478",
+    ("2,1", 2): "e1d505403bb1e182", ("2,1", 3): "23f73b90b8020f4b",
+    ("2,2", 2): "d373959678444156", ("2,2", 3): "6aea5115591b8708",
+    ("1,1,1", 2): "216313ee7113bb27", ("1,1,1", 3): "79596218f4550c95",
+    ("2,1,1", 2): "bbdf0e5b8f1a696c", ("2,1,1", 3): "932ba24122aefa79",
+    ("2,2,1", 2): "7b61b7c3c5d0e409", ("1,1,1,1", 2): "a5f01151c09a572c",
+    ("1,1,1,1", 3): "497acf82d2f08c33",
 }
 
 
@@ -489,6 +491,42 @@ def test_arith_search(capsys):
     code, rep = run_json(capsys, "arith", "search", "--k", "1,1",
                          "--budget", "6")
     assert code == 1 and rep["results"] == {"found": False}
+
+
+# one command line per command, a callee it reaches before any answer,
+# and the parameters main records for it
+REFUSABLE = [
+    (["dims", "--n", "3"], cli, "gov_equals_cons_check",
+     {"n": 3, "shape": None, "i": None}),
+    (["universal", "--n", "2"], cli, "build_universal_general",
+     {"n": 2, "shape": None, "enumerate": False}),
+    (["verify", "groups"], cli, "build_universal_general",
+     {"suite": "groups", "max_n": 5}),
+    (["reconstruct", "--shape", "1,1", "--j", "2"], cli, "phi_layer",
+     {"shape": "1,1", "j": 2}),
+    (["arith", "validate", "5"], arith, "validate_acceptable",
+     {"sub": "validate", "entries": [5]}),
+]
+
+
+@pytest.mark.parametrize("argv, module, callee, params", REFUSABLE,
+                         ids=[r[0][0] for r in REFUSABLE])
+@pytest.mark.parametrize("err", [ValueError("refused here"),
+                                 groups.ResourceLimitError(1 << 30),
+                                 arith.FactorBudgetError("past the budget")],
+                         ids=lambda e: type(e).__name__)
+def test_every_refusal_of_every_command_is_a_report(capsys, monkeypatch, argv,
+                                                    module, callee, params, err):
+    def refuse(*args, **kwargs):
+        raise err
+
+    monkeypatch.setattr(module, callee, refuse)
+    code, rep = run_json(capsys, *argv)
+    assert code == 1 and rep["passed"] is False
+    assert rep["command"] == argv[0] and rep["parameters"] == params
+    assert rep["results"] == {"error": str(err)}
+    code, out = run(capsys, *argv)
+    assert code == 1 and f"error: {err}" in out
 
 
 def test_parser_subcommand_required():

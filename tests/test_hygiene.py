@@ -2,9 +2,9 @@
 exports resolves, every module but cli and __init__ has an __all__ whose
 names cli.py or another package module uses, no package module imports a
 name it never uses, numpy is imported only inside the functions that use
-it, every dotted name README.md quotes exists in the package, and no
-module-level container keeps what a command put in it once the caches
-are cleared."""
+it, every dotted name README.md quotes exists in the package, no CLI
+command catches, times or builds its own report, and no module-level
+container keeps what a command put in it once the caches are cleared."""
 
 from __future__ import annotations
 
@@ -175,6 +175,31 @@ def test_numpy_imported_only_where_used(path):
     assert not misuse, f"{path.name}: {misuse}"
 
 
+def _report_misuse(tree: ast.Module) -> list[str]:
+    """Each try, perf_counter and RunReport in a module-level cmd_*
+    function, by line: main alone catches refusals, times the command
+    and builds its report."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, FUNCS) and node.name.startswith("cmd_"):
+            for n in ast.walk(node):
+                name = getattr(n, "id", getattr(n, "attr", None))
+                if isinstance(n, (ast.Try, getattr(ast, "TryStar", ast.Try))):
+                    out.append((n.lineno, f"{node.name} has a try"))
+                elif name in ("perf_counter", "RunReport"):
+                    out.append((n.lineno, f"{node.name} names {name}"))
+    return [f"line {line}: {text}" for line, text in sorted(out)]
+
+
+def test_commands_leave_the_report_to_main():
+    tree = _tree(PACKAGE / "cli.py")
+    commands = [n.name for n in tree.body
+                if isinstance(n, FUNCS) and n.name.startswith("cmd_")]
+    assert len(commands) == 5, commands
+    misuse = _report_misuse(tree)
+    assert not misuse, misuse
+
+
 def _unresolved(text: str) -> list[str]:
     """Dotted names in backticks whose head is no package module or
     top-level name, or whose tail fails attribute lookup."""
@@ -228,6 +253,14 @@ def test_checks_can_fail():
         "        return np.ones(1)\n")
     assert _numpy_misuse(tree) == ["line 1: bare reads np unbound",
                                    "line 15: lost reads np unbound"]
+    tree = ast.parse(
+        "import time\n"
+        "def cmd_x(args) -> RunReport:\n    t0 = time.perf_counter()\n"
+        "    try:\n        return {}, True\n    except ValueError:\n        pass\n"
+        "def helper():\n    try:\n        pass\n    finally:\n        pass\n")
+    assert _report_misuse(tree) == ["line 2: cmd_x names RunReport",
+                                    "line 3: cmd_x names perf_counter",
+                                    "line 4: cmd_x has a try"]
 
 
 def _package_modules():
