@@ -128,9 +128,19 @@ def is_strongly_consistent(v: AcceptableVector) -> bool:
 
 
 def maximality_bound(n: int, omega) -> tuple[int, list[int]]:
-    """Upper bound for the rank together with its per-grade split."""
+    """Upper bound for the rank together with its per-grade split.
+
+    omega is the number of primes of each of the n entries, or their
+    total; every entry has at least one prime."""
     if n < 1:
         raise ValueError("need at least one block")
+    if isinstance(omega, int):
+        if omega < n:
+            raise ValueError(f"omega {omega} is below n = {n}: each of the "
+                             "n entries has at least one prime")
+    elif any(w < 1 for w in omega):
+        raise ValueError(f"omega {list(omega)} has an entry below 1: each "
+                         "entry has at least one prime")
     w = omega if isinstance(omega, int) else sum(omega)
     total = w * 2 ** (n - 1) - 2 ** n + 1
     grades = [w * comb(n - 1, j - 1) - comb(n, j) for j in range(1, n + 1)]

@@ -3,12 +3,15 @@
 A map Phi on the group is stored by its coefficients over the
 distinguished basis: the characters chi_x together with the coefficient
 extractors Phi_(A,x), where Phi_(A,x)(sigma) reads the t_{A - block(x)}
-monomial of the polynomial part of component x; each label reads one
-code bit.  Value tables are bit masks indexed by the group's sorted code
-order.  Cornering, commuting vectors, the theta 2-cocycle, and layer
-reconstruction all act on the coefficient side; tables are materialized
-only on small groups.  Cornering at a block is one matrix per shape and
-block, built from the label rule.
+monomial of the polynomial part of component x.  Each label reads one
+code bit and no two labels read the same bit, so a map is read one way
+only: at the element code c it takes parity(c & mask), mask being the
+OR of its labels' bits.  eval is one AND and one bit count, and a value
+table, a bit mask indexed by the group's sorted code order, is that
+rule applied to every code at once.  Cornering, commuting vectors, the
+theta 2-cocycle, and layer reconstruction all act on the coefficient
+side; tables are materialized only on small groups.  Cornering at a
+block is one matrix per shape and block, built from the label rule.
 
 Layer reconstruction is one preimage in label coordinates and builds no
 value table: layer j is the maps whose corners lie in the corner layers
@@ -19,7 +22,7 @@ solve_cochain are not called there.
 
 Whole-table identities read one product table, the group's mul_table
 M[p, q] = position of codes[p] * codes[q], built once and kept on the
-group.  coboundary gathers uint8 value arrays through M, and one
+group.  coboundary gathers a uint8 value array through M, and one
 recursion check, phi_B(st) = phi_B(s) + phi_B(t) + the sum over
 nonempty S disjoint from B of chi_S(s) phi_(B+S)(t), certifies the
 cornered tables of cocycle_view.
@@ -27,7 +30,8 @@ cornered tables of cocycle_view.
 The block character of block s is the PhiMap whose coordinates are the
 members of s, since the first N labels are the characters.  A row of
 theta depends only on the block characters at its element, so theta
-keeps one row per block-character pattern and shares it.
+keeps one row per block-character pattern and shares it; it reads its
+rows and the patterns in one pass of the reading rule.
 solve_cochain propagates values breadth-first from the identity along
 theta's generator columns, one numpy step per generator per layer, and
 checks every Cayley edge at once; when order^2 <= 2^20 the coboundary of
@@ -62,43 +66,35 @@ __all__ = [
 ]
 
 
-def _pack(bits: np.ndarray):
-    """A 0/1 array as one int (1-D) or one int per row (2-D), bit q from
-    column q."""
+def _pack(bits: np.ndarray) -> list[int]:
+    """One int per row of a 2-D 0/1 array, bit q from column q."""
     import numpy as np
     packed = np.packbits(bits, axis=-1, bitorder="little")
-    if bits.ndim == 1:
-        return int.from_bytes(packed.tobytes(), "little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _unpack(tabs, order: int) -> np.ndarray:
-    """Inverse of _pack: one int gives a 1-D uint8 array, a sequence of
-    ints a 2-D one."""
+    """Inverse of _pack: one uint8 row of length order per int."""
     import numpy as np
     nbytes = (order + 7) // 8
-    if isinstance(tabs, int):
-        buf, shape = tabs.to_bytes(nbytes, "little"), (nbytes,)
-    else:
-        buf = b"".join(t.to_bytes(nbytes, "little") for t in tabs)
-        shape = (len(tabs), nbytes)
-    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(shape),
+    buf = b"".join(t.to_bytes(nbytes, "little") for t in tabs)
+    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8).reshape(len(tabs), nbytes),
                          axis=-1, bitorder="little", count=order)
 
 
 class _Context:
     """Universal group of a shape plus its label bookkeeping: the labels,
-    their code bits, the per-label value tables and the corner matrices.
+    their code bits and the corner matrices.
 
     Labels and corner matrices come from the shape; the group is
-    enumerated only when a value table or pos_of is asked for.  The
-    group keeps its own product table and series, so _CONTEXTS.clear()
-    frees those with the context.  row_bits picks the label bits out of a
-    code written in binary, last label first, for _label_row.
+    enumerated only when a value table is asked for.  The group keeps
+    its own product table and series, so _CONTEXTS.clear() frees those
+    with the context.  row_bits picks the label bits out of a code
+    written in binary, last label first, for _label_row.
     """
 
     __slots__ = ("shape", "group", "labels", "index", "bitpos", "row_bits",
-                 "_tables", "_corners")
+                 "_corners")
 
     def __init__(self, shape: BlockShape):
         self.shape = shape
@@ -121,37 +117,7 @@ class _Context:
                 1 << comp.pos[s] for s in A if s != shape.block(lab[-1]))
         top = self.group.width - 1
         self.row_bits = itemgetter(*(top - self.bitpos[lab] for lab in reversed(labels)))
-        self._tables = {}
         self._corners = {}
-
-    @property
-    def order(self) -> int:
-        return self.group.order
-
-    def eval_label(self, label, code: int) -> int:
-        return (code >> self.bitpos[label]) & 1
-
-    # -- whole tables --
-
-    def pos_of(self, code: int) -> int:
-        import numpy as np
-        codes = self.group.codes
-        p = int(np.searchsorted(codes, np.uint64(code)))
-        if p >= len(codes) or int(codes[p]) != code:
-            raise ValueError("code outside the enumerated group")
-        return p
-
-    def table(self, label) -> int:
-        import numpy as np
-        tab = self._tables.get(label)
-        if tab is None:
-            if self.order > groups.TABLE_CEILING:
-                raise ResourceLimitError(self.order, groups.TABLE_CEILING,
-                                         "table ceiling")
-            shift = np.uint64(self.bitpos[label])
-            tab = _pack(((self.group.codes >> shift) & np.uint64(1)).astype(np.uint8))
-            self._tables[label] = tab
-        return tab
 
 
 _CONTEXTS: dict[tuple[int, ...], _Context] = {}
@@ -165,6 +131,38 @@ def _context(shape: BlockShape) -> _Context:
     return ctx
 
 
+def _code_mask(ctx: _Context, coords: int) -> int:
+    """The OR of the code bits of the labels in coords: bitpos is
+    injective, so the map reads parity(code & mask)."""
+    mask = 0
+    for p in bits_of(coords):
+        mask |= 1 << ctx.bitpos[ctx.labels[p]]
+    return mask
+
+
+def _value_rows(shape: BlockShape, maps) -> np.ndarray:
+    """Row r holds the uint8 values of the map with coordinates maps[r]
+    at every element, in the group's sorted code order: one pass of
+    parity(codes & mask).  Refused past groups.TABLE_CEILING before the
+    group is enumerated."""
+    import numpy as np
+    ctx = _context(shape)
+    G = ctx.group
+    if G.order > groups.TABLE_CEILING:
+        raise ResourceLimitError(G.order, groups.TABLE_CEILING, "table ceiling")
+    masks = np.array([_code_mask(ctx, c) for c in maps], dtype=np.uint64)
+    return np.bitwise_count(G.codes & masks[:, None]) & 1
+
+
+def _pattern(chis: np.ndarray) -> np.ndarray:
+    """Entry q has bit b set when block character chis[b] is 1 at element q."""
+    import numpy as np
+    pattern = np.zeros(chis.shape[-1], dtype=np.intp)
+    for b, chi in enumerate(chis):
+        pattern |= chi.astype(np.intp) << b
+    return pattern
+
+
 class PhiMap:
     """Function on the universal group, by basis coefficients."""
 
@@ -175,19 +173,15 @@ class PhiMap:
         self.coords = coords
 
     def eval(self, code: int) -> int:
-        ctx = _context(self.shape)
-        out = 0
-        for p in bits_of(self.coords):
-            out ^= ctx.eval_label(ctx.labels[p], code)
-        return out
+        return (code & _code_mask(_context(self.shape), self.coords)).bit_count() & 1
 
     @property
     def values(self) -> int:
-        ctx = _context(self.shape)
-        out = 0
-        for p in bits_of(self.coords):
-            out ^= ctx.table(ctx.labels[p])
-        return out
+        """Bit q is the value at the q-th element in sorted code order; the
+        zero map is 0 without enumerating."""
+        if not self.coords:
+            return 0
+        return _pack(_value_rows(self.shape, [self.coords]))[0]
 
     def is_zero(self) -> bool:
         return self.coords == 0
@@ -222,20 +216,6 @@ class CommVector:
                 raise ValueError(f"entry {i} lives on the wrong corner")
         self.shape = shape
         self.entries = entries
-
-    def is_commuting(self) -> bool:
-        if self.shape.n == 2:
-            return True
-        for i, j in combinations(range(self.shape.n), 2):
-            left = corner_operator(self.shape.drop(i),
-                                   _drop_index(self.shape, i, j),
-                                   self.entries[i])
-            right = corner_operator(self.shape.drop(j),
-                                    _drop_index(self.shape, j, i),
-                                    self.entries[j])
-            if left != right:
-                return False
-        return True
 
     def __repr__(self) -> str:
         return f"CommVector(shape={list(self.shape.k)})"
@@ -279,9 +259,7 @@ def _recursion_holds(vals: np.ndarray, chis: np.ndarray, M: np.ndarray) -> bool:
     """
     import numpy as np
     masks = np.arange(len(vals))
-    pattern = np.zeros(len(M), dtype=np.intp)
-    for b, chi in enumerate(chis):
-        pattern |= chi.astype(np.intp) << b
+    pattern = _pattern(chis)
     for B, tab in enumerate(vals):
         rhs = np.zeros_like(vals)
         for S in range(1, len(vals)):
@@ -434,7 +412,7 @@ def lcomm_check(shape: BlockShape, A, pointer_x: int, gens) -> tuple[int, int]:
     else:
         label = ("phi", A, pointer_x)
         code = ctx.group.nested_commutator([ctx.group.gen_codes[y] for y in gens])
-    left = ctx.eval_label(label, code)
+    left = (code >> ctx.bitpos[label]) & 1
     tensor = governing_tensor_general(shape, A, shape.block(pointer_x), (pointer_x,))
     return left, tensor.eval(gens)
 
@@ -449,10 +427,9 @@ def _label_row(ctx: _Context, w: int) -> int:
 
 def coboundary(phi: PhiMap) -> ThetaCocycle:
     """dPhi(sigma, tau) = Phi(sigma tau) + Phi(sigma) + Phi(tau)."""
-    ctx = _context(phi.shape)
-    val = _unpack(phi.values, ctx.order)
-    return ThetaCocycle(phi.shape,
-                        _pack(val[ctx.group.mul_table()] ^ val[:, None] ^ val[None, :]))
+    val = _value_rows(phi.shape, [phi.coords])[0]
+    M = _context(phi.shape).group.mul_table()
+    return ThetaCocycle(phi.shape, _pack(val[M] ^ val[:, None] ^ val[None, :]))
 
 
 def cocycle_view(phi: PhiMap) -> dict:
@@ -466,17 +443,18 @@ def cocycle_view(phi: PhiMap) -> dict:
     the coboundary expansion of phi itself.
     """
     shape = phi.shape
-    ctx = _context(shape)
-    tables = {(): phi.values}
-    for r in range(1, shape.n):
-        for B in combinations(range(shape.n), r):
-            tables[B] = inflate(shape, B, _corner_chain(phi, B)).values
-    tables[tuple(range(shape.n))] = 0
-    vals = [tables[tuple(s for s in range(shape.n) if (B >> s) & 1)]
-            for B in range(1 << shape.n)]
-    chis = [PhiMap(shape, shape.block_mask(s)).values for s in range(shape.n)]
-    certified = _recursion_holds(_unpack(vals, ctx.order), _unpack(chis, ctx.order),
-                                 ctx.group.mul_table())
+    n = shape.n
+    coords = {(): phi.coords}
+    for r in range(1, n):
+        for B in combinations(range(n), r):
+            coords[B] = inflate(shape, B, _corner_chain(phi, B)).coords
+    coords[tuple(range(n))] = 0
+    by_mask = [coords[tuple(s for s in range(n) if (B >> s) & 1)] for B in range(1 << n)]
+    vals = _value_rows(shape, by_mask + [shape.block_mask(s) for s in range(n)])
+    packed = _pack(vals[:1 << n])
+    tables = {B: packed[sum(1 << s for s in B)] for B in coords}
+    certified = _recursion_holds(vals[:1 << n], vals[1 << n:],
+                                 _context(shape).group.mul_table())
     return {"tables": tables, "certified": certified}
 
 
@@ -484,37 +462,28 @@ def theta(shape: BlockShape, v: CommVector) -> ThetaCocycle:
     """theta(s,t) sums chi_B(s) times the B-fold corner of v at t.
 
     chi_B(s) is 1 exactly when every block character of B is 1 at s, so
-    row s depends only on the pattern of the n block characters at s.
-    Each of the 2^n pattern rows is built once, and the rows of elements
-    with the same pattern are one shared int: about 2^n * order bits in
-    place of order^2.
+    row s depends only on the pattern of the n block characters at s:
+    the row of pattern m is the value table of the sum over B inside m
+    of the inflated B-fold corners.  Each of the 2^n pattern rows is
+    built once, and the rows of elements with the same pattern are one
+    shared int: about 2^n * order bits in place of order^2.  A vector
+    that is not commuting is refused by realize_commuting_vector's lift
+    check (see reconstruct_report).
     """
-    import numpy as np
-    if v.shape != shape:
-        raise ValueError("vector lives on a different shape")
-    if not v.is_commuting():
-        raise ValueError("vector is not commuting")
-    ctx = _context(shape)
-    order = ctx.order
-    parts = []
-    for r in range(1, shape.n):
-        for B in combinations(range(shape.n), r):
+    realize_commuting_vector(shape, v)
+    n = shape.n
+    by_pattern = [0] * (1 << n)
+    for r in range(1, n):
+        for B in combinations(range(n), r):
             corner = _corner_chain(v.entries[B[0]], [b - 1 for b in B[1:]])
-            tab = inflate(shape, B, corner).values
-            if tab:
-                parts.append((sum(1 << s for s in B), tab))
-    shared = []
-    for blocks in range(1 << shape.n):
-        row = 0
-        for B, tab in parts:
-            if B & blocks == B:
-                row ^= tab
-        shared.append(row)
-    pattern = np.zeros(order, dtype=np.int64)
-    for s in range(shape.n):
-        chi = PhiMap(shape, shape.block_mask(s)).values
-        pattern |= _unpack(chi, order).astype(np.int64) << s
-    return ThetaCocycle(shape, [shared[m] for m in pattern.tolist()])
+            coords = inflate(shape, B, corner).coords
+            bits = sum(1 << s for s in B)
+            for m in range(1 << n):
+                if m & bits == bits:
+                    by_pattern[m] ^= coords
+    vals = _value_rows(shape, by_pattern + [shape.block_mask(s) for s in range(n)])
+    shared = _pack(vals[:1 << n])
+    return ThetaCocycle(shape, [shared[m] for m in _pattern(vals[1 << n:]).tolist()])
 
 
 def solve_cochain(G: ExpansionGroup, th: ThetaCocycle):
@@ -562,7 +531,7 @@ def solve_cochain(G: ExpansionGroup, th: ThetaCocycle):
         d = val[G.mul_table()] ^ val[:, None] ^ val[None, :]
         if (d != _unpack(rows, order)).any():
             return None
-    return _pack(val)
+    return _pack(val[None])[0]
 
 
 # -- realization and layer reconstruction --

@@ -24,7 +24,6 @@ __all__ = [
     "ResourceLimitError",
     "ExpansionGroup",
     "universal_order_exponent",
-    "build_universal",
     "build_universal_general",
     "check_generator_axioms",
     "check_expansion_axioms",
@@ -421,7 +420,10 @@ def universal_order_exponent(shape: BlockShape) -> int:
 
 
 def build_universal(n: int) -> ExpansionGroup:
-    """Universal group on n marked involutions: the all-ones block shape."""
+    """Universal group on n marked involutions: the all-ones block shape.
+
+    No package module calls it; it stays only because bench/spans.py
+    looks it up by name to trace it."""
     if n < 1:
         raise ValueError("n must be positive")
     return build_universal_general(BlockShape((1,) * n))

@@ -242,8 +242,42 @@ def label_row_by_labels(ctx, w: int) -> int:
     """Bit p is the value of label p at the code w, one label at a time."""
     row = 0
     for p, lab in enumerate(ctx.labels):
-        row |= ctx.eval_label(lab, w) << p
+        row |= ((w >> ctx.bitpos[lab]) & 1) << p
     return row
+
+
+def eval_by_labels(phi: PhiMap, code: int) -> int:
+    """A map's value at one code, as the XOR of its labels' bits there."""
+    ctx = _context(phi.shape)
+    out = 0
+    for p in bits_of(phi.coords):
+        out ^= (code >> ctx.bitpos[ctx.labels[p]]) & 1
+    return out
+
+
+def values_by_labels(phi: PhiMap) -> int:
+    """A map's value table as the XOR of one packed table per label, each
+    read bit by bit off the enumerated codes."""
+    ctx = _context(phi.shape)
+    codes = ctx.group.codes.tolist()
+    out = 0
+    for p in bits_of(phi.coords):
+        bit = ctx.bitpos[ctx.labels[p]]
+        out ^= sum(((c >> bit) & 1) << q for q, c in enumerate(codes))
+    return out
+
+
+def is_commuting(v: CommVector) -> bool:
+    """Every two entries of v agree on their common corner."""
+    shape = v.shape
+    for i, j in combinations(range(shape.n), 2):
+        if shape.n == 2:
+            continue
+        left = corner_operator(shape.drop(i), _drop_index(shape, i, j), v.entries[i])
+        right = corner_operator(shape.drop(j), _drop_index(shape, j, i), v.entries[j])
+        if left != right:
+            return False
+    return True
 
 
 def pull_back_by_labels(mat: list[int], f: int) -> int:

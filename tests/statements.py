@@ -494,8 +494,9 @@ class ExpansionMap:
         others = [t for t in range(len(self.support)) if t != self.pointer]
         vals = [self.coords[tuple(t for k, t in enumerate(others) if not (C >> k) & 1)]
                 for C in range(1 << len(others))]
-        return _recursion_holds(_unpack(vals, ctx.order),
-                                _unpack([chis[t] for t in others], ctx.order),
+        order = ctx.group.order
+        return _recursion_holds(_unpack(vals, order),
+                                _unpack([chis[t] for t in others], order),
                                 ctx.group.mul_table())
 
 
@@ -514,10 +515,8 @@ def expansion_map(shape: BlockShape, A, x: int) -> ExpansionMap:
     for r in range(len(others) + 1):
         for B in combinations(others, r):
             sub = tuple(sorted({bx} | {A[t] for t in B}))
-            if len(sub) == 1:
-                coords[B] = ctx.table(("chi", x))
-            else:
-                coords[B] = ctx.table(("phi", sub, x))
+            label = ("chi", x) if len(sub) == 1 else ("phi", sub, x)
+            coords[B] = PhiMap(shape, 1 << ctx.index[label]).values
     return ExpansionMap(ctx.group, support, pointer, coords)
 
 
@@ -526,7 +525,7 @@ def is_cocycle(th) -> bool:
     every u, for all pairs (s, t) up to order 256 and 4096 seeded pairs
     above."""
     ctx = _context(th.shape)
-    order = ctx.order
+    order = ctx.group.order
     M = ctx.group.mul_table()
     R = _unpack(th.rows, order)
     if order <= 256:

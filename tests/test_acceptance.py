@@ -278,6 +278,11 @@ def test_criterion_10_arithmetic_layer(capsys):
     with verdict(capsys, "criterion 10 arithmetic layer", 60):
         for n in range(1, 9):
             for omega in range(1, 13):
+                if omega < n:
+                    # each of the n entries has at least one prime
+                    with pytest.raises(ValueError, match="below n"):
+                        maximality_bound(n, omega)
+                    continue
                 total, grades = maximality_bound(n, omega)
                 assert total == omega * 2 ** (n - 1) - 2 ** n + 1
                 assert sum(grades) == total

@@ -109,6 +109,12 @@ def test_maximality_bound_values():
     assert maximality_bound(2, (2, 2)) == maximality_bound(2, 4)
     with pytest.raises(ValueError):
         maximality_bound(0, 3)
+    # every entry has at least one prime
+    assert maximality_bound(2, (1, 1)) == maximality_bound(2, 2) == (1, [0, 1])
+    with pytest.raises(ValueError, match="has an entry below 1"):
+        maximality_bound(2, (0, 1))
+    with pytest.raises(ValueError, match="is below n = 3"):
+        maximality_bound(3, 2)
 
 
 def test_maximality_grades_sum():

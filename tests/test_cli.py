@@ -529,6 +529,65 @@ def test_every_refusal_of_every_command_is_a_report(capsys, monkeypatch, argv,
     assert code == 1 and f"error: {err}" in out
 
 
+@pytest.mark.parametrize("n, omega, error", [
+    ("2", "0,1", "omega [0, 1] has an entry below 1: each entry has at least one prime"),
+    ("2", "1,-3", "omega [1, -3] has an entry below 1: each entry has at least one prime"),
+    ("3", "2", "omega 2 is below n = 3: each of the n entries has at least one prime"),
+    ("1", "0", "omega 0 is below n = 1: each of the n entries has at least one prime"),
+])
+def test_arith_bound_refuses_an_entry_without_a_prime(capsys, n, omega, error):
+    # a smaller omega has no bound, not a negative one
+    argv = ("arith", "bound", "--n", n, "--omega", omega)
+    code, rep = run_json(capsys, *argv)
+    assert code == 1 and rep["passed"] is False and rep["results"] == {"error": error}
+    code, out = run(capsys, *argv)
+    assert code == 1 and f"error: {error}" in out
+    # one prime per entry is the least omega with a bound
+    code, rep = run_json(capsys, "arith", "bound", "--n", n,
+                         "--omega", ",".join(["1"] * int(n)))
+    assert code == 0 and rep["results"]["grades"][0] == 0
+
+
+def _zeroed(target):
+    """phi_layer, with the layer of target = (shape, j) replaced by zero maps."""
+    real = cli.phi_layer
+
+    def layer(shape, j):
+        out = real(shape, j)
+        if (shape.k, j) == target:
+            return [expmaps.PhiMap(shape, 0) for _ in out]
+        return out
+    return layer
+
+
+@pytest.mark.parametrize("target", [((2, 1, 1), 2), ((2, 1), 1)],
+                         ids=["direct", "corner"])
+def test_reconstruct_fails_on_a_wrong_layer(capsys, monkeypatch, target):
+    monkeypatch.setattr(cli, "phi_layer", _zeroed(target))
+    code, rep = run_json(capsys, "reconstruct", "--shape", "2,1,1", "--j", "2")
+    assert code == 1 and rep["passed"] is False
+    assert rep["results"]["equal"] is False and "error" not in rep["results"]
+
+
+@pytest.mark.parametrize("target", [((1, 1), 2), ((1,), 1)], ids=["direct", "corner"])
+def test_verify_expmaps_reconstruct_check_can_fail(capsys, monkeypatch, target):
+    monkeypatch.setattr(cli, "phi_layer", _zeroed(target))
+    code, rep = run_json(capsys, "verify", "expmaps", "--max-n", "3")
+    assert code == 1 and rep["passed"] is False
+    failed = [c["name"] for c in rep["results"]["checks"] if not c["passed"]]
+    assert failed == ["expmaps reconstruct (1,1) j=2"]
+
+
+def test_universal_enumerate_fails_on_a_failing_axiom(capsys, monkeypatch):
+    real = cli.check_expansion_axioms
+    monkeypatch.setattr(cli, "check_expansion_axioms",
+                        lambda G: real(G) | {"axiom3": False})
+    code, rep = run_json(capsys, "universal", "--shape", "2,1", "--enumerate")
+    assert code == 1 and rep["passed"] is False
+    assert rep["results"]["axioms"] == dict.fromkeys(AXIOMS, True) | {"axiom3": False}
+    assert rep["results"]["order"] == rep["results"]["predicted_order"]
+
+
 def test_parser_subcommand_required():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

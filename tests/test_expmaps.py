@@ -31,9 +31,10 @@ from genusforge.expmaps import (
 from genusforge.f2 import F2Basis, kernel_basis, rank, rref, spans_equal
 from genusforge.groups import ResourceLimitError
 from genusforge.tensors import BlockShape
-from oracles import (coboundary_rows, label_row_by_labels, normal_closure,
-                     pull_back_by_labels, reconstruct_report_cochain_first,
-                     solve_cochain_bfs, solve_cochain_exhaustive)
+from oracles import (coboundary_rows, compositions, eval_by_labels, is_commuting,
+                     label_row_by_labels, normal_closure, pull_back_by_labels,
+                     reconstruct_report_cochain_first, solve_cochain_bfs,
+                     solve_cochain_exhaustive, values_by_labels)
 from statements import (expansion_map, is_cocycle, nil_deg, restriction_kernel_check,
                         shuffling_check)
 
@@ -49,8 +50,12 @@ def phi_label(shape: BlockShape, A, x: int) -> PhiMap:
 
 
 def char_span(shape: BlockShape) -> F2Basis:
-    ctx = _context(shape)
-    return F2Basis([ctx.table(("chi", x)) for x in range(shape.N)])
+    return F2Basis([PhiMap(shape, 1 << x).values for x in range(shape.N)])
+
+
+def positions(G) -> dict[int, int]:
+    """Place of each element code in the group's sorted code order."""
+    return {c: p for p, c in enumerate(G.codes.tolist())}
 
 
 def span_coords(maps) -> list[int]:
@@ -170,11 +175,12 @@ def test_inflate_round_trip_and_invariance():
     cut = corner_operator(shape, 0, p)
     lifted = inflate(shape, 0, cut)
     tab = lifted.values
+    pos = positions(G)
     ncl = normal_closure(G, [G.gen_codes[x] for x in shape.members(0)])
     for w in ncl:
         for g in G.codes[:32].tolist():
             gw = G.mul(g, w)
-            assert (tab >> ctx.pos_of(gw)) & 1 == (tab >> ctx.pos_of(g)) & 1
+            assert (tab >> pos[gw]) & 1 == (tab >> pos[g]) & 1
     narrow = corner_operator(S21, 1, phi_label(S21, (0, 1), 2))
     with pytest.raises(ValueError):
         inflate(S21, 0, narrow)
@@ -193,9 +199,10 @@ def test_shuffling_identities():
 
 
 def test_shuffling_check_sees_a_wrong_character_table(monkeypatch):
+    # chi_0 moved onto the code bit of chi_1 reads chi_1's table
     ctx = _context(S11)
-    chi = ctx.table(("chi", 0))
-    monkeypatch.setitem(ctx._tables, ("chi", 0), chi ^ 1)
+    monkeypatch.setitem(ctx.bitpos, ("chi", 0), ctx.bitpos[("chi", 1)])
+    assert PhiMap(S11, 1).values == PhiMap(S11, 2).values
     assert not shuffling_check(S11, (0,))
     assert shuffling_check(S11, (1,))
 
@@ -236,7 +243,7 @@ def test_expansion_map_families():
     em = expansion_map(S11, (0, 1), 0)
     assert em.pointer == 0
     assert em.support == [S11.block_mask(0), S11.block_mask(1)]
-    assert em.coords[()] == _context(S11).table(("chi", 0))
+    assert em.coords[()] == PhiMap(S11, 1).values
     assert em.verify()
     assert expansion_map(S111, (0, 1, 2), 1).verify()
     assert expansion_map(S21, (0, 1), 2).verify()
@@ -254,18 +261,18 @@ def test_coboundary_equals_theta_of_corners():
 
 def test_block_generator_reads_off_one_corner():
     for shape in (S11, S111):
-        ctx = _context(shape)
+        G = _context(shape).group
+        pos = positions(G)
         for p in build_phi_basis(shape):
             d = coboundary(p)
             for y in range(shape.N):
-                pos = ctx.pos_of(ctx.group.gen_codes[y])
                 cut = corner_operator(shape, shape.block(y), p)
-                assert d.rows[pos] == inflate(shape, shape.block(y), cut).values
+                assert d.rows[pos[G.gen_codes[y]]] == inflate(shape, shape.block(y), cut).values
 
 
 def test_theta_explicit_corner_character():
     v = CommVector(S11, [PhiMap(BlockShape((1,)), 1), PhiMap(BlockShape((1,)), 0)])
-    assert v.is_commuting()
+    assert is_commuting(v)
     th = theta(S11, v)
     assert len(th.rows) == 8 and any(th.rows)
     assert is_cocycle(th)
@@ -278,7 +285,7 @@ def test_commuting_check_catches_mismatch():
     s = BlockShape((1, 1))
     bad = CommVector(S111, [PhiMap(s, 1 << _context(s).index[("phi", (0, 1), 0)]),
                             PhiMap(s, 0), PhiMap(s, 0)])
-    assert not bad.is_commuting()
+    assert not is_commuting(bad)
     with pytest.raises(ValueError):
         theta(S111, bad)
     with pytest.raises(ValueError):
@@ -300,7 +307,7 @@ def test_is_cocycle_fails_on_one_flipped_bit():
     rng = random.Random(3)
     for shape in (S11, S21, S111):
         ctx = _context(shape)
-        order = ctx.order
+        order = ctx.group.order
         for _ in range(4):
             p, q = rng.randrange(order), rng.randrange(1, order)
             rows = [0] * order
@@ -333,7 +340,7 @@ def test_expansion_map_every_family_verifies(k, monkeypatch):
 def test_expansion_map_verify_fails_on_flipped_tables():
     rng = random.Random(5)
     for shape, A, x in ((S11, (0, 1), 0), (S21, (0, 1), 2), (S111, (0, 1, 2), 1)):
-        order = _context(shape).order
+        order = _context(shape).group.order
         for B in expansion_map(shape, A, x).coords:
             em = expansion_map(shape, A, x)
             em.coords[B] ^= 1 << rng.randrange(order)
@@ -345,7 +352,7 @@ def test_expansion_map_verify_checks_pointed_base():
     # recursion there; only the pointed-base check sees the wrong one
     em = expansion_map(S11, (0,), 0)
     assert em.verify()
-    em.coords[()] = _context(S11).table(("chi", 1))
+    em.coords[()] = PhiMap(S11, 2).values
     assert not em.verify()
 
 
@@ -353,7 +360,7 @@ def test_recursion_check_fails_on_one_flipped_table():
     rng = random.Random(9)
     shape = S111
     ctx = _context(shape)
-    order = ctx.order
+    order = ctx.group.order
     tables = cocycle_view(PhiMap(shape, rng.getrandbits(len(ctx.labels))))["tables"]
 
     def bits(tab):
@@ -572,7 +579,7 @@ def test_every_commuting_vector_realizes():
             entries.append(PhiMap(shape.drop(i), bits & ((1 << w) - 1)))
             bits >>= w
         v = CommVector(shape, entries)
-        if not v.is_commuting():
+        if not is_commuting(v):
             with pytest.raises(ValueError, match="not commuting"):
                 realize_commuting_vector(shape, v)
             refused += 1
@@ -715,26 +722,65 @@ def test_reconstruct_validates_corners():
         reconstruct_report(S11, 2, [corners[0], phi_layer(S21, 1)])
 
 
+def _table_readers(shape: BlockShape):
+    """Every reader of value tables, on a character of the shape: values,
+    coboundary, cocycle_view, theta and the product table."""
+    p = PhiMap(shape, 1)
+    v = CommVector(shape, [corner_operator(shape, i, p) for i in range(shape.n)])
+    return [lambda: p.values, lambda: coboundary(p), lambda: cocycle_view(p),
+            lambda: theta(shape, v), lambda: _context(shape).group.mul_table()]
+
+
 def test_value_tables_refuse_past_table_ceiling(monkeypatch):
     monkeypatch.setattr(expmaps, "_CONTEXTS", {})
     monkeypatch.setattr(groups, "TABLE_CEILING", 4)
-    ctx = _context(S11)
+    monkeypatch.setattr(groups.ExpansionGroup, "_close", _no_enumeration)
     want = "predicted order 2^3 exceeds the table ceiling 2^2"
-    with pytest.raises(ResourceLimitError, match=want.replace("^", r"\^")):
-        ctx.table(("chi", 0))
-    with pytest.raises(ResourceLimitError, match=want.replace("^", r"\^")):
-        ctx.group.mul_table()
+    for read in _table_readers(S11):
+        with pytest.raises(ResourceLimitError, match=want.replace("^", r"\^")):
+            read()
+    # the zero map answers without a table
+    assert PhiMap(S11, 0).values == 0
 
 
 def test_value_tables_refuse_where_the_product_table_outgrows_memory(monkeypatch):
     # at order 2^15 the int32 product table would take 4 GiB
     monkeypatch.setattr(expmaps, "_CONTEXTS", {})
-    ctx = _context(BlockShape((4, 4)))
+    monkeypatch.setattr(groups.ExpansionGroup, "_close", _no_enumeration)
     want = r"predicted order 2\^15 exceeds the table ceiling 2\^13"
-    with pytest.raises(ResourceLimitError, match=want):
-        ctx.table(("chi", 0))
-    with pytest.raises(ResourceLimitError, match=want):
-        ctx.group.mul_table()
+    for read in _table_readers(BlockShape((4, 4))):
+        with pytest.raises(ResourceLimitError, match=want):
+            read()
+
+
+def _no_enumeration(self, gens):
+    raise AssertionError(f"enumerated {self.shape.k}")
+
+
+def _table_shapes():
+    """Every composition with N <= 6 whose order is within the table
+    ceiling, and the larger two-block shapes of the reconstruct jobs."""
+    small = [k for N in range(1, 7) for k in compositions(N)
+             if groups.universal_order_exponent(BlockShape(k))
+             <= groups.TABLE_CEILING.bit_length() - 1]
+    return small + [(4, 3), (3, 3), (6, 1)]
+
+
+def test_values_and_eval_match_the_label_tables(monkeypatch):
+    # the one reading rule, parity(code & mask), against one table per
+    # label read bit by bit
+    monkeypatch.setattr(expmaps, "_CONTEXTS", {})
+    rng = random.Random(2501)
+    for k in _table_shapes():
+        shape = BlockShape(k)
+        ctx = _context(shape)
+        codes = ctx.group.codes.tolist()
+        sample = [0, codes[-1]] + rng.sample(codes, min(len(codes), 30))
+        maps = [PhiMap(shape, rng.getrandbits(len(ctx.labels))) for _ in range(3)]
+        for phi in maps + [PhiMap(shape, (1 << len(ctx.labels)) - 1)]:
+            assert phi.values == values_by_labels(phi), (k, phi)
+            assert [phi.eval(c) for c in sample] == \
+                [eval_by_labels(phi, c) for c in sample], (k, phi)
 
 
 @pytest.mark.parametrize("k, j", [

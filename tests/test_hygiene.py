@@ -2,7 +2,8 @@
 exports resolves, every module but cli and __init__ has an __all__ whose
 names cli.py or another package module uses, no package module imports a
 name it never uses, numpy is imported only inside the functions that use
-it, every dotted name README.md quotes exists in the package, no CLI
+it, every dotted name README.md quotes exists in the package, every
+function the benchmark's span table traces by name exists, no CLI
 command catches, times or builds its own report, and no module-level
 container keeps what a command put in it once the caches are cleared."""
 
@@ -22,6 +23,7 @@ MODULES = sorted(PACKAGE.glob("*.py"))
 # the front end and the package marker export nothing
 SURFACE = [p for p in MODULES if p.stem not in ("cli", "__init__")]
 README = PACKAGE.parent.parent / "README.md"
+SPANS = PACKAGE.parent.parent / "bench" / "spans.py"
 DOTTED = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\(\))?`")
 
 
@@ -225,6 +227,33 @@ def test_readme_names_resolve():
     assert not _unresolved(README.read_text())
 
 
+def _traced(tree: ast.Module) -> dict[str, list[tuple[str, str]]]:
+    """(module, name) of every entry of the WRAPPED and COUNTED tables,
+    read from the source without running it."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for t in node.targets:
+                if isinstance(t, ast.Name) and t.id in ("WRAPPED", "COUNTED"):
+                    out[t.id] = [tuple(ast.literal_eval(e) for e in entry.elts[:2])
+                                 for entry in node.value.elts]
+    return out
+
+
+def _untraceable(names) -> list[str]:
+    """The module.name entries that the package does not define."""
+    return [f"{module}.{name}" for module, name in names
+            if not hasattr(importlib.import_module(f"genusforge.{module}"), name)]
+
+
+def test_traced_names_resolve():
+    # bench/spans.py installs its wrappers by getattr, so a name deleted
+    # from the package breaks the traced benchmark run
+    tables = _traced(_tree(SPANS))
+    assert sorted(tables) == ["COUNTED", "WRAPPED"] and all(tables.values())
+    assert not _untraceable(tables["WRAPPED"] + tables["COUNTED"])
+
+
 def test_checks_can_fail():
     tree = ast.parse("from os import path, sep\n__all__ = ['gone']\nprint(sep)\n")
     assert set(_exports(tree)) - _defined(tree) == {"gone"}
@@ -261,6 +290,11 @@ def test_checks_can_fail():
     assert _report_misuse(tree) == ["line 2: cmd_x names RunReport",
                                     "line 3: cmd_x names perf_counter",
                                     "line 4: cmd_x has a try"]
+    tree = ast.parse("WRAPPED = (('f2', 'rank', 'f2.eliminate', None, hook),)\n"
+                     "COUNTED = (('arith', 'gone', 'arith.gone_calls'),)\n")
+    tables = _traced(tree)
+    assert tables == {"WRAPPED": [("f2", "rank")], "COUNTED": [("arith", "gone")]}
+    assert _untraceable(tables["WRAPPED"] + tables["COUNTED"]) == ["arith.gone"]
 
 
 def _package_modules():
