@@ -138,6 +138,9 @@ def maximality_bound(n: int, omega) -> tuple[int, list[int]]:
         if omega < n:
             raise ValueError(f"omega {omega} is below n = {n}: each of the "
                              "n entries has at least one prime")
+    elif len(omega) != n:
+        raise ValueError(f"omega lists {len(omega)} entries for n = {n}: "
+                         "give one per block")
     elif any(w < 1 for w in omega):
         raise ValueError(f"omega {list(omega)} has an entry below 1: each "
                          "entry has at least one prime")

@@ -306,9 +306,6 @@ def _arith_bound(n: int, text: str) -> tuple[dict, bool]:
     block and passes the dims guard; otherwise the reason no second route
     applies, in a report that passes."""
     omega = int(text) if "," not in text else [int(v) for v in text.split(",")]
-    if isinstance(omega, list) and len(omega) != n:
-        raise ValueError(f"--omega lists {len(omega)} entries for --n {n}: "
-                         "give one per block")
     total, grades = arith.maximality_bound(n, omega)
     results = {"total": total, "grades": grades}
     try:

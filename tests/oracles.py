@@ -20,6 +20,7 @@ from genusforge.expmaps import (CommVector, PhiMap, _context, _drop_index,
                                 realize_commuting_vector, solve_cochain, theta)
 from genusforge.f2 import F2Basis, F2Solver, bits_of, kernel_basis, low_bit, rank
 from genusforge.groups import (TABLE_CEILING, ResourceLimitError, _clear_masks,
+                               _commutator_span, _is_elementary_abelian, _member,
                                descending_central_series, universal_order_exponent)
 from genusforge.lie import GradedLie
 from genusforge.tensors import BlockShape
@@ -451,6 +452,55 @@ def check_expansion_axioms_by_sets(G: QuotientGroup) -> dict[str, bool]:
         "axiom4": all(G.mul(g, g) == G.identity for g in G.gen_codes),
         "tilde_condition": _elementary_abelian_by_sets(
             G, [c for c in G.codes if G.shape.pi(G.phi(c)) == 0]),
+    }
+
+
+def axiom1_by_whole_array(G) -> bool:
+    """Axiom 1 read on every code: phi(g_x) = e_x, and one right_mul_array
+    over all of G.codes per generator g, testing
+    phi(u g) = phi(u) + phi(g) on every phi bit at once."""
+    if not all(G.phi(g) == 1 << x for x, g in enumerate(G.gen_codes)):
+        return False
+    codes = G.codes
+    mask = np.uint64(sum(1 << pos for pos in set(G.phi_bits)))
+    return all(bool(np.all(((G.right_mul_array(codes, g) ^ codes) & mask)
+                           == (np.uint64(g) & mask)))
+               for g in G.gen_codes)
+
+
+def phi_zero_sets_by_bits(G) -> tuple[np.ndarray, np.ndarray]:
+    """Codes with phi = 0 and codes with pi(phi) = 0, from one 0/1 array
+    per phi bit: phi is nonzero where any bit is 1, and pi(phi) where the
+    XOR of some block's bits is 1."""
+    codes = G.codes
+    bits = [((codes >> np.uint64(p)) & np.uint64(1)).astype(np.uint8)
+            for p in G.phi_bits]
+    nz = np.zeros(codes.size, dtype=np.uint8)
+    for b in bits:
+        nz |= b
+    pi_nz = np.zeros(codes.size, dtype=np.uint8)
+    for s in range(G.shape.n):
+        acc = np.zeros(codes.size, dtype=np.uint8)
+        for x in G.shape.members(s):
+            acc ^= bits[x]
+        pi_nz |= acc
+    return codes[nz == 0], codes[pi_nz == 0]
+
+
+def check_expansion_axioms_by_whole_array(G) -> dict[str, bool]:
+    """The enumerated axiom report with axiom 1 from axiom1_by_whole_array
+    and the zero sets from phi_zero_sets_by_bits; the subgroup tests are
+    the package's."""
+    ker, tilde = phi_zero_sets_by_bits(G)
+    derived = _is_elementary_abelian(G, ker)
+    span = _commutator_span(G)
+    return {
+        "axiom1": axiom1_by_whole_array(G),
+        "axiom2": derived,
+        "axiom3": derived and len(ker) == 1 << len(span)
+        and all(_member(ker, b) for b in span.basis()),
+        "axiom4": all(G.mul(g, g) == G.identity for g in G.gen_codes),
+        "tilde_condition": _is_elementary_abelian(G, tilde),
     }
 
 

@@ -115,6 +115,10 @@ def test_maximality_bound_values():
         maximality_bound(2, (0, 1))
     with pytest.raises(ValueError, match="is below n = 3"):
         maximality_bound(3, 2)
+    # one count per entry, no more and no fewer
+    for omega in ((1, 1), (1, 1, 1, 1), ()):
+        with pytest.raises(ValueError, match=f"omega lists {len(omega)} entries for n = 3"):
+            maximality_bound(3, omega)
 
 
 def test_maximality_grades_sum():

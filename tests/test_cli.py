@@ -463,8 +463,13 @@ def test_arith_bound_checks_its_grades(capsys, monkeypatch):
     code, rep = run_json(capsys, "arith", "bound", "--n", "3",
                          "--omega", "2,2")
     assert code == 1 and rep["passed"] is False
-    assert rep["results"]["error"] == (
-        "--omega lists 2 entries for --n 3: give one per block")
+    assert rep["results"] == {
+        "error": "omega lists 2 entries for n = 3: give one per block"}
+    code, rep = run_json(capsys, "arith", "bound", "--n", "2",
+                         "--omega", "1,1,1")
+    assert code == 1 and rep["passed"] is False
+    assert rep["results"] == {
+        "error": "omega lists 3 entries for n = 2: give one per block"}
     code, rep = run_json(capsys, "arith", "bound", "--n", "40",
                          "--omega", ",".join(["1"] * 40))
     assert code == 0 and "cell limit" in rep["results"]["second_route"]
@@ -586,6 +591,20 @@ def test_universal_enumerate_fails_on_a_failing_axiom(capsys, monkeypatch):
     assert code == 1 and rep["passed"] is False
     assert rep["results"]["axioms"] == dict.fromkeys(AXIOMS, True) | {"axiom3": False}
     assert rep["results"]["order"] == rep["results"]["predicted_order"]
+
+
+def test_verify_groups_fails_on_a_failing_axiom(capsys, monkeypatch):
+    real = cli.check_expansion_axioms
+
+    def flipped(G):
+        rep = real(G)
+        return rep | {"tilde_condition": False} if G.shape.k == (2, 1) else rep
+
+    monkeypatch.setattr(cli, "check_expansion_axioms", flipped)
+    code, rep = run_json(capsys, "verify", "groups")
+    assert code == 1 and rep["passed"] is False
+    failed = [c["name"] for c in rep["results"]["checks"] if not c["passed"]]
+    assert failed == ["groups axioms shape=(2, 1)"]
 
 
 def test_parser_subcommand_required():

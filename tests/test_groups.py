@@ -668,3 +668,43 @@ def test_generator_check_reads_vector_parts_of_the_span(monkeypatch):
     monkeypatch.setattr(G, "commutator", lambda a, b: real(a, b) ^ stray)
     assert check_generator_axioms(G)["axiom2"] is False
     assert G.order == len(G.codes) == 8
+
+
+# every composition with N <= 5 whose universal group the closure can
+# enumerate: within the element ceiling and the code-width limit
+ENUMERABLE = [k for N in range(1, 6) for k in oracles.compositions(N)
+              if 1 << universal_order_exponent(BlockShape(k)) <= groups.ENUM_CEILING
+              and build_universal_general(BlockShape(k)).width <= groups.CODE_WIDTH_LIMIT]
+
+
+def test_enumerated_check_matches_the_whole_array_route():
+    assert len(ENUMERABLE) == 26 and (1, 1, 1, 1) in ENUMERABLE
+    mutants = [M for M, _ in _mutants()]
+    # the off-t_empty readout fails axiom 1 only on the codes, past the
+    # generator images; the commutator mutant fails axiom 4
+    assert oracles.check_expansion_axioms_by_whole_array(mutants[0])["axiom1"] is False
+    assert oracles.check_expansion_axioms_by_whole_array(mutants[3])["axiom4"] is False
+    for G in [build_universal_general(BlockShape(k)) for k in ENUMERABLE] + mutants:
+        want = oracles.check_expansion_axioms_by_whole_array(G)
+        assert check_expansion_axioms(G) == want, G.shape.k
+        got = groups._phi_zero_sets(G)
+        ref = oracles.phi_zero_sets_by_bits(G)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref)), G.shape.k
+
+
+@pytest.mark.parametrize("k", [(2, 2, 1), (5, 4)])
+def test_enumerated_axiom1_reads_only_the_distinct_vector_parts(monkeypatch, k):
+    G = build_universal_general(BlockShape(k))
+    codes = G.codes
+    distinct = np.unique(codes & np.uint64(G.vec_field_mask)).size
+    sizes = []
+    real = ExpansionGroup.right_mul_array
+
+    def counted(self, arr, gc):
+        sizes.append(arr.size)
+        return real(self, arr, gc)
+
+    monkeypatch.setattr(ExpansionGroup, "right_mul_array", counted)
+    assert all(check_expansion_axioms(G).values())
+    assert len(sizes) == len(G.gen_codes)
+    assert max(sizes) <= distinct < codes.size
