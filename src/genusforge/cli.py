@@ -15,10 +15,8 @@ from .expmaps import (CommVector, ThetaCocycle, build_phi_basis, coboundary,
                       cocycle_view, corner_operator, lcomm_check, phi_layer,
                       reconstruct_report, solve_cochain, theta, _context)
 from .f2 import rank, spans_equal
-from .groups import (ENUM_CEILING, ResourceLimitError, augmentation_power_span,
-                     build_universal_general, check_expansion_axioms,
-                     check_generator_axioms,
-                     descending_central_series, grade_dims,
+from .groups import (ENUM_CEILING, ResourceLimitError, build_universal_general,
+                     check_expansion_axioms, check_generator_axioms, grade_dims,
                      universal_order_exponent)
 from .lie import (check_lie_axioms, governing_algebra_general, lie_epimorphism,
                   lie_from_group)
@@ -187,11 +185,9 @@ def _verify_groups(checks: list, max_n: int) -> None:
                f"order {len(G.codes)}")
         _check(checks, f"groups axioms shape={k}",
                all(check_expansion_axioms(G).values()))
-    G = build_universal_general(BlockShape((1, 1, 1)))
-    series = descending_central_series(G)
-    good = all(spans_equal(augmentation_power_span(G, i), series[i - 2])
-               for i in range(2, 2 + len(series)))
-    _check(checks, "groups augmentation powers n=3", good)
+        dims, want = grade_dims(G), governing_algebra_general(shape).dims
+        _check(checks, f"groups grade dims shape={k}", dims == want,
+               f"series {list(dims)} model {list(want)}")
 
 
 def _epimorphism_problem(source, target) -> str:

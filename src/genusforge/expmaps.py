@@ -47,8 +47,8 @@ from operator import itemgetter
 
 from . import groups
 from .f2 import F2Basis, bits_of, kernel_basis, rank
-from .groups import ExpansionGroup, ResourceLimitError, build_universal_general, \
-    descending_central_series
+from .groups import (ExpansionGroup, ResourceLimitError, augmentation_power_span,
+                     build_universal_general)
 from .tensors import BlockShape, governing_tensor_general
 
 __all__ = [
@@ -560,8 +560,8 @@ def phi_layer(shape: BlockShape, j: int) -> list[PhiMap]:
     """Maps vanishing on the (j+1)-th term of the central series.
 
     Every deeper term lies inside that one, so its basis alone gives the
-    conditions; past the class the term is trivial and every label is
-    free.
+    conditions, and the series is built no deeper; past the class the
+    term is trivial and every label is free.
     """
     if j < 0:
         raise ValueError("layer index must be nonnegative")
@@ -569,9 +569,7 @@ def phi_layer(shape: BlockShape, j: int) -> list[PhiMap]:
     width = len(ctx.labels)
     if j == 0:
         return []
-    series = descending_central_series(ctx.group)
-    term = series[j - 1] if j <= len(series) else []
-    conds = [_label_row(ctx, w) for w in term]
+    conds = [_label_row(ctx, w) for w in augmentation_power_span(ctx.group, j + 1)]
     if not conds:
         return [PhiMap(shape, 1 << p) for p in range(width)]
     return [PhiMap(shape, c) for c in kernel_basis(conds, cols=width)]

@@ -11,6 +11,7 @@ into integer codes, field by field, so closures are plain sorted int arrays.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -554,12 +555,6 @@ def _normal_span(gens: list[int], commutator, conj) -> F2Basis:
     w -> w + conj(g, w) for every g in gens."""
     B = F2Basis()
     queue = [w for a, b in combinations(gens, 2) if B.add(w := commutator(a, b))]
-    return _conj_close(B, queue, gens, conj)
-
-
-def _conj_close(B: F2Basis, queue: list[int], gens: list[int], conj) -> F2Basis:
-    """Close the span B under w -> w + conj(g, w) for every g in gens,
-    popping from queue the vectors whose images are still to be added."""
     while queue:
         w = queue.pop()
         for g in gens:
@@ -672,13 +667,23 @@ def check_expansion_axioms(G: ExpansionGroup) -> dict[str, bool]:
 
 # -- central series and the augmentation filtration --
 
-def descending_central_series(G: ExpansionGroup) -> list[list[int]]:
-    """Bases of [G,G], [G,[G,G]], ... down to the first trivial term.
+def _series_through(G: ExpansionGroup, t: float) -> list[list[int]]:
+    """Bases of the series terms 0, ..., t, or up to the first trivial
+    term; G._series keeps them, and only the missing terms are built.
 
-    Terms below [G,G] are additive subspaces of ker(phi) in code coordinates,
-    so each comes back as an XOR basis.  The axioms are read from the
-    stored report, else from check_generator_axioms; if that is not all
-    True, the enumerated check_expansion_axioms decides."""
+    Term 0 is [G,G], and term t+1 is spanned by w ^ conj(g, w) over a
+    basis w of term t and the generators g, with no closing pass.  Every
+    term lies in Q, the codes with zero vector part, where the product is
+    XOR and conj(g, w) = act(g, w) reads g's vector part alone; vector
+    parts add, so the operators 1 + g commute on Q.  For V normal in Q,
+    h (1 + g) V = (1 + g)(h V) = (1 + g) V, so sum_g (1 + g) V is normal.
+    [V, G] is spanned by [v, g] = (1 + g) v over every g in G, and
+    1 + g h = (1 + g) + (1 + h) + (1 + g)(1 + h) with (1 + h) V in V, so
+    the generators span it.  [G,G] is normal, hence so is every term.
+
+    The axioms are read from the stored report, else from
+    check_generator_axioms; if that is not all True, the enumerated
+    check_expansion_axioms decides."""
     if not isinstance(G, ExpansionGroup):
         raise TypeError("series requires a product-model group")
     report = G._report
@@ -690,24 +695,24 @@ def descending_central_series(G: ExpansionGroup) -> list[list[int]]:
             report = check_expansion_axioms(G)
     if not all(report.values()):
         raise ValueError("expansion axioms do not hold")
-    if G._series is not None:
-        return [list(b) for b in G._series]
-
-    series = []
-    cur = _commutator_span(G)
-    while True:
-        series.append(list(cur.basis()))
-        if not cur.basis():
-            break
-        nxt = F2Basis()
-        for w in cur.basis():
-            for g in G.gen_codes:
-                nxt.add(w ^ G.conj(g, w))
-        cur = _conj_close(nxt, nxt.basis(), G.gen_codes, G.conj)
+    if G._series is None:
+        G._series = [_commutator_span(G).basis()]
+    series = G._series
+    while series[-1] and len(series) <= t:
         if len(series) > 64:
             raise RuntimeError("series failed to terminate")
-    G._series = [list(b) for b in series]
+        nxt = F2Basis()
+        for w in series[-1]:
+            for g in G.gen_codes:
+                nxt.add(w ^ G.conj(g, w))
+        series.append(nxt.basis())
     return series
+
+
+def descending_central_series(G: ExpansionGroup) -> list[list[int]]:
+    """Bases of [G,G], [G,[G,G]], ... down to the first trivial term, each
+    an XOR basis of codes in ker(phi) (see _series_through)."""
+    return [list(b) for b in _series_through(G, math.inf)]
 
 
 def grade_dims(G: ExpansionGroup) -> tuple[int, ...]:
@@ -724,20 +729,9 @@ def grade_dims(G: ExpansionGroup) -> tuple[int, ...]:
 
 def augmentation_power_span(G: ExpansionGroup, i: int) -> list[int]:
     """Basis of I^(i-2) * [G,G], the augmentation-ideal power applied to the
-    commutator subgroup through the conjugation module structure.
-
-    V_0 = [G,G] and V_(k+1) is spanned by w ^ conj(g, w) over a basis w
-    of V_k and the generators g.  Conjugation is linear on Q, the codes
-    with zero vector part (see _close), so this spans what every product
-    of i-2 factors (1 + g) applied to every w in [G,G] spans.
-    """
+    commutator subgroup: series term i-2, which is sum_g (1 + g) applied
+    i-2 times (_series_through), built no deeper and empty past the class."""
     if i < 2:
         raise ValueError("power index starts at 2")
-    span = descending_central_series(G)[0]
-    for _ in range(i - 2):
-        nxt = F2Basis()
-        for w in span:
-            for g in G.gen_codes:
-                nxt.add(w ^ G.conj(g, w))
-        span = nxt.basis()
-    return span
+    series = _series_through(G, i - 2)
+    return list(series[i - 2]) if i - 2 < len(series) else []

@@ -19,8 +19,9 @@ from genusforge.expmaps import (CommVector, PhiMap, _context, _drop_index,
                                 corner_operator, phi_one_basis,
                                 realize_commuting_vector, solve_cochain, theta)
 from genusforge.f2 import F2Basis, F2Solver, bits_of, kernel_basis, low_bit, rank
-from genusforge.groups import (TABLE_CEILING, ResourceLimitError, _clear_masks,
-                               _commutator_span, _is_elementary_abelian, _member,
+from genusforge.groups import (TABLE_CEILING, ExpansionGroup, ResourceLimitError,
+                               _clear_masks, _commutator_span, _is_elementary_abelian,
+                               _member, check_expansion_axioms, check_generator_axioms,
                                descending_central_series, universal_order_exponent)
 from genusforge.lie import GradedLie
 from genusforge.tensors import BlockShape
@@ -359,6 +360,46 @@ def series_dims_by_sets(gens, mul, inv, identity):
         prev, cur = cur, nxt
     dims.append(int(math.log2(len(prev))))
     return tuple(dims)
+
+
+def descending_central_series_by_conj_close(G) -> list[list[int]]:
+    """Bases of [G,G], [G,[G,G]], ... down to the first trivial term, each
+    term stepped by w ^ conj(g, w) over the generators and then closed
+    under the same map until no vector is added.  The closing pass is the
+    one the package drops by proof; this route keeps it and neither reads
+    nor fills the group's series cache."""
+    if not isinstance(G, ExpansionGroup):
+        raise TypeError("series requires a product-model group")
+    report = G._report
+    if report is None:
+        report = check_generator_axioms(G)
+        if all(report.values()):
+            G._report = report
+        else:
+            report = check_expansion_axioms(G)
+    if not all(report.values()):
+        raise ValueError("expansion axioms do not hold")
+    series = []
+    cur = _commutator_span(G)
+    while True:
+        series.append(list(cur.basis()))
+        if not cur.basis():
+            break
+        nxt = F2Basis()
+        for w in cur.basis():
+            for g in G.gen_codes:
+                nxt.add(w ^ G.conj(g, w))
+        queue = nxt.basis()
+        while queue:
+            w = queue.pop()
+            for g in G.gen_codes:
+                u = w ^ G.conj(g, w)
+                if nxt.add(u):
+                    queue.append(u)
+        cur = nxt
+        if len(series) > 64:
+            raise RuntimeError("series failed to terminate")
+    return series
 
 
 def augmentation_power_span_by_tuples(G, i: int) -> list[int]:

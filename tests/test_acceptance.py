@@ -58,7 +58,7 @@ from genusforge.tensors import (
     inj_tuples,
     mask_of,
 )
-from oracles import compositions, jacobi_by_euler
+from oracles import compositions, descending_central_series_by_conj_close, jacobi_by_euler
 from statements import is_cocycle
 
 _BIG: dict[str, object] = {}
@@ -235,12 +235,14 @@ def test_criterion_08_augmentation_identity(capsys):
             for k in compositions(total):
                 sh = BlockShape(k)
                 G = universal4() if k == (1, 1, 1, 1) else build_universal_general(sh)
+                closed = descending_central_series_by_conj_close(G)
                 series = descending_central_series(G)
                 cls = len(grade_dims(G))
-                assert len(series) == cls
+                assert len(series) == len(closed) == cls
                 for i in range(2, cls + 2):
+                    assert spans_equal(series[i - 2], closed[i - 2])
                     assert spans_equal(augmentation_power_span(G, i),
-                                       series[i - 2])
+                                       closed[i - 2])
 
 
 def test_criterion_09_mutation_sensitivity(capsys):

@@ -607,6 +607,21 @@ def test_verify_groups_fails_on_a_failing_axiom(capsys, monkeypatch):
     assert failed == ["groups axioms shape=(2, 1)"]
 
 
+def test_verify_groups_fails_on_a_wrong_grade(capsys, monkeypatch):
+    real = cli.grade_dims
+
+    def bumped(G):
+        dims = real(G)
+        return dims[:-1] + (dims[-1] + 1,) if G.shape.k == (2, 2) else dims
+
+    monkeypatch.setattr(cli, "grade_dims", bumped)
+    code, rep = run_json(capsys, "verify", "groups")
+    assert code == 1 and rep["passed"] is False
+    failed = [c for c in rep["results"]["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["groups grade dims shape=(2, 2)"]
+    assert failed[0]["detail"] == "series [4, 4] model [4, 3]"
+
+
 def test_parser_subcommand_required():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

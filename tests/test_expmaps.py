@@ -661,6 +661,32 @@ def test_phi_layer_reads_one_term_of_the_series(k):
         assert [p.coords for p in phi_layer(shape, j)] == want, j
 
 
+def test_phi_layer_builds_the_series_only_as_deep_as_it_reads(monkeypatch):
+    monkeypatch.setattr(expmaps, "_CONTEXTS", {})
+    shape = BlockShape((1,) * 6)
+    phi_layer(shape, 2)
+    G = _context(shape).group
+    assert len(G._series) == 2
+    fresh = groups.build_universal_general(shape)
+    assert groups.descending_central_series(G) == groups.descending_central_series(fresh)
+
+
+def test_phi_layer_dims_match_the_grade_dims():
+    # the label map is injective on the codes with zero vector part, so a
+    # layer has labels - exponent + grades 1..j free coordinates
+    layers = 0
+    for N in range(1, 7):
+        for k in compositions(N):
+            shape = BlockShape(k)
+            ctx = _context(shape)
+            grades = groups.grade_dims(ctx.group)
+            free = len(ctx.labels) - groups.universal_order_exponent(shape)
+            for j in range(1, len(grades) + 2):
+                assert len(phi_layer(shape, j)) == free + sum(grades[:j]), (k, j)
+                layers += 1
+    assert layers == 255
+
+
 def test_reconstruct_round_trip():
     for shape, layers in ((S11, (2,)), (S21, (2,)), (S111, (2, 3))):
         for j in layers:

@@ -259,9 +259,13 @@ def test_augmentation_powers_equal_series():
                   lambda: build_universal_general(BlockShape((2, 1))),
                   lambda: build_universal_general(BlockShape((2, 2)))):
         G = build()
+        want = oracles.descending_central_series_by_conj_close(G)
         series = descending_central_series(G)
+        assert len(series) == len(want)
         for i in range(2, 2 + len(series)):
-            assert spans_equal(augmentation_power_span(G, i), series[i - 2])
+            assert spans_equal(series[i - 2], want[i - 2])
+            assert spans_equal(augmentation_power_span(G, i), want[i - 2])
+        assert augmentation_power_span(G, 2 + len(series)) == []
 
 
 def test_augmentation_powers_match_the_tuple_walk():
@@ -271,8 +275,12 @@ def test_augmentation_powers_match_the_tuple_walk():
             if len(k) > 4:
                 continue
             G = build_universal_general(BlockShape(k))
-            for i in range(2, 2 + len(descending_central_series(G))):
-                assert spans_equal(augmentation_power_span(G, i),
+            closed = oracles.descending_central_series_by_conj_close(G)
+            assert len(descending_central_series(G)) == len(closed), k
+            for i in range(2, 2 + len(closed)):
+                span = augmentation_power_span(G, i)
+                assert spans_equal(span, closed[i - 2]), (k, i)
+                assert spans_equal(span,
                                    oracles.augmentation_power_span_by_tuples(G, i)), (k, i)
 
 
