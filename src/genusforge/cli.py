@@ -151,14 +151,15 @@ def cmd_universal(args) -> tuple[dict, bool]:
         results["axioms"] = {k: bool(v) for k, v in axioms.items()}
         return results, (len(G.codes) == G.order == 2 ** exp
                          and all(axioms.values()))
-    # the generator check proves the axioms and |G| = 2^(N + dim[G,G]),
-    # and the grade dimensions sum to N + dim[G,G]
+    # the generator check proves the axioms and |G| = 2^(N + dim[G,G]);
+    # the grades must equal the governing algebra's one by one, since
+    # their sum always telescopes to N + dim[G,G]
     axioms = check_generator_axioms(G)
     results["generator_axioms"] = axioms
     if not all(axioms.values()):
         return results, False
     results["grade_dims"] = list(grade_dims(G))
-    return results, sum(results["grade_dims"]) == exp
+    return results, tuple(results["grade_dims"]) == governing_algebra_general(shape).dims
 
 
 # -- verify --

@@ -1,17 +1,25 @@
 """Expansion maps on universal groups, in monomial coordinates.
 
 A map Phi on the group is stored by its coefficients over the
-distinguished basis: the characters chi_x together with the coefficient
-extractors Phi_(A,x), where Phi_(A,x)(sigma) reads the t_{A - block(x)}
-monomial of the polynomial part of component x.  Each label reads one
-code bit and no two labels read the same bit, so a map is read one way
-only: at the element code c it takes parity(c & mask), mask being the
-OR of its labels' bits.  eval is one AND and one bit count, and a value
-table, a bit mask indexed by the group's sorted code order, is that
-rule applied to every code at once.  Cornering, commuting vectors, the
-theta 2-cocycle, and layer reconstruction all act on the coefficient
-side; tables are materialized only on small groups.  Cornering at a
-block is one matrix per shape and block, built from the label rule.
+distinguished basis of labels (S, x): x a coordinate and S a bitmask of
+blocks other than block(x).  The label reads the t_S monomial of the
+polynomial part of component x, so (0, x) is the character chi_x and
+(S, x) with S nonempty is the coefficient extractor Phi_(A,x) with
+A = S + block(x).  Each label reads one code bit and no two labels read
+the same bit, so a map is read one way only: at the element code c it
+takes parity(c & mask), mask being the OR of its labels' bits.  eval is
+one AND and one bit count, and a value table, a bit mask indexed by the
+group's sorted code order, is that rule applied to every code at once.
+Cornering, commuting vectors, the theta 2-cocycle, and layer
+reconstruction all act on the coefficient side; tables are materialized
+only on small groups.
+
+Cornering follows one rule.  At block i the label (S, x) survives
+exactly when i is in S, and becomes (S - {i}, x) in the corner's
+numbering, with block i squeezed out.  The B-fold corner, read back in
+the ambient labels, sends (S, x) to (S - B, x) when B lies inside S and
+drops it otherwise (_pulled_corner); cocycle_view and theta read every
+corner this way, with no chain of corners through the sub-shapes.
 
 Layer reconstruction is one preimage in label coordinates and builds no
 value table: layer j is the maps whose corners lie in the corner layers
@@ -82,12 +90,25 @@ def _unpack(tabs, order: int) -> np.ndarray:
                          axis=-1, bitorder="little", count=order)
 
 
+def _squeeze(S: int, b: int) -> int:
+    """The bitmask S with bit b taken out and the bits above it moved down:
+    block numbers read without block b."""
+    low = (1 << b) - 1
+    return (S & low) | (S >> 1 & ~low)
+
+
 class _Context:
     """Universal group of a shape plus its label bookkeeping: the labels,
     their code bits and the corner matrices.
 
-    Labels and corner matrices come from the shape; the group is
-    enumerated only when a value table is asked for.  The group keeps
+    labels[p] is the label (S, x) at coordinate p: the characters (0, x)
+    first, then for each support A of two or more blocks, in
+    combinations order, the labels (A - block(x), x) with x running over
+    A's coordinates.  This order is the coordinate order of every map.
+    bitpos[p] is the code bit label p reads, the t_S bit of factor x,
+    whose polynomial field numbers its monomials by the blocks other than
+    block(x).  Labels and corner matrices come from the shape; the group
+    is enumerated only when a value table is asked for.  The group keeps
     its own product table and series, so _CONTEXTS.clear() frees those
     with the context.  row_bits picks the label bits out of a code
     written in binary, last label first, for _label_row.
@@ -99,24 +120,18 @@ class _Context:
     def __init__(self, shape: BlockShape):
         self.shape = shape
         self.group = build_universal_general(shape)
-        labels = [("chi", x) for x in range(shape.N)]
+        labels = [(0, x) for x in range(shape.N)]
         for size in range(2, shape.n + 1):
             for A in combinations(range(shape.n), size):
+                mask = sum(1 << s for s in A)
                 for i in A:
-                    for x in shape.members(i):
-                        labels.append(("phi", A, x))
+                    labels.extend((mask ^ 1 << i, x) for x in shape.members(i))
         self.labels = labels
         self.index = {lab: p for p, lab in enumerate(labels)}
-        # every label reads one code bit: chi_x the t_empty bit of factor x,
-        # Phi_(A,x) the t_{A - block(x)} bit of factor x
-        self.bitpos = {}
-        for lab in labels:
-            comp = self.group.comps[lab[-1]]
-            A = lab[1] if lab[0] == "phi" else ()
-            self.bitpos[lab] = comp.poly_off + sum(
-                1 << comp.pos[s] for s in A if s != shape.block(lab[-1]))
+        comps = self.group.comps
+        self.bitpos = [comps[x].poly_off + _squeeze(S, shape.block(x)) for S, x in labels]
         top = self.group.width - 1
-        self.row_bits = itemgetter(*(top - self.bitpos[lab] for lab in reversed(labels)))
+        self.row_bits = itemgetter(*(top - b for b in reversed(self.bitpos)))
         self._corners = {}
 
 
@@ -136,7 +151,7 @@ def _code_mask(ctx: _Context, coords: int) -> int:
     injective, so the map reads parity(code & mask)."""
     mask = 0
     for p in bits_of(coords):
-        mask |= 1 << ctx.bitpos[ctx.labels[p]]
+        mask |= 1 << ctx.bitpos[p]
     return mask
 
 
@@ -284,20 +299,13 @@ def phi_one_basis(shape: BlockShape) -> list[PhiMap]:
     out = [PhiMap(shape, 1 << x) for x in range(shape.N)]
     for size in range(2, shape.n + 1):
         for A in combinations(range(shape.n), size):
-            coords = 0
-            for i in A:
-                for x in shape.members(i):
-                    coords |= 1 << ctx.index[("phi", A, x)]
-            out.append(PhiMap(shape, coords))
+            mask = sum(1 << s for s in A)
+            out.append(PhiMap(shape, sum(1 << ctx.index[(mask ^ 1 << s, x)]
+                                         for s in A for x in shape.members(s))))
     return out
 
 
 # -- cornering --
-
-def _drop_index(shape: BlockShape, dropped: int, s: int) -> int:
-    """Index of original block s inside shape.drop(dropped)."""
-    return s - 1 if s > dropped else s
-
 
 def corner_operator(shape: BlockShape, i: int, phi: PhiMap) -> PhiMap:
     """Strip block i: extractors lose one support block, characters die."""
@@ -318,24 +326,19 @@ def _corner_matrix(shape: BlockShape, i: int) -> list[int]:
     """Corner coordinates of every basis label under the block-i operator,
     built once per shape and block.
 
-    Characters die, and so do extractors whose support misses block i or
-    whose pointer lies in it; the others lose block i from their support,
-    becoming a character when one block is left.
+    The label (S, x) survives when i is in S and becomes (S - {i}, x) in
+    the corner's numbering; every other label dies.  So characters die,
+    and so do extractors whose support misses block i or whose pointer
+    lies in it.
     """
     ctx = _context(shape)
     mat = ctx._corners.get(i)
     if mat is None:
         sub = _context(shape.drop(i))
         mat = []
-        for label in ctx.labels:
-            if label[0] == "chi" or i not in label[1] or shape.block(label[2]) == i:
-                mat.append(0)
-                continue
-            _, A, x = label
-            rest = tuple(_drop_index(shape, i, s) for s in A if s != i)
+        for S, x in ctx.labels:
             y = x - shape.k[i] if shape.block(x) > i else x
-            key = ("chi", y) if len(rest) == 1 else ("phi", rest, y)
-            mat.append(1 << sub.index[key])
+            mat.append(1 << sub.index[(_squeeze(S, i), y)] if S >> i & 1 else 0)
         ctx._corners[i] = mat
     return mat
 
@@ -363,38 +366,22 @@ def _pull_back(pre: list[int], f: int) -> int:
     return out
 
 
-def _corner_chain(phi: PhiMap, B) -> PhiMap:
-    """Corner phi at each block of B in turn, B indexing phi's blocks."""
-    for k, b in enumerate(sorted(B)):
-        phi = corner_operator(phi.shape, b - k, phi)
-    return phi
-
-
-def inflate(shape: BlockShape, gone, phi: PhiMap) -> PhiMap:
-    """Rename a corner map back to the ambient labels.
+def _pulled_corner(ctx: _Context, coords: int, B: int) -> int:
+    """The B-fold corner of the map with coordinates coords, read back in
+    the ambient labels: (S, x) goes to (S - B, x) when B lies inside S
+    and is dropped otherwise, B a bitmask of blocks.
 
     Extractor values only watch monomials and vector coordinates away
     from the removed blocks, so the renamed map is the pullback along
-    the quotient that kills the generators of those blocks.
+    the quotient that kills the generators of those blocks.  Two kept
+    labels keep distinct images, and B empty gives the map itself.
     """
-    gone = sorted({gone} if isinstance(gone, int) else set(gone))
-    corner = shape.drop(gone)
-    if phi.shape != corner:
-        raise ValueError("map does not live on the indicated corner")
-    kept_blocks = [s for s in range(shape.n) if s not in gone]
-    kept_xs = [x for x in range(shape.N) if shape.block(x) not in gone]
-    ctx = _context(shape)
-    sub = _context(corner)
     out = 0
-    for p in bits_of(phi.coords):
-        label = sub.labels[p]
-        if label[0] == "chi":
-            out ^= 1 << ctx.index[("chi", kept_xs[label[1]])]
-        else:
-            _, A, x = label
-            big = tuple(kept_blocks[s] for s in A)
-            out ^= 1 << ctx.index[("phi", big, kept_xs[x])]
-    return PhiMap(shape, out)
+    for p in bits_of(coords):
+        S, x = ctx.labels[p]
+        if S & B == B:
+            out |= 1 << ctx.index[(S ^ B, x)]
+    return out
 
 
 # -- pointwise identities --
@@ -407,13 +394,13 @@ def lcomm_check(shape: BlockShape, A, pointer_x: int, gens) -> tuple[int, int]:
         raise ValueError("tuple length must match the support size")
     ctx = _context(shape)
     if len(A) == 1:
-        label = ("chi", pointer_x)
         code = ctx.group.gen_codes[gens[0]]
     else:
-        label = ("phi", A, pointer_x)
         code = ctx.group.nested_commutator([ctx.group.gen_codes[y] for y in gens])
-    left = (code >> ctx.bitpos[label]) & 1
+    # the tensor refuses a pointer outside A, which the label would not
     tensor = governing_tensor_general(shape, A, shape.block(pointer_x), (pointer_x,))
+    S = sum(1 << s for s in A) & ~(1 << shape.block(pointer_x))
+    left = (code >> ctx.bitpos[ctx.index[(S, pointer_x)]]) & 1
     return left, tensor.eval(gens)
 
 
@@ -436,51 +423,47 @@ def cocycle_view(phi: PhiMap) -> dict:
     """All cornered tables of one map with the recursion certificate.
 
     tables[B] is the value table on the ambient group of the B-fold
-    corner pulled back along the quotient killing the blocks of B; the
-    certificate checks, on every pair and every B, the recursion
+    corner pulled back along the quotient killing the blocks of B
+    (_pulled_corner; the full set of blocks gives 0); the certificate
+    checks, on every pair and every B, the recursion
     phi_B(st) = phi_B(s) + sum over S disjoint from B of
     chi_S(s) phi_{B+S}(t), the empty S counting 1.  At B empty this is
     the coboundary expansion of phi itself.
     """
     shape = phi.shape
     n = shape.n
-    coords = {(): phi.coords}
-    for r in range(1, n):
-        for B in combinations(range(n), r):
-            coords[B] = inflate(shape, B, _corner_chain(phi, B)).coords
-    coords[tuple(range(n))] = 0
-    by_mask = [coords[tuple(s for s in range(n) if (B >> s) & 1)] for B in range(1 << n)]
+    ctx = _context(shape)
+    by_mask = [_pulled_corner(ctx, phi.coords, B) for B in range(1 << n)]
     vals = _value_rows(shape, by_mask + [shape.block_mask(s) for s in range(n)])
     packed = _pack(vals[:1 << n])
-    tables = {B: packed[sum(1 << s for s in B)] for B in coords}
-    certified = _recursion_holds(vals[:1 << n], vals[1 << n:],
-                                 _context(shape).group.mul_table())
+    tables = {B: packed[sum(1 << s for s in B)]
+              for r in range(n + 1) for B in combinations(range(n), r)}
+    certified = _recursion_holds(vals[:1 << n], vals[1 << n:], ctx.group.mul_table())
     return {"tables": tables, "certified": certified}
 
 
 def theta(shape: BlockShape, v: CommVector) -> ThetaCocycle:
     """theta(s,t) sums chi_B(s) times the B-fold corner of v at t.
 
-    chi_B(s) is 1 exactly when every block character of B is 1 at s, so
-    row s depends only on the pattern of the n block characters at s:
-    the row of pattern m is the value table of the sum over B inside m
-    of the inflated B-fold corners.  Each of the 2^n pattern rows is
+    The corners are read off the map whose corners are v, the lift that
+    realize_commuting_vector returns; a vector that is not commuting is
+    refused by its lift check (see reconstruct_report).  chi_B(s) is 1
+    exactly when every block character of B is 1 at s, so row s depends
+    only on the pattern of the n block characters at s: the row of
+    pattern m is the value table of the sum over nonempty B inside m of
+    the pulled-back B-fold corners.  Each of the 2^n pattern rows is
     built once, and the rows of elements with the same pattern are one
-    shared int: about 2^n * order bits in place of order^2.  A vector
-    that is not commuting is refused by realize_commuting_vector's lift
-    check (see reconstruct_report).
+    shared int: about 2^n * order bits in place of order^2.
     """
-    realize_commuting_vector(shape, v)
+    lift = realize_commuting_vector(shape, v)
+    ctx = _context(shape)
     n = shape.n
     by_pattern = [0] * (1 << n)
-    for r in range(1, n):
-        for B in combinations(range(n), r):
-            corner = _corner_chain(v.entries[B[0]], [b - 1 for b in B[1:]])
-            coords = inflate(shape, B, corner).coords
-            bits = sum(1 << s for s in B)
-            for m in range(1 << n):
-                if m & bits == bits:
-                    by_pattern[m] ^= coords
+    for B in range(1, 1 << n):
+        coords = _pulled_corner(ctx, lift.coords, B)
+        for m in range(1 << n):
+            if m & B == B:
+                by_pattern[m] ^= coords
     vals = _value_rows(shape, by_pattern + [shape.block_mask(s) for s in range(n)])
     shared = _pack(vals[:1 << n])
     return ThetaCocycle(shape, [shared[m] for m in _pattern(vals[1 << n:]).tolist()])
@@ -586,11 +569,11 @@ def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
     joined with layer 1.  No value table is built.
 
     The preimage is the span of the realized commuting vectors plus the
-    characters.  Cornering at block i sends the label (A, x), with i in
-    A and i != block(x), to (A - {i}, x) and kills every other label, so
-    each corner label has exactly one preimage and the maps every corner
-    kills are the N characters.  A label (A, x) is then fixed once for
-    every block of A other than block(x), and two such values agree
+    characters.  Cornering at block i sends the label (S, x), with i in
+    S, to (S - {i}, x) and kills every other label, so each corner label
+    has exactly one preimage and the maps every corner kills are the N
+    characters.  A label (S, x) is then fixed once for every block of S,
+    and two such values agree
     exactly when the two corners commute there: every commuting vector
     in the product of the corner spaces is the corner vector of a map,
     and these vectors form a space of dimension dim(preimage) - N.  A map

@@ -56,12 +56,14 @@ class ResourceLimitError(RuntimeError):
 
     ceiling and limit name the ceiling that tripped: the element ceiling
     of enumeration by default, TABLE_CEILING for product and value tables.
-    width is set instead when element codes are too wide to store.
+    width is set instead when element codes are too wide to store, and
+    pairs when a check over every pair of a set of that many elements
+    would take more products than the element ceiling.
     """
 
     def __init__(self, predicted_order: int | None = None,
                  ceiling: int | None = None, limit: str = "enumeration ceiling",
-                 width: int | None = None):
+                 width: int | None = None, pairs: int | None = None):
         self.predicted_order = predicted_order
         self.width = width
         if ceiling is None:
@@ -69,6 +71,9 @@ class ResourceLimitError(RuntimeError):
         if width is not None:
             msg = (f"element codes {width} bits wide exceed the code-width "
                    f"limit of {CODE_WIDTH_LIMIT} bits")
+        elif pairs is not None:
+            msg = (f"pair check of {pairs} x {pairs} products exceeds the "
+                   f"{limit} of {ceiling}")
         elif predicted_order is None:
             msg = f"enumeration exceeded the ceiling of {ceiling} elements"
         else:
@@ -272,9 +277,6 @@ class ExpansionGroup:
             else:
                 self._order = len(self.codes)
         return self._order
-
-    def __len__(self) -> int:
-        return len(self.codes)
 
     def with_generators(self, gens: Iterable[int]) -> "ExpansionGroup":
         """Same layout and phi, different generating set."""
@@ -503,7 +505,7 @@ def _is_elementary_abelian(G: ExpansionGroup, codes: np.ndarray) -> bool:
         return _xor_closed_sorted(codes)
     items = [int(c) for c in codes]
     if len(items) ** 2 > ENUM_CEILING:
-        raise ResourceLimitError()
+        raise ResourceLimitError(pairs=len(items))
     S = set(items)
     for a in items:
         if G.mul(a, a) != G.identity:

@@ -15,9 +15,9 @@ from math import comb
 import numpy as np
 
 from genusforge.arith import AcceptableVector, _primes_1mod4, jacobi
-from genusforge.expmaps import (CommVector, PhiMap, _context, _drop_index,
-                                corner_operator, phi_one_basis,
-                                realize_commuting_vector, solve_cochain, theta)
+from genusforge.expmaps import (CommVector, PhiMap, _context, corner_operator,
+                                phi_one_basis, realize_commuting_vector,
+                                solve_cochain, theta)
 from genusforge.f2 import F2Basis, F2Solver, bits_of, kernel_basis, low_bit, rank
 from genusforge.groups import (TABLE_CEILING, ExpansionGroup, ResourceLimitError,
                                _clear_masks, _commutator_span, _is_elementary_abelian,
@@ -243,8 +243,8 @@ def commutator_by_factors(G, a: int, b: int) -> int:
 def label_row_by_labels(ctx, w: int) -> int:
     """Bit p is the value of label p at the code w, one label at a time."""
     row = 0
-    for p, lab in enumerate(ctx.labels):
-        row |= ((w >> ctx.bitpos[lab]) & 1) << p
+    for p, bit in enumerate(ctx.bitpos):
+        row |= ((w >> bit) & 1) << p
     return row
 
 
@@ -253,7 +253,7 @@ def eval_by_labels(phi: PhiMap, code: int) -> int:
     ctx = _context(phi.shape)
     out = 0
     for p in bits_of(phi.coords):
-        out ^= (code >> ctx.bitpos[ctx.labels[p]]) & 1
+        out ^= (code >> ctx.bitpos[p]) & 1
     return out
 
 
@@ -264,9 +264,42 @@ def values_by_labels(phi: PhiMap) -> int:
     codes = ctx.group.codes.tolist()
     out = 0
     for p in bits_of(phi.coords):
-        bit = ctx.bitpos[ctx.labels[p]]
+        bit = ctx.bitpos[p]
         out ^= sum(((c >> bit) & 1) << q for q, c in enumerate(codes))
     return out
+
+
+def drop_index(shape: BlockShape, dropped: int, s: int) -> int:
+    """Index of original block s inside shape.drop(dropped)."""
+    return s - 1 if s > dropped else s
+
+
+def corner_chain(phi: PhiMap, B) -> PhiMap:
+    """Corner phi at each block of B in turn, B indexing phi's blocks:
+    the B-fold corner through every sub-shape on the way."""
+    for k, b in enumerate(sorted(B)):
+        phi = corner_operator(phi.shape, b - k, phi)
+    return phi
+
+
+def inflate(shape: BlockShape, gone, phi: PhiMap) -> PhiMap:
+    """Rename a map on the corner without the blocks gone back to the
+    ambient labels: the corner's blocks and coordinates are renumbered
+    through the kept ones, one label at a time."""
+    gone = sorted({gone} if isinstance(gone, int) else set(gone))
+    corner = shape.drop(gone)
+    if phi.shape != corner:
+        raise ValueError("map does not live on the indicated corner")
+    kept_blocks = [s for s in range(shape.n) if s not in gone]
+    kept_xs = [x for x in range(shape.N) if shape.block(x) not in gone]
+    ctx = _context(shape)
+    sub = _context(corner)
+    out = 0
+    for p in bits_of(phi.coords):
+        S, x = sub.labels[p]
+        big = sum(1 << kept_blocks[s] for s in range(corner.n) if S >> s & 1)
+        out ^= 1 << ctx.index[(big, kept_xs[x])]
+    return PhiMap(shape, out)
 
 
 def is_commuting(v: CommVector) -> bool:
@@ -275,8 +308,8 @@ def is_commuting(v: CommVector) -> bool:
     for i, j in combinations(range(shape.n), 2):
         if shape.n == 2:
             continue
-        left = corner_operator(shape.drop(i), _drop_index(shape, i, j), v.entries[i])
-        right = corner_operator(shape.drop(j), _drop_index(shape, j, i), v.entries[j])
+        left = corner_operator(shape.drop(i), drop_index(shape, i, j), v.entries[i])
+        right = corner_operator(shape.drop(j), drop_index(shape, j, i), v.entries[j])
         if left != right:
             return False
     return True
@@ -790,9 +823,9 @@ def reconstruct_report_cochain_first(shape: BlockShape, j: int, corner_spaces) -
         if shape.n == 2:
             continue
         sub = _context(shape.drop((i, jj)))
-        li = [corner_operator(shape.drop(i), _drop_index(shape, i, jj), p).coords
+        li = [corner_operator(shape.drop(i), drop_index(shape, i, jj), p).coords
               for p in corner_spaces[i]]
-        lj = [corner_operator(shape.drop(jj), _drop_index(shape, jj, i), p).coords
+        lj = [corner_operator(shape.drop(jj), drop_index(shape, jj, i), p).coords
               for p in corner_spaces[jj]]
         for l in range(len(sub.labels)):
             row = 0

@@ -415,7 +415,8 @@ def shuffling_check(shape: BlockShape, A) -> bool:
     if len(A) == 1:
         coords = shape.block_mask(A[0])
     else:
-        coords = sum(1 << ctx.index[("phi", A, x)] for i in A for x in shape.members(i))
+        mask = sum(1 << s for s in A)
+        coords = sum(1 << ctx.index[(mask ^ 1 << i, x)] for i in A for x in shape.members(i))
     G = ctx.group
     masks = [shape.block_mask(s) for s in A]
     prod = 0
@@ -514,9 +515,8 @@ def expansion_map(shape: BlockShape, A, x: int) -> ExpansionMap:
     coords = {}
     for r in range(len(others) + 1):
         for B in combinations(others, r):
-            sub = tuple(sorted({bx} | {A[t] for t in B}))
-            label = ("chi", x) if len(sub) == 1 else ("phi", sub, x)
-            coords[B] = PhiMap(shape, 1 << ctx.index[label]).values
+            S = sum(1 << A[t] for t in B)
+            coords[B] = PhiMap(shape, 1 << ctx.index[(S, x)]).values
     return ExpansionMap(ctx.group, support, pointer, coords)
 
 

@@ -344,6 +344,17 @@ def test_universal_reports_a_failed_generator_check(capsys, monkeypatch):
     assert "grade_dims" not in rep["results"]
 
 
+def test_universal_fails_on_grades_off_the_model(capsys, monkeypatch):
+    # [4, 7, 7, 3] sums to the exponent 21 of (1,1,1,1), as the model's
+    # (4, 6, 8, 3) does, so only the grade by grade comparison sees it
+    monkeypatch.setattr(cli, "grade_dims", lambda G: (4, 7, 7, 3))
+    code, rep = run_json(capsys, "universal", "--n", "4")
+    assert code == 1 and rep["passed"] is False
+    res = rep["results"]
+    assert res["grade_dims"] == [4, 7, 7, 3] and res["exponent"] == 21
+    assert res["generator_axioms"] == dict.fromkeys(AXIOMS, True)
+
+
 # sha256 of each report's sorted-key JSON results, first 16 hex digits,
 # recorded when reconstruction still enumerated every group it touched,
 # less the field lifted_count, which equalled commvect_dim and is no
@@ -581,6 +592,44 @@ def test_verify_expmaps_reconstruct_check_can_fail(capsys, monkeypatch, target):
     assert code == 1 and rep["passed"] is False
     failed = [c["name"] for c in rep["results"]["checks"] if not c["passed"]]
     assert failed == ["expmaps reconstruct (1,1) j=2"]
+
+
+def _failed_expmaps_checks(capsys) -> list[str]:
+    code, rep = run_json(capsys, "verify", "expmaps", "--max-n", "3")
+    assert code == 1 and rep["passed"] is False
+    return [c["name"] for c in rep["results"]["checks"] if not c["passed"]]
+
+
+def test_verify_expmaps_expansion_check_can_fail(capsys, monkeypatch):
+    # a pulled-back corner that loses the label (0, 0), chi_0, whenever
+    # a block is cornered: theta no longer matches the coboundary
+    real = expmaps._pulled_corner
+
+    def lossy(ctx, coords, B):
+        out = real(ctx, coords, B)
+        return out & ~1 if B else out
+
+    monkeypatch.setattr(expmaps, "_pulled_corner", lossy)
+    assert _failed_expmaps_checks(capsys) == [
+        f"expmaps expansion eq shape={k}" for k in ([1, 1], [2, 1], [1, 1, 1])]
+
+
+def test_verify_expmaps_lcomm_check_can_fail(capsys, monkeypatch):
+    # one extractor value flipped on one nested commutator of (2,1)
+    real = cli.lcomm_check
+
+    def flipped(shape, A, x, gens):
+        left, right = real(shape, A, x, gens)
+        return left ^ ((shape.k, A, x, gens) == ((2, 1), (0, 1), 0, (0, 2))), right
+
+    monkeypatch.setattr(cli, "lcomm_check", flipped)
+    assert _failed_expmaps_checks(capsys) == ["expmaps lcomm shape=[2, 1]"]
+
+
+def test_verify_expmaps_obstruction_check_can_fail(capsys, monkeypatch):
+    # a solver that answers every theta with the zero table
+    monkeypatch.setattr(cli, "solve_cochain", lambda G, th: 0)
+    assert _failed_expmaps_checks(capsys) == ["expmaps obstruction detected"]
 
 
 def test_universal_enumerate_fails_on_a_failing_axiom(capsys, monkeypatch):

@@ -18,7 +18,6 @@ from genusforge.expmaps import (
     coboundary,
     cocycle_view,
     corner_operator,
-    inflate,
     lcomm_check,
     phi_layer,
     phi_one_basis,
@@ -31,10 +30,10 @@ from genusforge.expmaps import (
 from genusforge.f2 import F2Basis, kernel_basis, rank, rref, spans_equal
 from genusforge.groups import ResourceLimitError
 from genusforge.tensors import BlockShape
-from oracles import (coboundary_rows, compositions, eval_by_labels, is_commuting,
-                     label_row_by_labels, normal_closure, pull_back_by_labels,
-                     reconstruct_report_cochain_first, solve_cochain_bfs,
-                     solve_cochain_exhaustive, values_by_labels)
+from oracles import (coboundary_rows, compositions, corner_chain, eval_by_labels,
+                     inflate, is_commuting, label_row_by_labels, normal_closure,
+                     pull_back_by_labels, reconstruct_report_cochain_first,
+                     solve_cochain_bfs, solve_cochain_exhaustive, values_by_labels)
 from statements import (expansion_map, is_cocycle, nil_deg, restriction_kernel_check,
                         shuffling_check)
 
@@ -44,9 +43,14 @@ S22 = BlockShape((2, 2))
 S111 = BlockShape((1, 1, 1))
 
 
+def key(shape: BlockShape, A, x: int) -> tuple[int, int]:
+    """The label of the extractor Phi_(A,x): (A - block(x) as a bitmask, x)."""
+    return sum(1 << s for s in A if s != shape.block(x)), x
+
+
 def phi_label(shape: BlockShape, A, x: int) -> PhiMap:
     ctx = _context(shape)
-    return PhiMap(shape, 1 << ctx.index[("phi", tuple(A), x)])
+    return PhiMap(shape, 1 << ctx.index[key(shape, A, x)])
 
 
 def char_span(shape: BlockShape) -> F2Basis:
@@ -110,6 +114,9 @@ def test_lcomm_frozen_cases():
         lcomm_check(S111, (0, 1, 2), 0, (1, 0, 2))[1]
     with pytest.raises(ValueError):
         lcomm_check(S11, (0, 1), 0, (0,))
+    # a pointer outside the support
+    with pytest.raises(ValueError):
+        lcomm_check(S111, (1, 2), 0, (1, 2))
 
 
 def test_lcomm_exhaustive_small():
@@ -129,7 +136,7 @@ def test_corner_basis_rules():
     # support loses the cornered block, pointer must survive
     p = phi_label(S11, (0, 1), 1)
     sub = _context(S11.drop(0))
-    assert corner_operator(S11, 0, p).coords == 1 << sub.index[("chi", 0)]
+    assert corner_operator(S11, 0, p).coords == 1 << sub.index[(0, 0)]
     assert corner_operator(S11, 1, p).is_zero()
     # absent block kills
     q = phi_label(S111, (0, 1), 0)
@@ -151,7 +158,7 @@ def test_corner_on_block_products():
     want = 0
     for i in (0, 1):
         for x in sub.shape.members(i):
-            want |= 1 << sub.index[("phi", (0, 1), x)]
+            want |= 1 << sub.index[key(sub.shape, (0, 1), x)]
     assert cut.coords == want
     # dropping a block outside A kills the product
     pair = phi_one_basis(shape)[shape.N]
@@ -186,6 +193,40 @@ def test_inflate_round_trip_and_invariance():
         inflate(S21, 0, narrow)
 
 
+def test_pulled_corner_matches_the_corner_chain(monkeypatch):
+    # every label and every B on all compositions with N <= 6: the B-fold
+    # corner read in the ambient labels is the chain of one-block corners
+    # through the sub-shapes, renamed back by inflate
+    monkeypatch.setattr(expmaps, "_CONTEXTS", {})
+    cases = 0
+    for k in (k for N in range(1, 7) for k in compositions(N)):
+        shape = BlockShape(k)
+        ctx = _context(shape)
+        full = (1 << shape.n) - 1
+        for p in range(len(ctx.labels)):
+            assert expmaps._pulled_corner(ctx, 1 << p, 0) == 1 << p
+            assert expmaps._pulled_corner(ctx, 1 << p, full) == 0
+            for B in range(1, full):
+                gone = [s for s in range(shape.n) if B >> s & 1]
+                want = inflate(shape, gone, corner_chain(PhiMap(shape, 1 << p), gone))
+                assert expmaps._pulled_corner(ctx, 1 << p, B) == want.coords, (k, p, B)
+                cases += 1
+    assert cases == 40912
+
+
+def test_corners_read_in_the_ambient_labels_build_no_sub_shape(monkeypatch):
+    monkeypatch.setattr(expmaps, "_CONTEXTS", {})
+    phi = PhiMap(S111, random.Random(3).getrandbits(len(_context(S111).labels)))
+    v = _corner_vector(S111, phi)
+    expmaps._CONTEXTS.clear()
+    assert cocycle_view(phi)["certified"]
+    assert list(expmaps._CONTEXTS) == [(1, 1, 1)]
+    expmaps._CONTEXTS.clear()
+    # theta reads the one-block corners through the lift, and no deeper
+    assert theta(S111, v).rows == coboundary(phi).rows
+    assert sorted(expmaps._CONTEXTS) == [(1, 1), (1, 1, 1)]
+
+
 def test_shuffling_identities():
     # the product side comes from the generator values, so a one-block A
     # compares the character's label table with them
@@ -201,7 +242,7 @@ def test_shuffling_identities():
 def test_shuffling_check_sees_a_wrong_character_table(monkeypatch):
     # chi_0 moved onto the code bit of chi_1 reads chi_1's table
     ctx = _context(S11)
-    monkeypatch.setitem(ctx.bitpos, ("chi", 0), ctx.bitpos[("chi", 1)])
+    monkeypatch.setattr(ctx, "bitpos", ctx.bitpos[1:2] + ctx.bitpos[1:])
     assert PhiMap(S11, 1).values == PhiMap(S11, 2).values
     assert not shuffling_check(S11, (0,))
     assert shuffling_check(S11, (1,))
@@ -234,8 +275,8 @@ def test_cocycle_view_extractor_and_mix():
     assert view["tables"][(0,)] == 0
     assert view["tables"][(1,)] != 0
     ctx = _context(S111)
-    mix = PhiMap(S111, (1 << ctx.index[("phi", (0, 1, 2), 0)])
-                 ^ (1 << ctx.index[("phi", (1, 2), 1)]) ^ 1)
+    mix = PhiMap(S111, (1 << ctx.index[key(S111, (0, 1, 2), 0)])
+                 ^ (1 << ctx.index[key(S111, (1, 2), 1)]) ^ 1)
     assert cocycle_view(mix)["certified"]
 
 
@@ -283,7 +324,7 @@ def test_theta_explicit_corner_character():
 
 def test_commuting_check_catches_mismatch():
     s = BlockShape((1, 1))
-    bad = CommVector(S111, [PhiMap(s, 1 << _context(s).index[("phi", (0, 1), 0)]),
+    bad = CommVector(S111, [PhiMap(s, 1 << _context(s).index[key(s, (0, 1), 0)]),
                             PhiMap(s, 0), PhiMap(s, 0)])
     assert not is_commuting(bad)
     with pytest.raises(ValueError):
@@ -602,8 +643,8 @@ def test_nil_deg_realization_bound():
     # corner degrees (2,2,1): the lift must reach one deeper
     shape = S111
     ctx = _context(shape)
-    star = PhiMap(shape, (1 << ctx.index[("phi", (0, 1, 2), 0)])
-                  ^ (1 << ctx.index[("phi", (0, 1, 2), 1)]))
+    star = PhiMap(shape, (1 << ctx.index[key(shape, (0, 1, 2), 0)])
+                  ^ (1 << ctx.index[key(shape, (0, 1, 2), 1)]))
     v = CommVector(shape, [corner_operator(shape, i, star) for i in range(3)])
     degs = tuple(nil_deg(v.entries[i]) for i in range(3))
     assert degs == (2, 2, 1)

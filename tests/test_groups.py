@@ -667,6 +667,17 @@ def test_failed_generator_check_falls_back_to_enumeration():
         assert M._report == want, key
 
 
+def test_pair_check_names_its_limit(monkeypatch):
+    # the tilde mutant has 128 elements, under the ceiling, but its tilde
+    # set of 32 codes has vector parts and needs 32 x 32 products
+    M = next(M for M, key in _mutants() if key == "tilde_condition")
+    monkeypatch.setattr(groups, "ENUM_CEILING", 512)
+    assert len(M.codes) == 128
+    with pytest.raises(ResourceLimitError, match=r"^pair check of 32 x 32 products "
+                       r"exceeds the enumeration ceiling of 512$"):
+        check_expansion_axioms(M)
+
+
 def test_generator_check_reads_vector_parts_of_the_span(monkeypatch):
     # a product rule whose commutators leave the pure-polynomial codes
     # breaks the proof; condition (d) sees it and the order is counted
