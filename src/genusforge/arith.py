@@ -171,50 +171,105 @@ def _primes_1mod4(limit: int) -> list[int]:
     return [p for p in range(5, limit + 1) if sieve[p] and p % 4 == 1]
 
 
-def search_consistent(k, prime_budget: int):
+def _residue_row(q: int, pool) -> int:
+    """Bitmask over pool with bit pi set when q is a square modulo pool[pi].
+
+    Every pool prime p is 1 mod 4, so quadratic reciprocity gives
+    (q|p) = (p|q), and for the odd prime q the nonzero squares mod q are
+    the x^2 with 1 <= x <= (q - 1)/2, since x and q - x square alike.
+    So bit pi is set when pool[pi] mod q is one of them.  For p == q the
+    residue is 0, which is not, and the bit stays clear as (q|q) = 0.
+    """
+    sq = {x * x % q for x in range(1, q // 2 + 1)}
+    r = 0
+    for pi, p in enumerate(pool):
+        if p % q in sq:
+            r |= 1 << pi
+    return r
+
+
+def search_consistent(k, prime_budget: int, counts: dict | None = None):
     """First strongly consistent vector with the given omega profile.
 
     Slots are filled entry by entry with ascending primes 1 mod 4 below
     the budget, each within-entry list itself ascending, backtracking
     on quadratic-residue conflicts against earlier entries.  Returns
-    None once the pool is exhausted.
+    None once the pool is exhausted.  counts, when given, receives the
+    work done: "nodes", the calls of the backtrack, and "residue_rows",
+    the residue rows built.
 
     Candidates are bitmasks over the pool: the residue row of a chosen
-    prime q has bit pi set when q is a square modulo pool[pi], and a slot
-    may take any prime that every earlier entry's rows allow.  Rows are
-    built the first time their prime is chosen.
+    prime q (`_residue_row`) has bit pi set when q is a square modulo
+    pool[pi], and a slot may take any prime that every earlier entry's
+    rows allow.  Rows are built the first time their prime is chosen.
+
+    Three bounds cut branches that hold no solution, and only those, so
+    the first vector found in this order is the one the unbounded
+    search finds:
+
+    - Within an entry.  The slots left in the current entry, this one
+      included, take distinct ascending primes from this slot's
+      `allowed`, the candidates at or above the one about to be tried:
+      the entry's `prior` is fixed and `used` only grows.  So the slot
+      loop stops once `allowed` has fewer bits than those slots.
+    - Across entries.  Every slot of a later entry takes a distinct
+      prime from `cross & ~used`, since both only narrow as slots are
+      filled.  So a call returns once that mask has fewer bits than the
+      slots in later entries.
+    - All-ones tail.  Once every remaining entry has one prime, the
+      remaining slots need a set of pairwise consistent primes in this
+      slot's candidates, and consistency is symmetric by reciprocity.
+      A completion that puts a candidate d below the current pick in a
+      later slot is a rearrangement of a completion with d in this slot,
+      and the loop refuted that branch before reaching the current pick.
+      So the loop stops once `allowed` has fewer bits than all the slots
+      left.  This needs every later slot to be an entry of its own: in a
+      mixed profile a later entry's primes need not be consistent with
+      each other, the rearrangement fails, and the bound cuts live
+      branches.
     """
     k = tuple(int(v) for v in k)
     if not k or any(v < 1 for v in k):
         raise ValueError("omega targets must be positive")
     pool = _primes_1mod4(prime_budget)
-    # the place of each slot within its entry
-    slots = [s for v in k for s in range(v)]
+    n = sum(k)
+    # per slot: its place within its entry; the fewest candidates its loop
+    # must still hold, the slots left in its entry or, in the all-ones
+    # tail, all the slots left; the slots in the entries after its own
+    slots, need, later = [], [], []
+    left = n
+    for e, v in enumerate(k):
+        left -= v
+        tail = max(k[e:]) == 1
+        for s in range(v):
+            slots.append(s)
+            need.append(left + 1 if tail else v - s)
+            later.append(left)
     rows: dict[int, int] = {}
     chosen: list[int] = []
+    nodes = 0
 
     def row(qi: int) -> int:
         r = rows.get(qi)
         if r is None:
-            q = pool[qi]
-            r = 0
-            for pi, p in enumerate(pool):
-                if jacobi(q, p) == 1:
-                    r |= 1 << pi
-            rows[qi] = r
+            r = rows[qi] = _residue_row(pool[qi], pool)
         return r
 
     def extend(t: int, prior: int, cross: int, used: int) -> bool:
         # prior: allowed by the entries before this slot's entry;
         # cross: prior narrowed by this entry's primes chosen so far
-        if t == len(slots):
+        nonlocal nodes
+        nodes += 1
+        if t == n:
             return True
+        if (cross & ~used).bit_count() < later[t]:
+            return False
         if slots[t]:
             allowed = prior & ~used & -(2 << chosen[-1])
         else:
             prior = cross
             allowed = prior & ~used
-        while allowed:
+        while allowed.bit_count() >= need[t]:
             b = allowed & -allowed
             allowed ^= b
             pi = b.bit_length() - 1
@@ -224,7 +279,10 @@ def search_consistent(k, prime_budget: int):
             chosen.pop()
         return False
 
-    if not extend(0, 0, (1 << len(pool)) - 1, 0):
+    found = extend(0, 0, (1 << len(pool)) - 1, 0)
+    if counts is not None:
+        counts.update(nodes=nodes, residue_rows=len(rows))
+    if not found:
         return None
     facts = []
     at = 0

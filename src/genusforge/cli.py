@@ -334,13 +334,15 @@ def cmd_arith(args) -> tuple[dict, bool]:
         return {"consistent": cons, "maximal": maximal}, cons
     if args.sub == "bound":
         return _arith_bound(args.n, args.omega)
+    counts: dict[str, int] = {}
     v = arith.search_consistent(tuple(int(x) for x in args.k.split(",")),
-                                args.budget)
+                                args.budget, counts)
     if v is None:
-        return {"found": False}, False
+        return {"found": False, **counts}, False
     verified = (arith.is_strongly_consistent(v)
                 and arith.validate_acceptable(v.a).a == v.a)
-    return {"found": True, **_vector(v), "verified": verified}, verified
+    return {"found": True, **_vector(v), "verified": verified,
+            **counts}, verified
 
 
 # -- wiring --

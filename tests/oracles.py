@@ -893,6 +893,15 @@ def rref_incremental(m) -> dict[int, int]:
 # a time
 
 
+def residue_row_by_jacobi(q: int, pool) -> int:
+    """Bitmask over pool with bit pi set when jacobi(q, pool[pi]) is 1."""
+    r = 0
+    for pi, p in enumerate(pool):
+        if jacobi(q, p) == 1:
+            r |= 1 << pi
+    return r
+
+
 def search_consistent_scan(k, prime_budget: int):
     """First strongly consistent vector with the given omega profile.
 

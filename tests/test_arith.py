@@ -10,6 +10,8 @@ import pytest
 from genusforge.arith import (
     AcceptableVector,
     FactorBudgetError,
+    _primes_1mod4,
+    _residue_row,
     decide_maximal_n2,
     is_strongly_consistent,
     jacobi,
@@ -20,7 +22,8 @@ from genusforge.arith import (
 from genusforge.groups import universal_order_exponent
 from genusforge.lie import governing_algebra_general
 from genusforge.tensors import BlockShape, gov_equals_cons_check
-from oracles import is_prime_naive, jacobi_by_euler, search_consistent_scan
+from oracles import (is_prime_naive, jacobi_by_euler, residue_row_by_jacobi,
+                     search_consistent_scan)
 
 
 def small_primes(limit):
@@ -212,3 +215,38 @@ def test_search_consistent_slow_profiles():
     v = search_consistent((1,) * 8, 2000)
     assert v.a == (5, 41, 269, 349, 449, 821, 1481, 1549)
     assert is_strongly_consistent(v)
+
+
+def test_residue_row_matches_the_symbols():
+    pool = _primes_1mod4(2000)
+    rows = [_residue_row(q, pool) for q in pool]
+    for q, r in zip(pool, rows):
+        assert r == residue_row_by_jacobi(q, pool), q
+    rng = random.Random(29)
+    for _ in range(2000):
+        qi, pi = rng.randrange(len(pool)), rng.randrange(len(pool))
+        want = jacobi_by_euler(pool[qi], pool[pi]) == 1
+        assert rows[qi] >> pi & 1 == want, (pool[qi], pool[pi])
+
+
+# answers of the search with no bounds, and the nodes the bounded search
+# visits for them (the search with no bounds visits 1465 and 2339 on the
+# first two)
+PINNED = [
+    ((1,) * 7, 1000, (5, 61, 109, 461, 809, 829, 881), 280),
+    ((2, 2, 2, 2, 1), 2000, (65, 153061, 949321, 3135941, 1741), 834),
+    ((1,) * 8, 5000, (5, 29, 109, 281, 349, 1889, 3769, 4549), 12),
+    ((1,) * 9, 2000, (5, 269, 1009, 1129, 1249, 1289, 1429, 1489, 1609), 12266),
+    ((3, 3, 3), 3000, (1105, 41999941, 3178359461), 13),
+]
+
+
+@pytest.mark.parametrize("k, budget, a, nodes", PINNED,
+                         ids=[f"{','.join(map(str, p[0]))}@{p[1]}" for p in PINNED])
+def test_search_consistent_pinned_answers(k, budget, a, nodes):
+    counts = {}
+    v = search_consistent(k, budget, counts)
+    assert v.a == a and v.omega == k
+    assert is_strongly_consistent(v)
+    assert counts["nodes"] == nodes
+    assert 0 < counts["residue_rows"] <= len(_primes_1mod4(budget))

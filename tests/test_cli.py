@@ -504,9 +504,27 @@ def test_arith_search(capsys):
                          "--budget", "100")
     assert code == 0
     assert rep["results"]["a"] == [5, 29] and rep["results"]["verified"]
+    assert rep["results"]["nodes"] == 3 and rep["results"]["residue_rows"] == 2
     code, rep = run_json(capsys, "arith", "search", "--k", "1,1",
                          "--budget", "6")
-    assert code == 1 and rep["results"] == {"found": False}
+    assert code == 1 and rep["results"] == {"found": False, "nodes": 1,
+                                            "residue_rows": 0}
+    code, out = run(capsys, "arith", "search", "--k", "1,1", "--budget", "6")
+    assert code == 1 and "nodes: 1" in out and "residue_rows: 0" in out
+
+
+def test_arith_consistent_fails_on_a_wrong_residue(capsys, monkeypatch):
+    real = arith.jacobi
+
+    def wrong(a, m):
+        return -1 if (a, m) == (5, 29) else real(a, m)
+
+    monkeypatch.setattr(arith, "jacobi", wrong)
+    code, rep = run_json(capsys, "arith", "consistent", "5", "29")
+    assert code == 1 and rep["passed"] is False
+    assert rep["results"] == {"consistent": False, "maximal": False}
+    code, out = run(capsys, "arith", "consistent", "5", "29")
+    assert code == 1 and "passed=False" in out and "consistent: False" in out
 
 
 # one command line per command, a callee it reaches before any answer,
