@@ -168,23 +168,25 @@ def _primes_1mod4(limit: int) -> list[int]:
     for d in range(2, isqrt(limit) + 1):
         if sieve[d]:
             sieve[d * d::d] = bytearray(len(sieve[d * d::d]))
-    return [p for p in range(5, limit + 1) if sieve[p] and p % 4 == 1]
+    return [p for p in range(5, limit + 1, 4) if sieve[p]]
 
 
-def _residue_row(q: int, pool) -> int:
-    """Bitmask over pool with bit pi set when q is a square modulo pool[pi].
+def _residue_row(q: int, pool, mask: int = -1) -> int:
+    """Bits pi of mask (default: the whole pool) with q a square mod pool[pi].
 
     Every pool prime p is 1 mod 4, so quadratic reciprocity gives
-    (q|p) = (p|q), and for the odd prime q the nonzero squares mod q are
-    the x^2 with 1 <= x <= (q - 1)/2, since x and q - x square alike.
-    So bit pi is set when pool[pi] mod q is one of them.  For p == q the
-    residue is 0, which is not, and the bit stays clear as (q|q) = 0.
+    (q|p) = (p|q), and Euler's criterion for the odd prime q gives
+    (p|q) = p^((q-1)/2) mod q.  So bit pi is set when that power is 1.
+    For p == q the power is 0, and the bit stays clear as (q|q) = 0.
     """
-    sq = {x * x % q for x in range(1, q // 2 + 1)}
+    mask &= (1 << len(pool)) - 1
+    e = (q - 1) // 2
     r = 0
-    for pi, p in enumerate(pool):
-        if p % q in sq:
-            r |= 1 << pi
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        if pow(pool[b.bit_length() - 1], e, q) == 1:
+            r |= b
     return r
 
 
@@ -195,13 +197,17 @@ def search_consistent(k, prime_budget: int, counts: dict | None = None):
     the budget, each within-entry list itself ascending, backtracking
     on quadratic-residue conflicts against earlier entries.  Returns
     None once the pool is exhausted.  counts, when given, receives the
-    work done: "nodes", the calls of the backtrack, and "residue_rows",
-    the residue rows built.
+    work done: "nodes", the calls of the backtrack, "residue_rows", the
+    primes whose residue row was read, and "residue_tests", the symbols
+    evaluated for those rows.
 
     Candidates are bitmasks over the pool: the residue row of a chosen
     prime q (`_residue_row`) has bit pi set when q is a square modulo
     pool[pi], and a slot may take any prime that every earlier entry's
-    rows allow.  Rows are built the first time their prime is chosen.
+    rows allow.  A row is only ever read as `cross & row`, so only the
+    bits of `cross` matter.  Each prime keeps the bits of its row known
+    so far and the set ones among them, and a read evaluates the symbols
+    of the bits of `cross` not yet known, each at most once.
 
     Three bounds cut branches that hold no solution, and only those, so
     the first vector found in this order is the one the unbounded
@@ -245,15 +251,21 @@ def search_consistent(k, prime_budget: int, counts: dict | None = None):
             slots.append(s)
             need.append(left + 1 if tail else v - s)
             later.append(left)
-    rows: dict[int, int] = {}
+    # per prime read: (the bits of its row known, the set ones among them)
+    rows: dict[int, tuple[int, int]] = {}
     chosen: list[int] = []
-    nodes = 0
+    nodes = tests = 0
 
-    def row(qi: int) -> int:
-        r = rows.get(qi)
-        if r is None:
-            r = rows[qi] = _residue_row(pool[qi], pool)
-        return r
+    def narrow(cross: int, qi: int) -> int:
+        # cross & the residue row of pool[qi]
+        nonlocal tests
+        known, bits = rows.get(qi, (0, 0))
+        todo = cross & ~known
+        if todo:
+            tests += todo.bit_count()
+            bits |= _residue_row(pool[qi], pool, todo)
+        rows[qi] = known | todo, bits
+        return cross & bits
 
     def extend(t: int, prior: int, cross: int, used: int) -> bool:
         # prior: allowed by the entries before this slot's entry;
@@ -274,14 +286,14 @@ def search_consistent(k, prime_budget: int, counts: dict | None = None):
             allowed ^= b
             pi = b.bit_length() - 1
             chosen.append(pi)
-            if extend(t + 1, prior, cross & row(pi), used | b):
+            if extend(t + 1, prior, narrow(cross, pi), used | b):
                 return True
             chosen.pop()
         return False
 
     found = extend(0, 0, (1 << len(pool)) - 1, 0)
     if counts is not None:
-        counts.update(nodes=nodes, residue_rows=len(rows))
+        counts.update(nodes=nodes, residue_rows=len(rows), residue_tests=tests)
     if not found:
         return None
     facts = []

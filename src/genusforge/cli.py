@@ -351,7 +351,7 @@ def _render(report: RunReport) -> str:
     lines = [f"{report.command}  passed={report.passed}"
              f"  elapsed={report.elapsed}s"]
     for key, val in report.results.items():
-        if key == "rows":
+        if key == "rows" and isinstance(val, list):
             for row in val:
                 lines.append("  " + "  ".join(f"{k}={v}"
                                               for k, v in row.items()))

@@ -1100,7 +1100,7 @@ def check_lie_axioms_direct(L: GradedLie, shape: BlockShape | None = None) -> di
     for m in range(2, nclass + 1):
         tab = L.tables.get(m - 1)
         if tab is None:
-            ok = L.dims[m - 1] == 0
+            ok = ok and L.dims[m - 1] == 0
             continue
         vecs = [e for row in tab for e in row]
         if rank(vecs) != L.dims[m - 1]:

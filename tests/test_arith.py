@@ -229,24 +229,37 @@ def test_residue_row_matches_the_symbols():
         assert rows[qi] >> pi & 1 == want, (pool[qi], pool[pi])
 
 
-# answers of the search with no bounds, and the nodes the bounded search
+# answers of the search with no bounds, the nodes the bounded search
 # visits for them (the search with no bounds visits 1465 and 2339 on the
-# first two)
+# first two) and the primes whose residue rows it reads
 PINNED = [
-    ((1,) * 7, 1000, (5, 61, 109, 461, 809, 829, 881), 280),
-    ((2, 2, 2, 2, 1), 2000, (65, 153061, 949321, 3135941, 1741), 834),
-    ((1,) * 8, 5000, (5, 29, 109, 281, 349, 1889, 3769, 4549), 12),
-    ((1,) * 9, 2000, (5, 269, 1009, 1129, 1249, 1289, 1429, 1489, 1609), 12266),
-    ((3, 3, 3), 3000, (1105, 41999941, 3178359461), 13),
+    ((1,) * 7, 1000, (5, 61, 109, 461, 809, 829, 881), 280, 28),
+    ((2, 2, 2, 2, 1), 2000, (65, 153061, 949321, 3135941, 1741), 834, 31),
+    ((1,) * 8, 5000, (5, 29, 109, 281, 349, 1889, 3769, 4549), 12, 10),
+    ((1,) * 9, 2000, (5, 269, 1009, 1129, 1249, 1289, 1429, 1489, 1609), 12266, 65),
+    ((3, 3, 3), 3000, (1105, 41999941, 3178359461), 13, 11),
 ]
 
 
-@pytest.mark.parametrize("k, budget, a, nodes", PINNED,
+@pytest.mark.parametrize("k, budget, a, nodes, rows", PINNED,
                          ids=[f"{','.join(map(str, p[0]))}@{p[1]}" for p in PINNED])
-def test_search_consistent_pinned_answers(k, budget, a, nodes):
+def test_search_consistent_pinned_answers(k, budget, a, nodes, rows):
     counts = {}
     v = search_consistent(k, budget, counts)
     assert v.a == a and v.omega == k
     assert is_strongly_consistent(v)
     assert counts["nodes"] == nodes
-    assert 0 < counts["residue_rows"] <= len(_primes_1mod4(budget))
+    assert counts["residue_rows"] == rows
+    # rows are read only on the live candidates, never on the whole pool
+    assert 0 < counts["residue_tests"] < rows * len(_primes_1mod4(budget))
+
+
+def test_masked_residue_row_matches_the_symbols():
+    # a row read on a mask holds exactly the mask's bits of the full row
+    pool = _primes_1mod4(2000)
+    full = (1 << len(pool)) - 1
+    rng = random.Random(30)
+    for q in pool:
+        want = residue_row_by_jacobi(q, pool)
+        for mask in (0, full, *(rng.getrandbits(len(pool)) for _ in range(3))):
+            assert _residue_row(q, pool, mask) == want & mask, (q, mask)

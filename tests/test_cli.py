@@ -505,12 +505,27 @@ def test_arith_search(capsys):
     assert code == 0
     assert rep["results"]["a"] == [5, 29] and rep["results"]["verified"]
     assert rep["results"]["nodes"] == 3 and rep["results"]["residue_rows"] == 2
+    # 11 symbols for the row of 5 on the whole pool, 4 for the row of 29
+    # on the primes that 5 allows
+    assert rep["results"]["residue_tests"] == 15
     code, rep = run_json(capsys, "arith", "search", "--k", "1,1",
                          "--budget", "6")
     assert code == 1 and rep["results"] == {"found": False, "nodes": 1,
-                                            "residue_rows": 0}
+                                            "residue_rows": 0, "residue_tests": 0}
     code, out = run(capsys, "arith", "search", "--k", "1,1", "--budget", "6")
     assert code == 1 and "nodes: 1" in out and "residue_rows: 0" in out
+    assert "residue_tests: 0" in out
+
+
+def test_render_expands_only_a_list_of_rows():
+    # a list of dicts is one line per row; any other value of "rows", as a
+    # count, is one "key: value" line like every other result
+    listed = cli._render(RunReport("dims", {}, {"rows": [{"i": 1, "equal": True},
+                                                          {"i": 2, "equal": False}]},
+                                   True, 0.0))
+    assert listed.splitlines()[1:] == ["  i=1  equal=True", "  i=2  equal=False"]
+    counted = cli._render(RunReport("arith", {}, {"found": False, "rows": 2}, False, 0.0))
+    assert counted.splitlines()[1:] == ["  found: False", "  rows: 2"]
 
 
 def test_arith_consistent_fails_on_a_wrong_residue(capsys, monkeypatch):

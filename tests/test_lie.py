@@ -8,6 +8,7 @@ import random
 import pytest
 
 import oracles
+from genusforge import lie
 from genusforge.f2 import rank
 from genusforge.groups import build_universal, build_universal_general
 from genusforge.lie import (
@@ -285,6 +286,35 @@ def test_epimorphism_work_is_bounded_by_the_tables(monkeypatch):
     assert 0 < calls <= 2 * shape.N * sum(M.dims) == 540
 
 
+def test_lie_axioms_work_is_bounded_by_the_tables(monkeypatch):
+    # one composition table per grade, N * N * dims[m-1] entries, and one
+    # pass over the grade tables for the spans and the block sets: no more
+    # than 2 * N * N * sum(dims) bracket applications, not one per nested
+    # tuple.  Every output entry of lie._images counts as one.
+    shape = BlockShape((1,) * 5)
+    M = governing_algebra_general(shape)
+    L = lie_from_group(build_universal_general(shape))
+    calls = 0
+    real_images, real_gen = lie._images, GradedLie.bracket_gen
+
+    def counted_images(tab, vecs, n):
+        nonlocal calls
+        calls += n * len(vecs)
+        return real_images(tab, vecs, n)
+
+    def counted_gen(self, x, m, bits):
+        nonlocal calls
+        calls += 1
+        return real_gen(self, x, m, bits)
+
+    monkeypatch.setattr(lie, "_images", counted_images)
+    monkeypatch.setattr(GradedLie, "bracket_gen", counted_gen)
+    for A in (M, L):
+        calls = 0
+        assert all(check_lie_axioms(A).values())
+        assert 0 < calls <= 2 * shape.N ** 2 * sum(A.dims) == 2700
+
+
 def test_mutant_structure_constants_detected():
     M = plain(3)
     skew = copy.deepcopy(M.tables)
@@ -304,6 +334,16 @@ def test_mutant_structure_constants_detected():
     blk[1][1][0] ^= 1
     rep = check_lie_axioms(GradedLie(T.shape, T.dims, blk))
     assert not rep["tilde2"]
+
+
+def test_axiom3_keeps_an_earlier_failure():
+    # grade 2 is not spanned (rank 1 of 3); the missing table into the
+    # empty grade 3 spans it, and must not clear the grade-2 failure
+    L = GradedLie(BlockShape((1, 1, 1)), (3, 3, 0),
+                  {1: [[0, 1, 0], [1, 0, 0], [0, 0, 0]]})
+    for check in (check_lie_axioms, check_lie_axioms_direct):
+        assert check(L)["axiom3"] is False, check.__name__
+    assert check_lie_axioms(GradedLie(L.shape, (3, 1, 0), L.tables))["axiom3"]
 
 
 def test_tensor_pairing_perfect():
@@ -353,6 +393,28 @@ def test_check_lie_axioms_matches_direct():
         got = check_lie_axioms(mutant)
         assert got == check_lie_axioms_direct(mutant), M.shape
         assert not got["tilde2"], M.shape
+    # a middle-grade table removed reads as zero brackets out of that grade
+    for M in algebras:
+        for m in range(1, M.nclass - 1):
+            tableless = GradedLie(M.shape, M.dims,
+                                  {j: t for j, t in M.tables.items() if j != m})
+            got = check_lie_axioms(tableless)
+            assert got == check_lie_axioms_direct(tableless), (M.shape, m)
+            assert not got["axiom3"], (M.shape, m)
+    # a grade 1 shorter than the generators is no phi target: axiom1 fails
+    # alone, and the brackets are still read on every generator pair
+    for M in algebras + [governing_algebra_general(BlockShape((1, 2)))]:
+        short = GradedLie(M.shape, (M.dims[0] - 1,) + M.dims[1:], M.tables)
+        got = check_lie_axioms(short)
+        assert got == check_lie_axioms_direct(short), M.shape
+        assert [key for key, good in got.items() if not good] == ["axiom1"], M.shape
+    # the algebras of the enumerated groups
+    for N in range(1, 5):
+        for k in compositions(N):
+            L = lie_from_group(build_universal_general(BlockShape(k)))
+            got = check_lie_axioms(L)
+            assert got == check_lie_axioms_direct(L), k
+            assert all(got.values()), k
 
 
 def test_axiom4_mutants_fail_both_checkers():
