@@ -286,7 +286,8 @@ def search_consistent(k, prime_budget: int, counts: dict | None = None):
             allowed ^= b
             pi = b.bit_length() - 1
             chosen.append(pi)
-            if extend(t + 1, prior, narrow(cross, pi), used | b):
+            # the last entry's later slots read prior, never cross
+            if extend(t + 1, prior, narrow(cross, pi) if later[t] else cross, used | b):
                 return True
             chosen.pop()
         return False

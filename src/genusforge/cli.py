@@ -146,7 +146,7 @@ def cmd_universal(args) -> tuple[dict, bool]:
         axioms = check_expansion_axioms(G)
         # the enumerated count checks the presentation's order
         results["order"] = len(G.codes)
-        # the closure's work: cosets, their layers, dim of the span over them
+        # the closure's work: cosets, the blocks that listed them, dim of the span
         results.update(G.closure_stats)
         results["axioms"] = {k: bool(v) for k, v in axioms.items()}
         return results, (len(G.codes) == G.order == 2 ** exp

@@ -41,10 +41,9 @@ CODE_WIDTH_LIMIT = 63
 
 
 def _work_dtype(width: int) -> np.dtype:
-    """The dtype codes of this width are worked on in: uint32 while a tag
-    bit still fits above them, else uint64."""
+    """The dtype codes of this width are worked on in: uint32 if they fit, else uint64."""
     import numpy as np
-    return np.dtype(np.uint32 if width < 32 else np.uint64)
+    return np.dtype(np.uint32 if width <= 32 else np.uint64)
 
 
 def _power_text(v: int) -> str:
@@ -169,10 +168,12 @@ class ExpansionGroup:
     enumerated on its first read, by a value table, mul_table or the
     enumerated check_expansion_axioms; that read checks the element
     ceiling and the code-width limit first, since the array is all they
-    protect.  The enumeration (_close) searches the cosets of a normal
-    XOR span W, built from mul and inv alone, and lays W over each coset
-    with one XOR broadcast: for a universal group W = [G,G] and the
-    search visits 2^N cosets, not the 2^(N + dim[G,G]) elements.
+    protect.  The enumeration (_close) lists the cosets of a normal
+    XOR span W, built from mul and inv alone, in cyclic blocks of the
+    abelian quotient H/W, one array step per block, and lays W over each
+    coset with one XOR broadcast: for a universal group W = [G,G] and
+    the closure lists 2^N cosets in N blocks, not the 2^(N + dim[G,G])
+    elements.
     mul_table is built once and kept on the group, below
     TABLE_CEILING.  numpy is imported only inside the functions that
     build or read the array.  phi reads one code bit per coordinate of
@@ -284,10 +285,10 @@ class ExpansionGroup:
 
     # -- vectorized code arithmetic --
 
-    def _gen_table(self, gc: int, dtype: np.dtype):
-        """Right multiplication by gc on codes of the given dtype: a
-        constant XOR plus, per factor that gc moves, one lookup keyed by the
-        factor's vector field."""
+    def _gen_table(self, gc: int, dtype: np.dtype, reduce=lambda u: u):
+        """Right multiplication by gc on codes of the given dtype, each value
+        passed through reduce: a constant XOR plus, per factor that gc
+        moves, one lookup keyed by the factor's vector field."""
         import numpy as np
         const = 0
         parts = []
@@ -296,11 +297,11 @@ class ExpansionGroup:
             v2 = (gc >> c.vec_off) & c.vec_mask
             const |= v2 << c.vec_off
             if a2:
-                tab = np.fromiter((self.act(v << c.vec_off, a2 << c.poly_off)
+                tab = np.fromiter((reduce(self.act(v << c.vec_off, a2 << c.poly_off))
                                    for v in range(1 << c.m)),
                                   dtype=dtype, count=1 << c.m)
                 parts.append((dtype.type(c.vec_off), dtype.type(c.vec_mask), tab))
-        return dtype.type(const), parts
+        return dtype.type(reduce(const)), parts
 
     @staticmethod
     def _step(codes: np.ndarray, table) -> np.ndarray:
@@ -337,79 +338,69 @@ class ExpansionGroup:
 
     def _close(self, gen_codes: list[int]) -> np.ndarray:
         """The subgroup H generated by gen_codes, as a sorted uint64 array:
-        a breadth-first search of the cosets of a normal subgroup W, then
-        one XOR broadcast and one sort.
+        cyclic blocks of coset representatives of a normal subgroup W,
+        then one XOR broadcast and one sort.
 
-        S is gen_codes with their inverses, and W the span of the
-        commutators a b a^-1 b^-1 of S closed under w -> g w g^-1 for g
-        in S, computed by mul and inv.  The proof reads only those and
-        the vector-part rule (the vector part of a product is the sum of
-        the vector parts), no expansion axiom, so the enumerated
+        W is the span of the commutators a b a^-1 b^-1 of the generators,
+        closed under w -> w ^ g w g^-1 for every generator g, by mul and
+        inv, each generator inverted once.  The proof reads only those
+        and the vector-part rule (the vector part of a product is the sum
+        of the vector parts), no expansion axiom, so the enumerated
         check_expansion_axioms stays independent of
         check_generator_axioms.  Let Q be the codes with zero vector
         part.  W ⊆ Q, because vector parts add.  A zero vector part acts
         as the identity, so left multiplication by w in Q is XOR: Q is
         elementary abelian, W is a subgroup, and conjugation by g, a
         homomorphism, is linear on Q.  W ⊆ H, being made of products of
-        S.  Conjugation by g in S maps a spanning set of W, hence W, into
-        W, and it is injective on a finite set, so g W g^-1 = W: W is
-        normal in H.  The coset W h is h ^ W, and distinct cosets are
-        disjoint.
+        generators.  Conjugation by a generator maps W into W and is
+        injective on a finite set, so g W g^-1 = W, and the generators
+        generate H: W is normal in H.  Every commutator of two
+        generators lies in W, so their images commute and H/W is
+        abelian, H/W = <g_1 W> ... <g_k W>.  The coset W h is h ^ W.
 
-        The search is the layered closure of the Cayley graph of H/W on
-        S: S is closed under inverses, so the graph is undirected, the
-        products of layer d lie in layers d-1, d and d+1, and layer d+1
-        is those products minus layers d-1 and d.  A coset is held by its
-        member with 0 at every pivot of W: for each pivot p in ascending
-        order, z ^= bit p of z times row_p, which clears bit p and no
-        lower pivot, since row_p has no bit below p.  W h s = W (h s), so
-        the products are reduced before the tag.  Each layer sorts one
-        array: layers d-1 and d shifted left with tag bit 0, the products
-        shifted left with tag 1; a tagged entry is new exactly when the
-        entry before it holds a different code.  H is then reps ^ span,
-        span being W doubled out, with no duplicate since the cosets are
-        disjoint, sorted once.
+        A coset is held by red(h) = W.reduce(h), its member with 0 at
+        every pivot of W, unique since a nonzero vector of W has its
+        lowest bit at a pivot; red is linear with kernel W.  Right multiplication by
+        g is u -> u ^ const ^ sum of tab[field(u)] (_gen_table), so for
+        u = red(u), red(u g) = u ^ red(const) ^ sum of red(tab[field(u)]):
+        with each generator's table reduced once, a step maps
+        representatives to representatives.
 
-        Codes are worked on in uint32 when the width leaves room for the
-        tag bit, else in uint64, whose top bit CODE_WIDTH_LIMIT keeps
-        spare.  The element ceiling is checked against reps x 2^dim W
-        after every layer.  The last layer is empty, so the last check
-        sees the final count, just before the broadcast.  closure_stats
-        records the cosets, the nonempty layers and dim W.
+        reps lists a subgroup R of H/W, W first.  For a generator g, the
+        cosets of R in R<g W> are R g^i for i below the order d of gW
+        modulo R, pairwise disjoint, so the blocks R g, R g^2, ... are
+        appended, each one step from the last, while red(g^i), the
+        block's first entry, is not in R, which first fails at i = d;
+        red(g^i) = red(red(g^(i-1)) g), as red(u) g lies in u g W.  Then
+        reps lists H/W, each coset once, and H is reps ^ span, span being
+        W doubled out, sorted once.  Codes are worked on in _work_dtype.
+        The element ceiling is checked against reps x 2^dim W before
+        every block is stepped.  closure_stats records the cosets, the
+        blocks (N for a universal group, each generator doubling R) and
+        dim W.
         """
         import numpy as np
-        mul, inv = self.mul, self.inv
-        gens = sorted(set(gen_codes) | {inv(g) for g in gen_codes})
-        W = _normal_span(gens, lambda a, b: mul(mul(a, b), mul(inv(a), inv(b))),
-                         lambda g, w: mul(mul(g, w), inv(g)))
+        mul, inv = self.mul, {g: self.inv(g) for g in gen_codes}
+        W = _normal_span(list(inv), lambda a, b: mul(mul(a, b), mul(inv[a], inv[b])),
+                         lambda g, w: mul(mul(g, w), inv[g]))
         dtype = _work_dtype(self.width)
-        one = dtype.type(1)
-        pivots = [(dtype.type(p), dtype.type(r)) for p, r in sorted(W.rows.items())]
-        tables = [self._gen_table(g, dtype) for g in gens]
-        prev = np.zeros(0, dtype=dtype)
-        cur = np.zeros(1, dtype=dtype)
-        layers = [cur]
-        total = 1
-        while cur.size and tables:
-            z = np.concatenate([self._step(cur, t) for t in tables])
-            for p, row in pivots:
-                z ^= ((z >> p) & one) * row
-            z = np.concatenate([prev << one, cur << one, (z << one) | one])
-            z.sort()
-            new = z & one == one
-            # only 2c and 2c + 1 sort just below 2c + 1 while holding code c
-            new[1:] &= z[1:] - z[:-1] > one
-            prev, cur = cur, z[new] >> one
-            layers.append(cur)
-            total += cur.size
-            if total << len(W) > ENUM_CEILING:
-                raise ResourceLimitError(self.expected_order)
+        reps, steps = np.zeros(1, dtype=dtype), 0
+        for g in inv:
+            table = self._gen_table(g, dtype, W.reduce)
+            blocks, head = [reps], W.reduce(g)
+            while not (reps == head).any():
+                if (len(reps) * (len(blocks) + 1)) << len(W) > ENUM_CEILING:
+                    raise ResourceLimitError(self.expected_order)
+                blocks.append(self._step(blocks[-1], table))
+                steps += 1
+                head = W.reduce(mul(head, g))
+            reps = np.concatenate(blocks)
         span = np.zeros(1, dtype=dtype)
         for b in W.basis():
             span = np.concatenate([span, span ^ dtype.type(b)])
-        codes = (np.concatenate(layers)[:, None] ^ span[None, :]).ravel()
+        codes = (reps[:, None] ^ span[None, :]).ravel()
         codes.sort()
-        self.closure_stats = {"cosets": total, "coset_layers": len(layers) - 1,
+        self.closure_stats = {"cosets": len(reps), "coset_steps": steps,
                               "span_dim": len(W)}
         return codes.astype(np.uint64, copy=False)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .f2 import F2Basis, F2Solver, bits_of, rank
+from .f2 import F2Basis, F2Solver, bits_of, low_bit, rank
 from .groups import ExpansionGroup, descending_central_series
 from .tensors import BlockShape
 
@@ -184,14 +184,14 @@ def lie_from_group(G: ExpansionGroup) -> GradedLie:
         reps[m] = rep_m
         dims.append(len(rep_m))
     nclass = len(dims)
-    tables = {}
-    for m in range(1, nclass):
-        tables[m] = [[coord[m + 1](G.commutator(gx, r)) for r in reps[m]]
-                     for gx in G.gen_codes]
-    for r in reps[nclass]:
-        for gx in G.gen_codes:
-            if G.commutator(gx, r) != G.identity:
-                raise ValueError("series did not terminate at the top grade")
+    # [g_x, r] per grade; past grade 1, r is a series vector with zero
+    # vector part, so act(r, -) is the identity and [g_x, r] = r ^ act(g_x, r)
+    comms = {m: [[G.commutator(gx, r) if m == 1 else r ^ G.act(gx, r) for r in reps[m]]
+                 for gx in G.gen_codes] for m in range(1, nclass + 1)}
+    tables = {m: [[coord[m + 1](c) for c in row] for row in comms[m]]
+              for m in range(1, nclass)}
+    if any(any(row) for row in comms[nclass]):
+        raise ValueError("series did not terminate at the top grade")
     return GradedLie(G.shape, dims, tables)
 
 
@@ -359,61 +359,68 @@ def lie_epimorphism(universal: GradedLie, target: GradedLie) -> dict[int, list[i
 
     Returns, per grade, the image mask of each source basis vector.
     Grade m+1 of the source must be spanned by its table entries
-    [e_x, b_k], b_k in grade m's basis; each basis vector is solved over
-    them once and mapped to the same combination of the target brackets
-    [e_x, f(b_k)].  A failure of spanning, surjectivity, or bracket
-    compatibility means the source was not universal for the shape;
-    that is reported as a classification violation rather than a value.
+    [e_x, b_k], b_k in grade m's basis, so the images are unique, and
+    f([e_x, b_k]) = [e_x, f(b_k)] must hold for every generator x and
+    basis vector b_k.  By linearity and induction on length that gives
+    f(nested_src(xs)) = nested_tgt(xs) for every tuple xs of generators,
+    which tests/oracles.lie_epimorphism_tuples checks by walking them;
+    both accept the same pairs and return the same images.  A failure of
+    spanning, surjectivity or compatibility means the source was not
+    universal for the shape, and raises a classification violation.
 
-    Compatibility, f([e_x, b_k]) = [e_x, f(b_k)] for every generator x
-    and basis vector b_k, is the well-definedness check.  By linearity
-    and induction on length it gives f(nested_src(xs)) = nested_tgt(xs)
-    for every tuple xs of generators, which is what a walk over all
-    nested brackets checks, and the source grades are spanned, so the
-    images are unique.  Both routes accept the same pairs and return the
-    same images; tests/oracles.lie_epimorphism_tuples is the walk.
+    Each grade is one elimination, pivoting on the lowest bit, of the
+    rows entry | image << w over the entries [e_x, b_k], x-major, and
+    the target brackets [e_x, f(b_k)] read by one `_images` walk; w is
+    at least every entry's width, so an entry past the grade is
+    eliminated whole.  A stored row's target part is the image of the
+    entries it combines, so back-substitution leaves pivot j as
+    e_j | f(e_j) << w when e_j is spanned, and f maps each stored entry
+    to its own bracket.  A row whose entry part reduces to 0 while its
+    target part does not is a dependency the images break: the first
+    such row is where the brackets disagree, and it is not stored.  The
+    checks run in order: spanning per grade, surjectivity, then per
+    entry an entry past the next grade or the first disagreeing row.
     """
     if universal.shape != target.shape:
         raise ValueError("shape mismatch")
     N = universal.shape.N
-    if universal.nclass < target.nclass:
+    nclass = universal.nclass
+    if nclass < target.nclass:
         raise RuntimeError("classification violation: target outlives the source")
     out = {1: [1 << x for x in range(N)]}
-    for m in range(1, universal.nclass):
-        tab = universal.tables.get(m, ())
-        sol = F2Solver()
-        tgt_parts = []
-        for x, row in enumerate(tab):
-            for k in range(universal.dims[m - 1]):
-                sol.add(row[k])
-                tgt_parts.append(target.bracket_gen(x, m, out[m][k]))
-        imgs = []
-        for j in range(universal.dims[m]):
-            combo = sol.express(1 << j)
-            if combo is None:
-                raise RuntimeError("classification violation: grade not spanned")
-            img = 0
-            for i in bits_of(combo):
-                img ^= tgt_parts[i]
-            imgs.append(img)
-        out[m + 1] = imgs
+    checks = []  # per grade: its entries, the next grade's dim, the first bad row
+    for m in range(1, nclass + 1):
+        tab, d = universal.tables.get(m), universal.dims[m - 1]
+        nxt = universal.dims[m] if m < nclass else 0
+        entries = [tab[x][k] if tab is not None else 0 for x in range(N) for k in range(d)]
+        images = [v for row in _images(target.tables.get(m), out[m], N) for v in row]
+        w = max(entries, default=0).bit_length()
+        src, rows, mask, bad = (1 << w) - 1, {}, 0, None
+        for i, e in enumerate(entries):
+            v = e | images[i] << w
+            while hit := v & mask:
+                v ^= rows[low_bit(hit)]
+            if v & src:
+                rows[p := low_bit(v)] = v
+                mask |= 1 << p
+            elif v and bad is None:
+                bad = i
+        checks.append((entries, nxt, bad))
+        if m == nclass:
+            break
+        for p in sorted(rows, reverse=True):
+            for q in bits_of(rows[p] & mask & ~((2 << p) - 1)):
+                rows[p] ^= rows[q]
+        if any(rows.get(j, 0) & src != 1 << j for j in range(nxt)):
+            raise RuntimeError("classification violation: grade not spanned")
+        out[m + 1] = [rows[j] >> w for j in range(nxt)]
     for m in range(1, target.nclass + 1):
         if rank(out.get(m, [])) != target.dims[m - 1]:
             raise RuntimeError("classification violation: not surjective")
-    for m in range(1, universal.nclass + 1):
-        nxt = out.get(m + 1, [])
-        tab = universal.tables.get(m)
-        for x in range(N):
-            for k in range(universal.dims[m - 1]):
-                lhs = 0
-                if tab is not None:
-                    if tab[x][k] >> len(nxt):
-                        raise RuntimeError(
-                            "classification violation: bracket leaves the grades")
-                    for j in bits_of(tab[x][k]):
-                        lhs ^= nxt[j]
-                rhs = target.bracket_gen(x, m, out[m][k])
-                if lhs != rhs:
-                    raise RuntimeError(
-                        "classification violation: brackets disagree")
+    for entries, nxt, bad in checks:
+        for i, e in enumerate(entries):
+            if e >> nxt:
+                raise RuntimeError("classification violation: bracket leaves the grades")
+            if i == bad:
+                raise RuntimeError("classification violation: brackets disagree")
     return out

@@ -233,11 +233,11 @@ def test_residue_row_matches_the_symbols():
 # visits for them (the search with no bounds visits 1465 and 2339 on the
 # first two) and the primes whose residue rows it reads
 PINNED = [
-    ((1,) * 7, 1000, (5, 61, 109, 461, 809, 829, 881), 280, 28),
+    ((1,) * 7, 1000, (5, 61, 109, 461, 809, 829, 881), 280, 27),
     ((2, 2, 2, 2, 1), 2000, (65, 153061, 949321, 3135941, 1741), 834, 31),
-    ((1,) * 8, 5000, (5, 29, 109, 281, 349, 1889, 3769, 4549), 12, 10),
+    ((1,) * 8, 5000, (5, 29, 109, 281, 349, 1889, 3769, 4549), 12, 9),
     ((1,) * 9, 2000, (5, 269, 1009, 1129, 1249, 1289, 1429, 1489, 1609), 12266, 65),
-    ((3, 3, 3), 3000, (1105, 41999941, 3178359461), 13, 11),
+    ((3, 3, 3), 3000, (1105, 41999941, 3178359461), 13, 9),
 ]
 
 

@@ -235,9 +235,10 @@ def test_universal_enumerate_reports_the_coset_search(capsys, k):
     res = rep["results"]
     assert code == 0 and rep["passed"] is True
     # G/[G,G] is F2^N on the generators, so the search meets 2^N cosets,
-    # a coset's layer being its weight, and [G,G] fills out the order
+    # each generator doubling them in one block, and [G,G] fills out the
+    # order
     N = sum(k)
-    assert res["cosets"] == 1 << N and res["coset_layers"] == N + 1
+    assert res["cosets"] == 1 << N and res["coset_steps"] == N
     assert res["cosets"] << res["span_dim"] == res["order"] == res["predicted_order"]
 
 
@@ -504,10 +505,10 @@ def test_arith_search(capsys):
                          "--budget", "100")
     assert code == 0
     assert rep["results"]["a"] == [5, 29] and rep["results"]["verified"]
-    assert rep["results"]["nodes"] == 3 and rep["results"]["residue_rows"] == 2
-    # 11 symbols for the row of 5 on the whole pool, 4 for the row of 29
-    # on the primes that 5 allows
-    assert rep["results"]["residue_tests"] == 15
+    assert rep["results"]["nodes"] == 3 and rep["results"]["residue_rows"] == 1
+    # 11 symbols for the row of 5 on the whole pool; 29 fills the last
+    # entry, so its row is never read
+    assert rep["results"]["residue_tests"] == 11
     code, rep = run_json(capsys, "arith", "search", "--k", "1,1",
                          "--budget", "6")
     assert code == 1 and rep["results"] == {"found": False, "nodes": 1,
@@ -773,4 +774,4 @@ def test_numpy_stays_off_the_start_up_path():
     assert all(rep["passed"] for rep in out["reports"])
     assert out["reports"][-1]["results"] == {
         "exponent": 3, "predicted_order": 8, "order": 8, "cosets": 4,
-        "coset_layers": 3, "span_dim": 1, "axioms": dict.fromkeys(AXIOMS, True)}
+        "coset_steps": 2, "span_dim": 1, "axioms": dict.fromkeys(AXIOMS, True)}

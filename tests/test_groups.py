@@ -358,17 +358,35 @@ def test_close_np_matches_close_set():
         assert codes.tolist() == sorted(want), k
 
 
+def _random_generating_sets(seed: int):
+    """Seeded sets of one to three words of length 1 to 6 in the
+    generators of small universal groups, with the group they live in."""
+    rng = random.Random(seed)
+    for k in [(2, 1, 1), (1, 1, 1), (2, 2), (3, 1), (1, 1, 1, 1)]:
+        G = build_universal_general(BlockShape(k))
+        for _ in range(30):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                code = 0
+                for _ in range(rng.randint(1, 6)):
+                    code = G.mul(code, rng.choice(G.gen_codes))
+                gens.append(code)
+            yield G.with_generators(gens)
+
+
 def test_close_matches_close_set_on_other_generating_sets():
-    # the closure searches over the generators and their inverses; these
-    # sets have a generator of order 4, or codes too wide for the uint32
-    # working dtype (build_universal(4) is 44 bits), or span a proper
-    # subgroup
+    # these sets have a generator of order 4, or codes too wide for the
+    # uint32 working dtype (build_universal(4) is 44 bits), or span a
+    # proper subgroup, or are seeded words in the generators.  A
+    # generator's blocks run until its image in H/W falls in the cosets
+    # already listed, and some of these images have order 4 in H/W,
+    # taking three blocks
     G, U = build_universal(3), build_universal(4)
     g, h = G.gen_codes, U.gen_codes
     mutant = G.mul(g[0], G.commutator(g[1], g[2]))
     umutant = U.mul(h[0], U.commutator(h[1], h[2]))
     assert G.mul(mutant, mutant) != 0 and U.mul(umutant, umutant) != 0
-    assert U.width > 31
+    assert U.width > 32
     cases = [(G.with_generators([mutant, g[1], g[2]]), 256),
              (U.with_generators([umutant, h[1]]), 16),
              (U.with_generators(h[:3]), 256)]
@@ -376,12 +394,46 @@ def test_close_matches_close_set_on_other_generating_sets():
         H = build_universal_general(BlockShape(k))
         cases += [(H.with_generators(H.gen_codes[:j]), None)
                   for j in range(1, len(H.gen_codes))]
+    cases += [(H, None) for H in _random_generating_sets(31)]
+    orders = set()
     for H, order in cases:
         codes = H._close(H.gen_codes)
         want = sorted(oracles.closure_by_sets(H.gen_codes, H.mul, 0))
         assert codes.dtype == np.uint64
         assert codes.tolist() == want
         assert order is None or len(want) == order
+        W = groups._commutator_span(H)
+        for gen in H.gen_codes:
+            d, r = 1, W.reduce(gen)
+            while r:
+                d, r = d + 1, W.reduce(H.mul(r, gen))
+            orders.add(d)
+    assert 4 in orders
+
+
+def test_close_steps_keep_coset_representatives(monkeypatch):
+    # a block step on representatives, 0 at every pivot of W, gives
+    # representatives: the pre-reduced tables are red(u g) for red(u) = u
+    seen = []
+    step = ExpansionGroup._step
+
+    def checked(codes, table):
+        out = step(codes, table)
+        seen.append((codes, out))
+        return out
+
+    monkeypatch.setattr(ExpansionGroup, "_step", staticmethod(checked))
+    steps = 0
+    for H in _random_generating_sets(32):
+        seen.clear()
+        H._close(H.gen_codes)
+        # W spans the same subspace as [H,H], so it has the same pivots
+        pivots = groups._commutator_span(H).mask
+        for codes, out in seen:
+            assert not np.any(codes & out.dtype.type(pivots))
+            assert not np.any(out & out.dtype.type(pivots))
+        steps += len(seen)
+    assert steps > 100
 
 
 def test_right_mul_array_agrees_across_dtypes():
@@ -484,15 +536,16 @@ def test_closure_reads_only_mul_and_inv(monkeypatch):
 
     monkeypatch.setattr(groups, "_commutator_span", refuse)
     assert G.codes.tolist() == want
-    assert G.closure_stats == {"cosets": 16, "coset_layers": 5, "span_dim": 8}
+    assert G.closure_stats == {"cosets": 16, "coset_steps": 4, "span_dim": 8}
 
 
 def test_closure_ceiling_is_checked_on_cosets(monkeypatch):
     # |H/W| = 2^4 and |H| = 2^12: with the ceiling between them, the
-    # refusal names the predicted order, and no step sees more than the
-    # cosets
+    # refusal names the predicted order.  Each generator doubles the
+    # cosets in one block; the third block would make 8 cosets, 2^11
+    # elements, so it is refused before it is stepped and every step
+    # stays within the 4 cosets the ceiling allows
     G = build_universal_general(BlockShape((2, 1, 1)))
-    cosets = 1 << G.shape.N
     steps = []
     step = ExpansionGroup._step
 
@@ -508,11 +561,11 @@ def test_closure_ceiling_is_checked_on_cosets(monkeypatch):
     with pytest.raises(ResourceLimitError,
                        match=r"predicted order 2\^12 exceeds the enumeration ceiling 2\^10"):
         G._close(G.gen_codes)
-    assert steps and max(steps) <= cosets
+    assert steps == [1, 2]
     steps.clear()
     with pytest.raises(ResourceLimitError, match="ceiling of 1024 elements"):
         G.with_generators(G.gen_codes).codes
-    assert steps and max(steps) <= cosets
+    assert steps == [1, 2]
     assert G._codes is None
 
 

@@ -10,7 +10,7 @@ import pytest
 import oracles
 from genusforge import lie
 from genusforge.f2 import rank
-from genusforge.groups import build_universal, build_universal_general
+from genusforge.groups import build_universal, build_universal_general, descending_central_series
 from genusforge.lie import (
     GradedLie,
     check_lie_axioms,
@@ -137,6 +137,22 @@ def test_lie_from_group_general_shapes():
         lie_epimorphism(M, L)
 
 
+def test_series_commutator_is_one_act():
+    # a series vector r has zero vector part, so act(r, -) is the
+    # identity and [g_x, r] = r ^ act(g_x, r), the form lie_from_group
+    # uses past grade 1
+    pairs = 0
+    for N in range(1, 7):
+        for k in compositions(N):
+            G = build_universal_general(BlockShape(k))
+            for term in descending_central_series(G):
+                for r in term:
+                    for gx in G.gen_codes:
+                        assert r ^ G.act(gx, r) == G.commutator(gx, r), k
+                        pairs += 1
+    assert pairs == 13258
+
+
 def test_lie_from_group_requires_axioms():
     G = build_universal(3)
     g0, g1, g2 = G.gen_codes
@@ -224,6 +240,24 @@ def test_epimorphism_errors():
     for route in (lie_epimorphism, lie_epimorphism_tuples):
         with pytest.raises(RuntimeError, match="bracket leaves the grades"):
             route(overhang, M)
+    # grade 2 holds one vector, and the only entry that reaches it also
+    # carries a bit past the grade, so that vector alone is not spanned
+    spill = GradedLie(src.shape, (2, 1), {1: [[0, 3], [3, 0]]})
+    for route in (lie_epimorphism, lie_epimorphism_tuples):
+        with pytest.raises(RuntimeError, match="grade not spanned"):
+            route(spill, src)
+    # grade 3 of M is spanned by [e_0, b_2] = 2 and [e_1, b_1] = 3, and
+    # the redundant entry [e_2, b_0] = 1 is their sum; a target that
+    # clears its image breaks that dependency, which only the dependent
+    # row of the grade's elimination sees
+    assert (M.tables[2][0][2], M.tables[2][1][1], M.tables[2][2][0]) == (2, 3, 1)
+    redundant = copy.deepcopy(M.tables)
+    redundant[2][2][0] = 0
+    target = GradedLie(M.shape, M.dims, redundant)
+    with pytest.raises(RuntimeError, match="brackets disagree"):
+        lie_epimorphism(M, target)
+    with pytest.raises(RuntimeError, match="classification violation"):
+        lie_epimorphism_tuples(M, target)
 
 
 def epimorphism_or_error(source, target, route):
@@ -268,20 +302,29 @@ def test_epimorphism_matches_tuple_walk():
 
 
 def test_epimorphism_work_is_bounded_by_the_tables(monkeypatch):
-    # one solve per grade over the N * dims[m-1] table entries: no more
-    # than 2 * N * sum(dims) bracket_gen calls, not one per nested tuple
+    # one elimination per grade over the N * dims[m-1] table entries, the
+    # target brackets read by one table walk: no more than
+    # 2 * N * sum(dims) bracket applications, not one per nested tuple.
+    # Every output entry of lie._images counts as one, as does every
+    # bracket_gen call.
     shape = BlockShape((1,) * 5)
     M = governing_algebra_general(shape)
     L = lie_from_group(build_universal_general(shape))
     calls = 0
-    real = GradedLie.bracket_gen
+    real_images, real_gen = lie._images, GradedLie.bracket_gen
 
-    def counted(self, x, m, bits):
+    def counted_images(tab, vecs, n):
+        nonlocal calls
+        calls += n * len(vecs)
+        return real_images(tab, vecs, n)
+
+    def counted_gen(self, x, m, bits):
         nonlocal calls
         calls += 1
-        return real(self, x, m, bits)
+        return real_gen(self, x, m, bits)
 
-    monkeypatch.setattr(GradedLie, "bracket_gen", counted)
+    monkeypatch.setattr(lie, "_images", counted_images)
+    monkeypatch.setattr(GradedLie, "bracket_gen", counted_gen)
     lie_epimorphism(M, L)
     assert 0 < calls <= 2 * shape.N * sum(M.dims) == 540
 
