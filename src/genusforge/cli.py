@@ -82,11 +82,11 @@ def _presentation_cap(shape: BlockShape) -> None:
     """Refuse a shape past both the enumeration ceiling and SIZE_CAP.
 
     Past that ceiling the group is read from its presentation alone, and
-    the series and the layers grow about sixfold per block: (1,)*8
-    takes a fraction of a second for universal and 0.6 s for
-    reconstruct --j 2, (1,)*9 3.5 s and 43 MB for reconstruct --j 2
-    with the cap lifted (single runs, 2 cores, Python 3.11.7, numpy
-    2.4.6).
+    the series and the reconstruction kernels grow about fivefold per
+    block: (1,)*8 takes a fraction of a second for universal and 0.16 s
+    for reconstruct --j 2; with the cap lifted, the reconstruction of
+    (1,)*9 at j = 2 takes 0.25 s and 19 MB in process, and (1,)*10
+    1.1 s (single runs, 2 cores, Python 3.11.7, numpy 2.4.6).
     """
     if shape.N > SIZE_CAP and \
             universal_order_exponent(shape) > ENUM_CEILING.bit_length() - 1:
@@ -241,6 +241,14 @@ def _verify_expmaps(checks: list, max_n: int) -> None:
                             bad += left != right
         _check(checks, f"expmaps lcomm shape={list(shape.k)}", bad == 0,
                f"{bad} mismatches")
+        # dim layer j = labels - dim series term j-1 = labels - exponent + grades 1..j
+        ctx = _context(shape)
+        grades = grade_dims(ctx.group)
+        free = len(ctx.labels) - universal_order_exponent(shape)
+        dims = [len(phi_layer(shape, j)) for j in range(1, len(grades) + 2)]
+        want = [free + sum(grades[:j]) for j in range(1, len(grades) + 2)]
+        _check(checks, f"expmaps layer dims shape={list(shape.k)}", dims == want,
+               f"layer dims {dims} expected {want}")
         if shape.n == 4:
             continue  # value tables at order 2^21 would pass the table ceiling
         good = True

@@ -21,9 +21,11 @@ the ambient labels, sends (S, x) to (S - B, x) when B lies inside S and
 drops it otherwise (_pulled_corner); cocycle_view and theta read every
 corner this way, with no chain of corners through the sub-shapes.
 
-Layer reconstruction is one preimage in label coordinates and builds no
-value table: layer j is the maps whose corners lie in the corner layers
-j-1, joined with layer 1.  Every commuting vector is the corner vector
+phi_layer reads each nilpotency layer off the shape in closed form, with
+no series, kernel or group arithmetic (proof in its docstring).  Layer
+reconstruction is one preimage in label coordinates and builds no value
+table: layer j is the maps whose corners lie in the corner layers j-1,
+joined with layer 1.  Every commuting vector is the corner vector
 of a map, which realize_commuting_vector reads off the corners (see
 reconstruct_report), so no vector is obstructed and theta and
 solve_cochain are not called there.
@@ -51,12 +53,10 @@ inside the functions that build or read these arrays.
 from __future__ import annotations
 
 from itertools import combinations
-from operator import itemgetter
 
 from . import groups
 from .f2 import F2Basis, bits_of, kernel_basis, rank
-from .groups import (ExpansionGroup, ResourceLimitError, augmentation_power_span,
-                     build_universal_general)
+from .groups import ExpansionGroup, ResourceLimitError, build_universal_general
 from .tensors import BlockShape, governing_tensor_general
 
 __all__ = [
@@ -109,13 +109,10 @@ class _Context:
     whose polynomial field numbers its monomials by the blocks other than
     block(x).  Labels and corner matrices come from the shape; the group
     is enumerated only when a value table is asked for.  The group keeps
-    its own product table and series, so _CONTEXTS.clear() frees those
-    with the context.  row_bits picks the label bits out of a code
-    written in binary, last label first, for _label_row.
+    its own product table, so _CONTEXTS.clear() frees it with the context.
     """
 
-    __slots__ = ("shape", "group", "labels", "index", "bitpos", "row_bits",
-                 "_corners")
+    __slots__ = ("shape", "group", "labels", "index", "bitpos", "_corners")
 
     def __init__(self, shape: BlockShape):
         self.shape = shape
@@ -130,8 +127,6 @@ class _Context:
         self.index = {lab: p for p, lab in enumerate(labels)}
         comps = self.group.comps
         self.bitpos = [comps[x].poly_off + _squeeze(S, shape.block(x)) for S, x in labels]
-        top = self.group.width - 1
-        self.row_bits = itemgetter(*(top - b for b in reversed(self.bitpos)))
         self._corners = {}
 
 
@@ -293,18 +288,6 @@ def build_phi_basis(shape: BlockShape) -> list[PhiMap]:
     return [PhiMap(shape, 1 << p) for p in range(len(ctx.labels))]
 
 
-def phi_one_basis(shape: BlockShape) -> list[PhiMap]:
-    """Characters and the shuffled block products chi_A, spanning layer 1."""
-    ctx = _context(shape)
-    out = [PhiMap(shape, 1 << x) for x in range(shape.N)]
-    for size in range(2, shape.n + 1):
-        for A in combinations(range(shape.n), size):
-            mask = sum(1 << s for s in A)
-            out.append(PhiMap(shape, sum(1 << ctx.index[(mask ^ 1 << s, x)]
-                                         for s in A for x in shape.members(s))))
-    return out
-
-
 # -- cornering --
 
 def corner_operator(shape: BlockShape, i: int, phi: PhiMap) -> PhiMap:
@@ -402,12 +385,6 @@ def lcomm_check(shape: BlockShape, A, pointer_x: int, gens) -> tuple[int, int]:
     S = sum(1 << s for s in A) & ~(1 << shape.block(pointer_x))
     left = (code >> ctx.bitpos[ctx.index[(S, pointer_x)]]) & 1
     return left, tensor.eval(gens)
-
-
-def _label_row(ctx: _Context, w: int) -> int:
-    """Bit p is the value of label p at the code w: w is written out once,
-    most significant bit first, and one gather reads every label's bit."""
-    return int("".join(ctx.row_bits(format(w, f"0{ctx.group.width}b"))), 2)
 
 
 # -- coboundaries and cocycles --
@@ -540,22 +517,49 @@ def realize_commuting_vector(shape: BlockShape, v: CommVector) -> PhiMap:
 
 
 def phi_layer(shape: BlockShape, j: int) -> list[PhiMap]:
-    """Maps vanishing on the (j+1)-th term of the central series.
+    """Maps vanishing on the (j+1)-th term of the central series, term
+    j-1 counted from [G,G]: each label (S, x) with |S| < j, in label
+    order, then chi_A, the sum of the labels of support A = S + block(x),
+    for each A of j+1 or more blocks, in label order.
 
-    Every deeper term lies inside that one, so its basis alone gives the
-    conditions, and the series is built no deeper; past the class the
-    term is trivial and every label is free.
+    Proof.  The series lies in Q, the codes with zero vector part, where
+    the product is XOR; each label reads its own bit, so a map vanishes
+    on a span in Q when its coordinates meet each spanning code's labels
+    evenly.  P_A is the even-weight span of the labels of support A.
+    (1) Block shift: on Q, 1 + g_z (w -> w + conj(g_z, w)) sends (S, x)
+    to (S + b, x), b = block(z), when b is not in S + block(x), and to 0
+    otherwise, since g_z acts on factor x by x_b = 1 + t_b when b is not
+    block(x) (groups._act_plan).  So 1 + g_z maps A's labels one to one
+    into those of A + b, and P_A into P_(A+b), or to 0 when b is in A.
+    (2) [g_x, g_y] = (1 + g_y)(0, x) + (1 + g_x)(0, y) is ({block y}, x)
+    + ({block x}, y) when the blocks differ and 0 otherwise; over x in
+    block a and y in block b these pairs span P_{a,b}.
+    (3) [G,G] is the sum V of P_A over |A| >= 2.  By (1) and (2), V holds
+    the generator commutators and is closed under every 1 + g_z, so it
+    holds their normal span, which is [G,G] (groups._commutator_span).
+    Conversely, for |A| >= 3 two labels of A, of blocks s and s', are the
+    shift by 1 + g_z of two labels of A - c, z in a block c of A other
+    than s and s'; pairs span P_A, so P_A lies in the sum of
+    (1 + g_z) P_(A-c), and in [G,G] by induction from (2), as [G,G] is
+    normal.
+    (4) Term t+1 is the span of (1 + g_z) term t over the generators, so
+    by (1) and the pair shift of (3), term t is the sum of P_A over
+    |A| >= t+2.  Supports share no labels, so a map vanishes on term j-1
+    exactly when it is 0 or chi_A on the labels of each A of j+1 or more
+    blocks; the labels of smaller supports, |S| < j, are free.
     """
     if j < 0:
         raise ValueError("layer index must be nonnegative")
-    ctx = _context(shape)
-    width = len(ctx.labels)
     if j == 0:
         return []
-    conds = [_label_row(ctx, w) for w in augmentation_power_span(ctx.group, j + 1)]
-    if not conds:
-        return [PhiMap(shape, 1 << p) for p in range(width)]
-    return [PhiMap(shape, c) for c in kernel_basis(conds, cols=width)]
+    free, chis = [], {}
+    for p, (S, x) in enumerate(_context(shape).labels):
+        if S.bit_count() < j:
+            free.append(PhiMap(shape, 1 << p))
+        else:
+            A = S | 1 << shape.block(x)
+            chis[A] = chis.get(A, 0) | 1 << p
+    return free + [PhiMap(shape, c) for c in chis.values()]
 
 
 def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
@@ -601,7 +605,7 @@ def reconstruct_report(shape: BlockShape, j: int, corner_spaces) -> dict:
                      for f in kernel_basis(space, cols=len(_context(sub).labels)))
     preimage = kernel_basis(conds, cols=len(_context(shape).labels))
     span = F2Basis(preimage)
-    for phi in phi_one_basis(shape):
+    for phi in phi_layer(shape, 1):
         span.add(phi.coords)
     basis = span.basis()
     return {

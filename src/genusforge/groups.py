@@ -11,7 +11,6 @@ into integer codes, field by field, so closures are plain sorted int arrays.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -30,7 +29,6 @@ __all__ = [
     "check_expansion_axioms",
     "descending_central_series",
     "grade_dims",
-    "augmentation_power_span",
 ]
 
 ENUM_CEILING = 1 << 22
@@ -658,11 +656,11 @@ def check_expansion_axioms(G: ExpansionGroup) -> dict[str, bool]:
     return report
 
 
-# -- central series and the augmentation filtration --
+# -- central series --
 
-def _series_through(G: ExpansionGroup, t: float) -> list[list[int]]:
-    """Bases of the series terms 0, ..., t, or up to the first trivial
-    term; G._series keeps them, and only the missing terms are built.
+def descending_central_series(G: ExpansionGroup) -> list[list[int]]:
+    """Bases of [G,G], [G,[G,G]], ... down to the first trivial term, each
+    an XOR basis of codes in ker(phi), built once and kept on the group.
 
     Term 0 is [G,G], and term t+1 is spanned by w ^ conj(g, w) over a
     basis w of term t and the generators g, with no closing pass.  Every
@@ -673,6 +671,8 @@ def _series_through(G: ExpansionGroup, t: float) -> list[list[int]]:
     [V, G] is spanned by [v, g] = (1 + g) v over every g in G, and
     1 + g h = (1 + g) + (1 + h) + (1 + g)(1 + h) with (1 + h) V in V, so
     the generators span it.  [G,G] is normal, hence so is every term.
+    So term t is I^t [G,G], the augmentation-ideal power applied to the
+    commutator subgroup.
 
     The axioms are read from the stored report, else from
     check_generator_axioms; if that is not all True, the enumerated
@@ -689,23 +689,17 @@ def _series_through(G: ExpansionGroup, t: float) -> list[list[int]]:
     if not all(report.values()):
         raise ValueError("expansion axioms do not hold")
     if G._series is None:
-        G._series = [_commutator_span(G).basis()]
-    series = G._series
-    while series[-1] and len(series) <= t:
-        if len(series) > 64:
-            raise RuntimeError("series failed to terminate")
-        nxt = F2Basis()
-        for w in series[-1]:
-            for g in G.gen_codes:
-                nxt.add(w ^ G.conj(g, w))
-        series.append(nxt.basis())
-    return series
-
-
-def descending_central_series(G: ExpansionGroup) -> list[list[int]]:
-    """Bases of [G,G], [G,[G,G]], ... down to the first trivial term, each
-    an XOR basis of codes in ker(phi) (see _series_through)."""
-    return [list(b) for b in _series_through(G, math.inf)]
+        series = [_commutator_span(G).basis()]
+        while series[-1]:
+            if len(series) > 64:
+                raise RuntimeError("series failed to terminate")
+            nxt = F2Basis()
+            for w in series[-1]:
+                for g in G.gen_codes:
+                    nxt.add(w ^ G.conj(g, w))
+            series.append(nxt.basis())
+        G._series = series
+    return [list(b) for b in G._series]
 
 
 def grade_dims(G: ExpansionGroup) -> tuple[int, ...]:
@@ -718,13 +712,3 @@ def grade_dims(G: ExpansionGroup) -> tuple[int, ...]:
     while dims and dims[-1] == 0:
         dims.pop()
     return tuple(dims)
-
-
-def augmentation_power_span(G: ExpansionGroup, i: int) -> list[int]:
-    """Basis of I^(i-2) * [G,G], the augmentation-ideal power applied to the
-    commutator subgroup: series term i-2, which is sum_g (1 + g) applied
-    i-2 times (_series_through), built no deeper and empty past the class."""
-    if i < 2:
-        raise ValueError("power index starts at 2")
-    series = _series_through(G, i - 2)
-    return list(series[i - 2]) if i - 2 < len(series) else []

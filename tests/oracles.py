@@ -16,7 +16,7 @@ import numpy as np
 
 from genusforge.arith import AcceptableVector, _primes_1mod4, jacobi
 from genusforge.expmaps import (CommVector, PhiMap, _context, corner_operator,
-                                phi_one_basis, realize_commuting_vector,
+                                phi_layer, realize_commuting_vector,
                                 solve_cochain, theta)
 from genusforge.f2 import F2Basis, F2Solver, bits_of, kernel_basis, low_bit, rank
 from genusforge.groups import (TABLE_CEILING, ExpansionGroup, ResourceLimitError,
@@ -246,6 +246,38 @@ def label_row_by_labels(ctx, w: int) -> int:
     for p, bit in enumerate(ctx.bitpos):
         row |= ((w >> bit) & 1) << p
     return row
+
+
+def phi_layer_by_series(shape: BlockShape, j: int) -> list[PhiMap]:
+    """Layer j by its definition: the kernel of the label rows of a basis
+    of series term j-1, read off the group's central series; every label
+    once that term is trivial, and nothing at j = 0."""
+    if j < 0:
+        raise ValueError("layer index must be nonnegative")
+    if j == 0:
+        return []
+    ctx = _context(shape)
+    width = len(ctx.labels)
+    series = descending_central_series(ctx.group)
+    term = series[j - 1] if j <= len(series) else []
+    if not term:
+        return [PhiMap(shape, 1 << p) for p in range(width)]
+    conds = [label_row_by_labels(ctx, w) for w in term]
+    return [PhiMap(shape, c) for c in kernel_basis(conds, cols=width)]
+
+
+def layer_one_by_supports(shape: BlockShape) -> list[int]:
+    """Coordinates of the characters, then of chi_A, the sum of the
+    labels (A - {s}, x) over s in A and x in block s, for each support A
+    of two or more blocks in combinations order."""
+    ctx = _context(shape)
+    out = [1 << x for x in range(shape.N)]
+    for size in range(2, shape.n + 1):
+        for A in combinations(range(shape.n), size):
+            mask = sum(1 << s for s in A)
+            out.append(sum(1 << ctx.index[(mask ^ 1 << s, x)]
+                           for s in A for x in shape.members(s)))
+    return out
 
 
 def eval_by_labels(phi: PhiMap, code: int) -> int:
@@ -854,7 +886,7 @@ def reconstruct_report_cochain_first(shape: BlockShape, j: int, corner_spaces) -
             obstructions += 1
             continue
         span.add(realize_commuting_vector(shape, v).coords)
-    for phi in phi_one_basis(shape):
+    for phi in phi_layer(shape, 1):
         span.add(phi.coords)
     basis = [PhiMap(shape, c) for c in span.basis()]
     return {

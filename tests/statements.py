@@ -24,13 +24,12 @@ from typing import Iterable
 
 import numpy as np
 
-from genusforge.expmaps import (PhiMap, _context, _label_row, _recursion_holds,
-                                _unpack, phi_one_basis)
+from genusforge.expmaps import PhiMap, _context, _recursion_holds, _unpack, phi_layer
 from genusforge.f2 import F2Basis, kernel_basis, rank, solve, spans_equal
 from genusforge.groups import ExpansionGroup, descending_central_series
 from genusforge.lie import GradedLie
 from genusforge.tensors import BlockShape, cons_rows, gov_space_general, inj_index
-from oracles import nested
+from oracles import label_row_by_labels, nested
 
 
 def unique_epimorphism(source, target) -> dict[int, int] | None:
@@ -434,14 +433,14 @@ def restriction_kernel_check(shape: BlockShape) -> dict:
     and its kernel should be exactly layer 1.
     """
     ctx = _context(shape)
-    rows = [_label_row(ctx, w) for w in descending_central_series(ctx.group)[0]]
+    rows = [label_row_by_labels(ctx, w) for w in descending_central_series(ctx.group)[0]]
     image_dim = rank(rows)
     ker = kernel_basis(rows, cols=len(ctx.labels))
     return {
         "surjective": image_dim == len(rows),
         "image_dim": image_dim,
         "kernel_dim": len(ker),
-        "kernel_matches": spans_equal(ker, [p.coords for p in phi_one_basis(shape)]),
+        "kernel_matches": spans_equal(ker, [p.coords for p in phi_layer(shape, 1)]),
     }
 
 

@@ -41,7 +41,6 @@ from genusforge.f2 import kernel_basis, spans_equal
 from genusforge.groups import (
     ENUM_CEILING,
     ResourceLimitError,
-    augmentation_power_span,
     build_universal,
     build_universal_general,
     check_expansion_axioms,
@@ -58,7 +57,8 @@ from genusforge.tensors import (
     inj_tuples,
     mask_of,
 )
-from oracles import compositions, descending_central_series_by_conj_close, jacobi_by_euler
+from oracles import (augmentation_power_span_by_tuples, compositions,
+                     descending_central_series_by_conj_close, jacobi_by_euler)
 from statements import is_cocycle
 
 _BIG: dict[str, object] = {}
@@ -241,8 +241,9 @@ def test_criterion_08_augmentation_identity(capsys):
                 assert len(series) == len(closed) == cls
                 for i in range(2, cls + 2):
                     assert spans_equal(series[i - 2], closed[i - 2])
-                    assert spans_equal(augmentation_power_span(G, i),
-                                       closed[i - 2])
+                    assert spans_equal(series[i - 2],
+                                       augmentation_power_span_by_tuples(G, i))
+                assert series[-1] == []
 
 
 def test_criterion_09_mutation_sensitivity(capsys):

@@ -660,6 +660,22 @@ def test_verify_expmaps_lcomm_check_can_fail(capsys, monkeypatch):
     assert _failed_expmaps_checks(capsys) == ["expmaps lcomm shape=[2, 1]"]
 
 
+def test_verify_expmaps_layer_dims_check_can_fail(capsys, monkeypatch):
+    # one grade of (2,1) bumped: the series no longer sizes the layers
+    real = cli.grade_dims
+
+    def bumped(G):
+        dims = real(G)
+        return dims[:1] + (dims[1] + 1,) + dims[2:] if G.shape.k == (2, 1) else dims
+
+    monkeypatch.setattr(cli, "grade_dims", bumped)
+    code, rep = run_json(capsys, "verify", "expmaps", "--max-n", "3")
+    assert code == 1 and rep["passed"] is False
+    failed = [c for c in rep["results"]["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["expmaps layer dims shape=[2, 1]"]
+    assert failed[0]["detail"] == "layer dims [4, 6, 6] expected [4, 7, 7]"
+
+
 def test_verify_expmaps_obstruction_check_can_fail(capsys, monkeypatch):
     # a solver that answers every theta with the zero table
     monkeypatch.setattr(cli, "solve_cochain", lambda G, th: 0)

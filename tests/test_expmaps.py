@@ -20,20 +20,20 @@ from genusforge.expmaps import (
     corner_operator,
     lcomm_check,
     phi_layer,
-    phi_one_basis,
     realize_commuting_vector,
     reconstruct_report,
     solve_cochain,
     theta,
     _context,
 )
-from genusforge.f2 import F2Basis, kernel_basis, rank, rref, spans_equal
+from genusforge.f2 import F2Basis, rank, rref, spans_equal
 from genusforge.groups import ResourceLimitError
 from genusforge.tensors import BlockShape
 from oracles import (coboundary_rows, compositions, corner_chain, eval_by_labels,
-                     inflate, is_commuting, label_row_by_labels, normal_closure,
-                     pull_back_by_labels, reconstruct_report_cochain_first,
-                     solve_cochain_bfs, solve_cochain_exhaustive, values_by_labels)
+                     inflate, is_commuting, layer_one_by_supports, normal_closure,
+                     phi_layer_by_series, pull_back_by_labels,
+                     reconstruct_report_cochain_first, solve_cochain_bfs,
+                     solve_cochain_exhaustive, values_by_labels)
 from statements import (expansion_map, is_cocycle, nil_deg, restriction_kernel_check,
                         shuffling_check)
 
@@ -152,7 +152,7 @@ def test_corner_basis_rules():
 def test_corner_on_block_products():
     # the chi_A combinations corner to the smaller chi_A
     shape = S111
-    full = phi_one_basis(shape)[-1]
+    full = phi_layer(shape, 1)[-1]
     cut = corner_operator(shape, 1, full)
     sub = _context(shape.drop(1))
     want = 0
@@ -161,7 +161,7 @@ def test_corner_on_block_products():
             want |= 1 << sub.index[key(sub.shape, (0, 1), x)]
     assert cut.coords == want
     # dropping a block outside A kills the product
-    pair = phi_one_basis(shape)[shape.N]
+    pair = phi_layer(shape, 1)[shape.N]
     assert corner_operator(shape, 2, pair).is_zero()
 
 
@@ -634,7 +634,7 @@ def test_every_commuting_vector_realizes():
 def test_nil_deg_frozen():
     assert nil_deg(PhiMap(S11, 0)) == 0
     assert nil_deg(PhiMap(S11, 1)) == 1
-    assert nil_deg(phi_one_basis(S11)[-1]) == 1
+    assert nil_deg(phi_layer(S11, 1)[-1]) == 1
     assert nil_deg(phi_label(S11, (0, 1), 0)) == 2
     assert nil_deg(phi_label(S111, (0, 1, 2), 0)) == 3
 
@@ -678,7 +678,6 @@ def test_phi_layer_dims_frozen():
 
 def test_phi_layer_structure():
     for shape in (S11, S21, S111):
-        assert span_coords(phi_layer(shape, 1)) == span_coords(phi_one_basis(shape))
         prev: list[int] = []
         for j in range(1, 5):
             cur = span_coords(phi_layer(shape, j))
@@ -688,28 +687,24 @@ def test_phi_layer_structure():
         assert prev == span_coords(build_phi_basis(shape))
 
 
-@pytest.mark.parametrize("k", [(1, 1), (2, 1), (1, 1, 1), (2, 2), (2, 1, 1), (1,) * 4])
+@pytest.mark.parametrize("k", [k for N in range(1, 8) for k in compositions(N)]
+                         + [(1,) * 8, (2, 2, 2, 2), (3, 3, 2)])
 def test_phi_layer_reads_one_term_of_the_series(k):
-    # the conditions of every deeper term add nothing, and past the class
-    # the layer is every label
+    # the closed form against its definition, the kernel of the label
+    # rows of series term j-1, map for map and in order
     shape = BlockShape(k)
-    ctx = _context(shape)
-    width = len(ctx.labels)
-    series = groups.descending_central_series(ctx.group)
-    for j in range(1, len(series) + 3):
-        conds = [label_row_by_labels(ctx, w) for term in series[j - 1:] for w in term]
-        want = kernel_basis(conds, cols=width) if conds else [1 << p for p in range(width)]
-        assert [p.coords for p in phi_layer(shape, j)] == want, j
+    assert [p.coords for p in phi_layer(shape, 1)] == layer_one_by_supports(shape)
+    for j in range(shape.n + 3):
+        assert phi_layer(shape, j) == phi_layer_by_series(shape, j), j
 
 
-def test_phi_layer_builds_the_series_only_as_deep_as_it_reads(monkeypatch):
+def test_phi_layer_builds_no_series_and_enumerates_nothing(monkeypatch):
     monkeypatch.setattr(expmaps, "_CONTEXTS", {})
     shape = BlockShape((1,) * 6)
-    phi_layer(shape, 2)
+    for j in range(shape.n + 3):
+        phi_layer(shape, j)
     G = _context(shape).group
-    assert len(G._series) == 2
-    fresh = groups.build_universal_general(shape)
-    assert groups.descending_central_series(G) == groups.descending_central_series(fresh)
+    assert G._series is None and G._codes is None
 
 
 def test_phi_layer_dims_match_the_grade_dims():
@@ -738,15 +733,6 @@ def test_reconstruct_round_trip():
             want = [p.coords for p in phi_layer(shape, j)]
             assert rep["dim"] == len(want)
             assert spans_equal(rep["basis_coords"], want)
-
-
-def test_label_row_gather_matches_the_label_loop():
-    rng = random.Random(2202)
-    for k in ((1, 1), (2, 1), (1, 1, 1), (2, 2, 1), (4, 3), (1,) * 5, (1,) * 8):
-        ctx = _context(BlockShape(k))
-        width = ctx.group.width
-        for w in [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(20)]:
-            assert expmaps._label_row(ctx, w) == label_row_by_labels(ctx, w), k
 
 
 def test_corner_pull_back_matches_the_matrix_scan():

@@ -12,8 +12,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from genusforge import groups
 from genusforge.f2 import spans_equal
-from genusforge.groups import (ExpansionGroup, ResourceLimitError,
-                               augmentation_power_span, build_universal,
+from genusforge.groups import (ExpansionGroup, ResourceLimitError, build_universal,
                                build_universal_general, check_expansion_axioms,
                                check_generator_axioms,
                                descending_central_series, grade_dims,
@@ -264,8 +263,9 @@ def test_augmentation_powers_equal_series():
         assert len(series) == len(want)
         for i in range(2, 2 + len(series)):
             assert spans_equal(series[i - 2], want[i - 2])
-            assert spans_equal(augmentation_power_span(G, i), want[i - 2])
-        assert augmentation_power_span(G, 2 + len(series)) == []
+            assert spans_equal(series[i - 2],
+                               oracles.augmentation_power_span_by_tuples(G, i))
+        assert series[-1] == []
 
 
 def test_augmentation_powers_match_the_tuple_walk():
@@ -276,12 +276,13 @@ def test_augmentation_powers_match_the_tuple_walk():
                 continue
             G = build_universal_general(BlockShape(k))
             closed = oracles.descending_central_series_by_conj_close(G)
-            assert len(descending_central_series(G)) == len(closed), k
+            series = descending_central_series(G)
+            assert len(series) == len(closed), k
             for i in range(2, 2 + len(closed)):
-                span = augmentation_power_span(G, i)
-                assert spans_equal(span, closed[i - 2]), (k, i)
-                assert spans_equal(span,
+                assert spans_equal(series[i - 2], closed[i - 2]), (k, i)
+                assert spans_equal(series[i - 2],
                                    oracles.augmentation_power_span_by_tuples(G, i)), (k, i)
+            assert series[-1] == [], k
 
 
 def test_exponent_four_and_generator_identities():
