@@ -1,5 +1,9 @@
 """Command-line front end: dimension tables, enumeration, verification,
-layer reconstruction, and the arithmetic queries, with JSON reports."""
+layer reconstruction, and the arithmetic queries, with JSON reports.
+
+Importing this module loads arith and nothing else of the package: each
+command and helper imports, in its own body, the package names it reads,
+so a process pays only for the modules its command runs."""
 
 from __future__ import annotations
 
@@ -7,21 +11,9 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from itertools import combinations, islice, product
 
 from . import arith
-from .expmaps import (CommVector, ThetaCocycle, build_phi_basis, coboundary,
-                      cocycle_view, corner_operator, lcomm_check, phi_layer,
-                      reconstruct_report, solve_cochain, theta, _context)
-from .f2 import rank, spans_equal
-from .groups import (ENUM_CEILING, ResourceLimitError, build_universal_general,
-                     check_expansion_axioms, check_generator_axioms, grade_dims,
-                     universal_order_exponent)
-from .lie import (check_lie_axioms, governing_algebra_general, lie_epimorphism,
-                  lie_from_group)
-from .tensors import (BlockShape, block_sets, cons_dim_formula_general,
-                      gov_equals_cons_check, piece_cells)
 
 SCHEMA = "genusforge-report/1"
 SIZE_CAP = 8
@@ -30,14 +22,23 @@ PIECE_LIMIT = 1000
 CELL_LIMIT = 25 * 10 ** 6
 
 
-@dataclass
 class RunReport:
-    command: str
-    parameters: dict
-    results: dict
-    passed: bool
-    elapsed: float
-    schema: str = SCHEMA
+    """One command's report.  A plain class: importing dataclasses would
+    load inspect, dis, ast and tokenize, about 6 ms of every start-up."""
+
+    def __init__(self, command: str, parameters: dict, results: dict,
+                 passed: bool, elapsed: float, schema: str = SCHEMA):
+        self.command = command
+        self.parameters = parameters
+        self.results = results
+        self.passed = passed
+        self.elapsed = elapsed
+        self.schema = schema
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     def to_json(self) -> str:
         return json.dumps(vars(self), sort_keys=True)
@@ -48,6 +49,7 @@ class RunReport:
 
 
 def _parse_shape(text: str) -> BlockShape:
+    from .tensors import BlockShape
     try:
         k = tuple(int(v) for v in text.split(","))
     except ValueError:
@@ -72,6 +74,7 @@ def _ones(n: int) -> BlockShape:
     past the piece limit of a dims run over all of them, and universal
     refuses every N past SIZE_CAP; a dims run at one arity is refused
     there too, since the n sizes are what the refusal saves."""
+    from .tensors import BlockShape
     if n > PIECE_LIMIT:
         raise ValueError(f"(1,)*{n} has {n} distinct pieces, past the piece "
                          f"limit {PIECE_LIMIT}")
@@ -88,6 +91,7 @@ def _presentation_cap(shape: BlockShape) -> None:
     (1,)*9 at j = 2 takes 0.25 s and 19 MB in process, and (1,)*10
     1.1 s (single runs, 2 cores, Python 3.11.7, numpy 2.4.6).
     """
+    from .groups import ENUM_CEILING, universal_order_exponent
     if shape.N > SIZE_CAP and \
             universal_order_exponent(shape) > ENUM_CEILING.bit_length() - 1:
         raise ValueError(f"total support size capped at {SIZE_CAP} past the "
@@ -101,6 +105,7 @@ def _dims_guard(shape: BlockShape, span) -> None:
     distinct pieces or CELL_LIMIT pairs times rows summed over them.
     Every arity up to n has pieces of its own, so a longer span is
     refused before any block set is walked."""
+    from .tensors import block_sets, piece_cells
     pieces = [] if len(span) > PIECE_LIMIT else list(islice(
         (k for i in span for k, _ in block_sets(shape, i)), PIECE_LIMIT + 1))
     if max(len(span), len(pieces)) > PIECE_LIMIT:
@@ -115,6 +120,7 @@ def _dims_guard(shape: BlockShape, span) -> None:
 def _dims_rows(shape: BlockShape, span) -> list[dict]:
     """One row per arity in span: dim gov and dim cons from the pair
     route, the formula, and whether the spans and all three agree."""
+    from .tensors import cons_dim_formula_general, gov_equals_cons_check
     rows = []
     for i in span:
         chk = gov_equals_cons_check(shape, i)
@@ -137,6 +143,9 @@ def cmd_dims(args) -> tuple[dict, bool]:
 # -- universal --
 
 def cmd_universal(args) -> tuple[dict, bool]:
+    from .groups import (build_universal_general, check_expansion_axioms,
+                         check_generator_axioms, grade_dims,
+                         universal_order_exponent)
     shape = _shape_arg(args)
     _presentation_cap(shape)
     exp = universal_order_exponent(shape)
@@ -158,6 +167,7 @@ def cmd_universal(args) -> tuple[dict, bool]:
     results["generator_axioms"] = axioms
     if not all(axioms.values()):
         return results, False
+    from .lie import governing_algebra_general
     results["grade_dims"] = list(grade_dims(G))
     return results, tuple(results["grade_dims"]) == governing_algebra_general(shape).dims
 
@@ -169,7 +179,8 @@ def _check(checks: list, name: str, good: bool, detail: str = "") -> None:
 
 
 def _verify_tensors(checks: list, max_n: int) -> None:
-    _dims_guard(_ones(max(max_n, 1)), range(1, max_n + 1))
+    from .tensors import BlockShape
+    _dims_guard(_ones(max_n), range(1, max_n + 1))
     for k, label in [((1,) * n, f"n={n}") for n in range(1, max_n + 1)] + [
             (k, f"shape={k}") for k in ((1, 1), (2, 1), (2, 2), (1, 1, 1))]:
         for row in _dims_rows(BlockShape(k), range(1, len(k) + 1)):
@@ -178,6 +189,10 @@ def _verify_tensors(checks: list, max_n: int) -> None:
 
 
 def _verify_groups(checks: list, max_n: int) -> None:
+    from .groups import (build_universal_general, check_expansion_axioms,
+                         grade_dims, universal_order_exponent)
+    from .lie import governing_algebra_general
+    from .tensors import BlockShape
     for k in ((1,), (1, 1), (1, 1, 1), (2, 1), (2, 2)):
         shape = BlockShape(k)
         G = build_universal_general(shape)
@@ -197,6 +212,8 @@ def _epimorphism_problem(source, target) -> str:
     Every grade needs one image per source basis vector, and the images
     must span the target grade.
     """
+    from .f2 import rank
+    from .lie import lie_epimorphism
     try:
         images = lie_epimorphism(source, target)
     except RuntimeError as err:
@@ -213,6 +230,9 @@ def _epimorphism_problem(source, target) -> str:
 
 
 def _verify_lie(checks: list, max_n: int) -> None:
+    from .groups import build_universal_general
+    from .lie import check_lie_axioms, governing_algebra_general, lie_from_group
+    from .tensors import BlockShape
     for k in ((1, 1), (1, 1, 1), (2, 1), (2, 2), (1,) * 4, (1,) * 5, (1,) * 6,
               (2, 1, 1, 1), (2, 1, 1, 1, 1)):
         shape = BlockShape(k)
@@ -227,6 +247,13 @@ def _verify_lie(checks: list, max_n: int) -> None:
 
 
 def _verify_expmaps(checks: list, max_n: int) -> None:
+    from .expmaps import (CommVector, ThetaCocycle, build_phi_basis,
+                          coboundary, cocycle_view, corner_operator,
+                          lcomm_check, phi_layer, reconstruct_report,
+                          solve_cochain, theta, _context)
+    from .f2 import spans_equal
+    from .groups import grade_dims, universal_order_exponent
+    from .tensors import BlockShape
     for k in ((1, 1), (2, 1), (1, 1, 1), (1, 1, 1, 1)):
         if len(k) > max_n:
             continue
@@ -278,6 +305,9 @@ _SUITES = {"tensors": _verify_tensors, "groups": _verify_groups,
 
 
 def cmd_verify(args) -> tuple[dict, bool]:
+    if args.max_n < 1:
+        # below 1 the tensor rows and the expmaps shapes would be skipped
+        raise ValueError(f"--max-n must be at least 1, got {args.max_n}")
     checks: list[dict] = []
     for name, suite in _SUITES.items():
         if args.suite in (name, "all"):
@@ -288,8 +318,16 @@ def cmd_verify(args) -> tuple[dict, bool]:
 # -- reconstruct --
 
 def cmd_reconstruct(args) -> tuple[dict, bool]:
+    from .expmaps import phi_layer, reconstruct_report, _context
+    from .f2 import spans_equal
     shape = _parse_shape(args.shape)
     _presentation_cap(shape)
+    # layer j is rebuilt from layer j-1 on each corner that drops one block
+    if shape.n < 2:
+        raise ValueError("reconstruction needs at least 2 blocks, one corner "
+                         f"per dropped block; --shape {args.shape} has {shape.n}")
+    if args.j < 2:
+        raise ValueError(f"reconstruction starts at layer 2, got --j {args.j}")
     width = len(_context(shape).labels)
     corners = [phi_layer(shape.drop(i), args.j - 1) for i in range(shape.n)]
     rep = reconstruct_report(shape, args.j, corners)
@@ -310,6 +348,7 @@ def _arith_bound(n: int, text: str) -> tuple[dict, bool]:
     shape omega, N*C(n-1,j-1) - C(n,j), when omega lists one size per
     block and passes the dims guard; otherwise the reason no second route
     applies, in a report that passes."""
+    from .tensors import BlockShape
     omega = int(text) if "," not in text else [int(v) for v in text.split(",")]
     total, grades = arith.maximality_bound(n, omega)
     results = {"total": total, "grades": grades}
@@ -427,6 +466,17 @@ def build_parser() -> argparse.ArgumentParser:
 _PARSER: argparse.ArgumentParser | None = None
 
 
+def _refusals() -> tuple[type[Exception], ...]:
+    """The errors main reports as refusals, read only while an exception
+    is being matched.  A ResourceLimitError can come only from a command
+    that loaded groups, so groups is looked up here, never imported: a
+    refusal of a command that never ran it, as `arith validate 15`, loads
+    no module the command did not."""
+    groups = sys.modules.get(f"{__package__}.groups")
+    limits = () if groups is None else (groups.ResourceLimitError,)
+    return (ValueError, arith.FactorBudgetError, *limits)
+
+
 def main(argv=None) -> int:
     """Run one command and print its report: each cmd_* returns (results,
     passed), and main alone records the parsed arguments, times the call
@@ -442,7 +492,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         results, passed = args.fn(args)
-    except (ValueError, ResourceLimitError, arith.FactorBudgetError) as err:
+    except _refusals() as err:
         results, passed = {"error": str(err)}, False
     report = RunReport(args.command, params, results, bool(passed),
                        round(time.perf_counter() - t0, 6))

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from genusforge import arith, cli, expmaps, groups, tensors
+from genusforge import arith, cli, expmaps, groups, lie, tensors
 from genusforge.cli import RunReport, build_parser, main
 from genusforge.groups import descending_central_series, universal_order_exponent
 from genusforge.lie import governing_algebra_general, lie_epimorphism
@@ -37,6 +37,7 @@ def test_report_round_trip(capsys):
     code, out = run(capsys, "--json", "dims", "--n", "2")
     rep = RunReport.from_json(out)
     assert rep == RunReport.from_json(rep.to_json())
+    assert rep != RunReport(**{**vars(rep), "passed": False})
     assert rep.schema == "genusforge-report/1"
     assert rep.passed and code == 0
     # the document is one line, and reads back as the report it came from
@@ -212,6 +213,31 @@ def test_reconstruct_command(capsys):
     assert code == 1 and "error" in rep["results"]
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("verify", "all", "--max-n", "0"), "--max-n must be at least 1, got 0"),
+    (("verify", "tensors", "--max-n", "-3"), "--max-n must be at least 1, got -3"),
+    (("reconstruct", "--shape", "3", "--j", "2"),
+     "reconstruction needs at least 2 blocks, one corner per dropped block; "
+     "--shape 3 has 1"),
+    (("reconstruct", "--shape", "2,1", "--j", "-1"),
+     "reconstruction starts at layer 2, got --j -1"),
+    (("reconstruct", "--shape", "2,1", "--j", "1"),
+     "reconstruction starts at layer 2, got --j 1"),
+], ids=["verify-max-n-0", "verify-max-n-negative", "reconstruct-one-block",
+        "reconstruct-j-negative", "reconstruct-j-1"])
+def test_requests_outside_the_rules_are_refused_by_name(capsys, monkeypatch, argv, error):
+    # verify below --max-n 1 would skip every (1,)*n tensor row and every
+    # expmaps shape and still pass; reconstruct refuses before any corner
+    monkeypatch.setattr(expmaps, "phi_layer", _no_layer)
+    code, rep = run_json(capsys, *argv)
+    assert code == 1 and rep["passed"] is False
+    assert rep["results"] == {"error": error}
+
+
+def _no_layer(shape, j):
+    raise AssertionError(f"built layer {j} of {shape.k}")
+
+
 def test_reconstruct_past_table_ceiling(capsys, monkeypatch):
     # order 2^21: every commuting vector realizes in label space, so no
     # value table is built and the 2^13 table ceiling never trips
@@ -337,7 +363,7 @@ def test_size_cap_spares_shapes_under_the_enumeration_ceiling(capsys, monkeypatc
 
 
 def test_universal_reports_a_failed_generator_check(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "check_generator_axioms",
+    monkeypatch.setattr(groups, "check_generator_axioms",
                         lambda G: dict.fromkeys(AXIOMS, True) | {"axiom4": False})
     code, rep = run_json(capsys, "universal", "--shape", "2,1")
     assert code == 1 and rep["passed"] is False
@@ -348,7 +374,7 @@ def test_universal_reports_a_failed_generator_check(capsys, monkeypatch):
 def test_universal_fails_on_grades_off_the_model(capsys, monkeypatch):
     # [4, 7, 7, 3] sums to the exponent 21 of (1,1,1,1), as the model's
     # (4, 6, 8, 3) does, so only the grade by grade comparison sees it
-    monkeypatch.setattr(cli, "grade_dims", lambda G: (4, 7, 7, 3))
+    monkeypatch.setattr(groups, "grade_dims", lambda G: (4, 7, 7, 3))
     code, rep = run_json(capsys, "universal", "--n", "4")
     assert code == 1 and rep["passed"] is False
     res = rep["results"]
@@ -410,7 +436,7 @@ def _one_image_short(source, target):
     (_one_image_short, "grade 1: "),
 ])
 def test_verify_lie_epimorphism_check_can_fail(capsys, monkeypatch, fake, detail):
-    monkeypatch.setattr(cli, "lie_epimorphism", fake)
+    monkeypatch.setattr(lie, "lie_epimorphism", fake)
     code, rep = run_json(capsys, "verify", "lie")
     assert code == 1 and rep["passed"] is False
     checks = rep["results"]["checks"]
@@ -427,7 +453,7 @@ def test_verify_lie_checks_axioms_past_n4(capsys, monkeypatch):
     names = [c["name"] for c in rep["results"]["checks"]]
     assert names == [f"lie {check} shape={k}" for k in LIE_SHAPES
                      for check in ("axioms", "group match", "epimorphisms")]
-    real = cli.check_lie_axioms
+    real = lie.check_lie_axioms
 
     def blind_to_one_shape(L):
         report = real(L)
@@ -435,7 +461,7 @@ def test_verify_lie_checks_axioms_past_n4(capsys, monkeypatch):
             report["tilde2"] = False
         return report
 
-    monkeypatch.setattr(cli, "check_lie_axioms", blind_to_one_shape)
+    monkeypatch.setattr(lie, "check_lie_axioms", blind_to_one_shape)
     code, rep = run_json(capsys, "verify", "lie")
     assert code == 1
     failed = [c["name"] for c in rep["results"]["checks"] if not c["passed"]]
@@ -546,13 +572,13 @@ def test_arith_consistent_fails_on_a_wrong_residue(capsys, monkeypatch):
 # one command line per command, a callee it reaches before any answer,
 # and the parameters main records for it
 REFUSABLE = [
-    (["dims", "--n", "3"], cli, "gov_equals_cons_check",
+    (["dims", "--n", "3"], tensors, "gov_equals_cons_check",
      {"n": 3, "shape": None, "i": None}),
-    (["universal", "--n", "2"], cli, "build_universal_general",
+    (["universal", "--n", "2"], groups, "build_universal_general",
      {"n": 2, "shape": None, "enumerate": False}),
-    (["verify", "groups"], cli, "build_universal_general",
+    (["verify", "groups"], groups, "build_universal_general",
      {"suite": "groups", "max_n": 5}),
-    (["reconstruct", "--shape", "1,1", "--j", "2"], cli, "phi_layer",
+    (["reconstruct", "--shape", "1,1", "--j", "2"], expmaps, "phi_layer",
      {"shape": "1,1", "j": 2}),
     (["arith", "validate", "5"], arith, "validate_acceptable",
      {"sub": "validate", "entries": [5]}),
@@ -600,7 +626,7 @@ def test_arith_bound_refuses_an_entry_without_a_prime(capsys, n, omega, error):
 
 def _zeroed(target):
     """phi_layer, with the layer of target = (shape, j) replaced by zero maps."""
-    real = cli.phi_layer
+    real = expmaps.phi_layer
 
     def layer(shape, j):
         out = real(shape, j)
@@ -613,7 +639,7 @@ def _zeroed(target):
 @pytest.mark.parametrize("target", [((2, 1, 1), 2), ((2, 1), 1)],
                          ids=["direct", "corner"])
 def test_reconstruct_fails_on_a_wrong_layer(capsys, monkeypatch, target):
-    monkeypatch.setattr(cli, "phi_layer", _zeroed(target))
+    monkeypatch.setattr(expmaps, "phi_layer", _zeroed(target))
     code, rep = run_json(capsys, "reconstruct", "--shape", "2,1,1", "--j", "2")
     assert code == 1 and rep["passed"] is False
     assert rep["results"]["equal"] is False and "error" not in rep["results"]
@@ -621,7 +647,7 @@ def test_reconstruct_fails_on_a_wrong_layer(capsys, monkeypatch, target):
 
 @pytest.mark.parametrize("target", [((1, 1), 2), ((1,), 1)], ids=["direct", "corner"])
 def test_verify_expmaps_reconstruct_check_can_fail(capsys, monkeypatch, target):
-    monkeypatch.setattr(cli, "phi_layer", _zeroed(target))
+    monkeypatch.setattr(expmaps, "phi_layer", _zeroed(target))
     code, rep = run_json(capsys, "verify", "expmaps", "--max-n", "3")
     assert code == 1 and rep["passed"] is False
     failed = [c["name"] for c in rep["results"]["checks"] if not c["passed"]]
@@ -650,25 +676,25 @@ def test_verify_expmaps_expansion_check_can_fail(capsys, monkeypatch):
 
 def test_verify_expmaps_lcomm_check_can_fail(capsys, monkeypatch):
     # one extractor value flipped on one nested commutator of (2,1)
-    real = cli.lcomm_check
+    real = expmaps.lcomm_check
 
     def flipped(shape, A, x, gens):
         left, right = real(shape, A, x, gens)
         return left ^ ((shape.k, A, x, gens) == ((2, 1), (0, 1), 0, (0, 2))), right
 
-    monkeypatch.setattr(cli, "lcomm_check", flipped)
+    monkeypatch.setattr(expmaps, "lcomm_check", flipped)
     assert _failed_expmaps_checks(capsys) == ["expmaps lcomm shape=[2, 1]"]
 
 
 def test_verify_expmaps_layer_dims_check_can_fail(capsys, monkeypatch):
     # one grade of (2,1) bumped: the series no longer sizes the layers
-    real = cli.grade_dims
+    real = groups.grade_dims
 
     def bumped(G):
         dims = real(G)
         return dims[:1] + (dims[1] + 1,) + dims[2:] if G.shape.k == (2, 1) else dims
 
-    monkeypatch.setattr(cli, "grade_dims", bumped)
+    monkeypatch.setattr(groups, "grade_dims", bumped)
     code, rep = run_json(capsys, "verify", "expmaps", "--max-n", "3")
     assert code == 1 and rep["passed"] is False
     failed = [c for c in rep["results"]["checks"] if not c["passed"]]
@@ -678,13 +704,13 @@ def test_verify_expmaps_layer_dims_check_can_fail(capsys, monkeypatch):
 
 def test_verify_expmaps_obstruction_check_can_fail(capsys, monkeypatch):
     # a solver that answers every theta with the zero table
-    monkeypatch.setattr(cli, "solve_cochain", lambda G, th: 0)
+    monkeypatch.setattr(expmaps, "solve_cochain", lambda G, th: 0)
     assert _failed_expmaps_checks(capsys) == ["expmaps obstruction detected"]
 
 
 def test_universal_enumerate_fails_on_a_failing_axiom(capsys, monkeypatch):
-    real = cli.check_expansion_axioms
-    monkeypatch.setattr(cli, "check_expansion_axioms",
+    real = groups.check_expansion_axioms
+    monkeypatch.setattr(groups, "check_expansion_axioms",
                         lambda G: real(G) | {"axiom3": False})
     code, rep = run_json(capsys, "universal", "--shape", "2,1", "--enumerate")
     assert code == 1 and rep["passed"] is False
@@ -693,13 +719,13 @@ def test_universal_enumerate_fails_on_a_failing_axiom(capsys, monkeypatch):
 
 
 def test_verify_groups_fails_on_a_failing_axiom(capsys, monkeypatch):
-    real = cli.check_expansion_axioms
+    real = groups.check_expansion_axioms
 
     def flipped(G):
         rep = real(G)
         return rep | {"tilde_condition": False} if G.shape.k == (2, 1) else rep
 
-    monkeypatch.setattr(cli, "check_expansion_axioms", flipped)
+    monkeypatch.setattr(groups, "check_expansion_axioms", flipped)
     code, rep = run_json(capsys, "verify", "groups")
     assert code == 1 and rep["passed"] is False
     failed = [c["name"] for c in rep["results"]["checks"] if not c["passed"]]
@@ -707,13 +733,13 @@ def test_verify_groups_fails_on_a_failing_axiom(capsys, monkeypatch):
 
 
 def test_verify_groups_fails_on_a_wrong_grade(capsys, monkeypatch):
-    real = cli.grade_dims
+    real = groups.grade_dims
 
     def bumped(G):
         dims = real(G)
         return dims[:-1] + (dims[-1] + 1,) if G.shape.k == (2, 2) else dims
 
-    monkeypatch.setattr(cli, "grade_dims", bumped)
+    monkeypatch.setattr(groups, "grade_dims", bumped)
     code, rep = run_json(capsys, "verify", "groups")
     assert code == 1 and rep["passed"] is False
     failed = [c for c in rep["results"]["checks"] if not c["passed"]]
@@ -791,3 +817,76 @@ def test_numpy_stays_off_the_start_up_path():
     assert out["reports"][-1]["results"] == {
         "exponent": 3, "predicted_order": 8, "order": 8, "cosets": 4,
         "coset_steps": 2, "span_dim": 1, "axioms": dict.fromkeys(AXIOMS, True)}
+
+
+FRONT_END = ["genusforge", "genusforge.arith", "genusforge.cli"]
+
+# each command, run alone in a fresh interpreter, and the package modules
+# it adds to those that `import genusforge.cli` loads
+START_UP = [
+    (["arith", "search", "--k", "1,1,1,1,1", "--budget", "200"], ()),
+    (["arith", "validate", "65", "29"], ()),
+    (["arith", "consistent", "5", "29"], ()),
+    (["dims", "--n", "5"], ("f2", "tensors")),
+    (["arith", "bound", "--n", "2", "--omega", "2,2"], ("f2", "tensors")),
+    (["verify", "tensors"], ("f2", "tensors")),
+    (["reconstruct", "--shape", "2,1,1", "--j", "2"],
+     ("expmaps", "f2", "groups", "tensors")),
+    (["universal", "--shape", "1,1,1,1"], ("f2", "groups", "lie", "tensors")),
+    (["universal", "--shape", "1,1", "--enumerate"], ("f2", "groups", "tensors")),
+    (["verify", "all", "--max-n", "3"],
+     ("expmaps", "f2", "groups", "lie", "tensors")),
+]
+
+# runs in a fresh interpreter: imports the planted modules, then
+# genusforge.cli, then runs the command if one is given; prints the
+# package modules and dataclasses, when loaded, after the import and
+# after the command, and whether the command passed
+MODULE_PROBE = """
+import contextlib, importlib, io, json, sys
+planted, argv = json.loads(sys.argv[1])
+for name in planted:
+    importlib.import_module(name)
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.split(".")[0] in ("genusforge", "dataclasses"))
+import genusforge.cli
+out = {"import": loaded()}
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()) as buf:
+        genusforge.cli.main(["--json", *argv])
+    out.update(command=loaded(), passed=json.loads(buf.getvalue())["passed"])
+print(json.dumps(out))
+"""
+
+
+def _module_probe(planted: list[str], argv: list[str]) -> dict:
+    src = Path(cli.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE,
+                           json.dumps([planted, argv])],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("argv, added", START_UP,
+                         ids=[" ".join(argv) for argv, _ in START_UP])
+def test_each_command_loads_only_the_modules_it_runs(argv, added):
+    out = _module_probe([], argv)
+    assert out["import"] == FRONT_END
+    assert out["passed"] is True
+    assert out["command"] == sorted(FRONT_END + [f"genusforge.{m}" for m in added])
+
+
+def test_a_refusal_loads_no_module_its_command_does_not():
+    # main matches the refusal without importing groups, where
+    # ResourceLimitError lives
+    out = _module_probe([], ["arith", "validate", "15"])
+    assert out == {"import": FRONT_END, "command": FRONT_END, "passed": False}
+
+
+def test_module_probe_can_fail():
+    # modules loaded before the import show in what the probe reports
+    out = _module_probe(["genusforge.lie", "dataclasses"], [])
+    assert out == {"import": sorted(FRONT_END + ["dataclasses"] + [
+        f"genusforge.{m}" for m in ("f2", "groups", "lie", "tensors")])}

@@ -1,11 +1,12 @@
 """Source hygiene with the standard library alone: every name a module
 exports resolves, every module but cli and __init__ has an __all__ whose
 names cli.py or another package module uses, no package module imports a
-name it never uses, numpy is imported only inside the functions that use
-it, every dotted name README.md quotes exists in the package, every
-function the benchmark's span table traces by name exists, no CLI
-command catches, times or builds its own report, and no module-level
-container keeps what a command put in it once the caches are cleared."""
+name it never uses, at module level or in a function, numpy is imported
+only inside the functions that use it, every dotted name README.md quotes
+exists in the package, every function the benchmark's span table traces
+by name exists, no CLI command catches, times or builds its own report,
+and no module-level container keeps what a command put in it once the
+caches are cleared."""
 
 from __future__ import annotations
 
@@ -147,6 +148,26 @@ def _scope(node: ast.AST) -> list[ast.AST]:
     return out
 
 
+def _unused_local_imports(tree: ast.Module) -> list[str]:
+    """Each name imported in a function's own scope that neither that
+    function nor a function nested in it reads, by line."""
+    out = []
+    for func in ast.walk(tree):
+        if isinstance(func, FUNCS):
+            used = _used(func)
+            out.extend((n.lineno, f"{func.name} imports {name} unused")
+                       for n in _scope(func) if isinstance(n, (ast.Import, ast.ImportFrom))
+                       for name in (a.asname or a.name.split(".")[0] for a in n.names)
+                       if name not in used)
+    return [f"line {line}: {text}" for line, text in sorted(out)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_function_imports(path):
+    unused = _unused_local_imports(_tree(path))
+    assert not unused, f"{path.name}: imported in a function but never used {unused}"
+
+
 def _numpy_misuse(tree: ast.Module) -> list[str]:
     """Module-level numpy imports, and the functions that read np with no
     `import numpy as np` of their own or in an enclosing function, by line."""
@@ -268,6 +289,13 @@ def test_checks_can_fail():
     assert _exports(trees["bare"]) is None
     text = "reads `ExpansionGroup.mul_table()` and `ExpansionGroup.cayley_tree()`"
     assert _unresolved(text) == ["ExpansionGroup.cayley_tree"]
+    tree = ast.parse(
+        "def f():\n    from .f2 import rank, spans_equal\n    return rank([])\n"
+        "def g():\n    import numpy as np\n    def inner():\n        return np.ones(1)\n"
+        "    return inner\n"
+        "def h():\n    def inner():\n        from .lie import bracket\n    return bracket\n")
+    assert _unused_local_imports(tree) == ["line 2: f imports spans_equal unused",
+                                           "line 11: inner imports bracket unused"]
     tree = ast.parse("import os\nif os.sep:\n    from numpy import zeros\nZ = np.uint64(0)\n")
     assert _numpy_misuse(tree) == ["line 0: <module> reads np unbound",
                                    "line 3: module-level numpy import"]
